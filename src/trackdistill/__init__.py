@@ -1,7 +1,7 @@
 """Distill an ensemble of trackers into one recurrent student, then let it fly solo.
 
 The package covers the full loop: synthetic video generation, teacher
-trajectory capture, overlap-filtered transfer sets, asynchronous
+trajectory capture, overlap-filtered transfer sets, interleaved
 distillation + actor-critic training, and three inference protocols
 (student-only, student/teacher hand-off, pool fusion) with OTB/VOT-style
 evaluation. Everything runs on numpy; the command line lives in

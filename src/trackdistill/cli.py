@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -186,6 +187,16 @@ def cmd_train(args) -> int:
             )
             return result.ao
 
+    started = time.perf_counter()
+
+    def progress(entry: dict) -> None:
+        rate = entry["update"] / (time.perf_counter() - started)
+        print(
+            f"update {entry['update']}: val AO {entry['val_score']:.4f}, "
+            f"best {entry['best_val_score']:.4f}, {rate:.1f} upd/s",
+            flush=True,
+        )
+
     result = train(
         model,
         chunks,
@@ -194,6 +205,7 @@ def cmd_train(args) -> int:
         cfgmod.optimizer_config(config),
         args.out,
         validate_fn=validate_fn,
+        progress=progress,
     )
     tail = (
         f", best val AO {result.best_val_ao:.4f}" if result.best_val_ao is not None else ""

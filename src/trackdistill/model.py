@@ -89,8 +89,12 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class StudentOutput:
+    """One step's outputs, plus the intermediates ``backward_window`` needs
+    to differentiate through this step (one entry of its ``caches``)."""
+
     action: np.ndarray  # in (-1, 1)^4
     value: float
+    cache: tuple = field(default=(), repr=False, compare=False)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -291,8 +295,8 @@ class StudentModel:
     def forward(self, params: np.ndarray, state: State, hidden: HiddenState):
         """One prediction; purely functional in (params, state, hidden)."""
         self._check_state(state)
-        mu, value, h, c, _ = self._step(self.views(params), state, hidden.h, hidden.c)
-        return StudentOutput(mu, value), HiddenState(h, c)
+        mu, value, h, c, cache = self._step(self.views(params), state, hidden.h, hidden.c)
+        return StudentOutput(mu, value, cache), HiddenState(h, c)
 
     def forward_window(
         self, params: np.ndarray, states: Sequence[State], hidden: HiddenState

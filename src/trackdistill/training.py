@@ -4,18 +4,21 @@ Workers roll episodes over transfer-set chunks. Distilling workers execute
 their own policy and regress masked L1 toward the best teacher's action;
 autonomous workers execute Gaussian samples around the policy mean (spread
 set by the distance to the ground-truth action) and optimize an advantage
-actor-critic objective. All workers send per-window gradients to one shared,
-lock-serialized parameter store.
+actor-critic objective. All workers send per-window gradients to one shared
+parameter store. The workers are logical: ``train`` interleaves them on the
+calling thread, one whole episode per turn in a fixed round-robin order, so a
+run is a pure function of its inputs and seed, and an error in any episode
+propagates out of ``train``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import threading
-import time
+import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -195,42 +198,68 @@ def window_loss_fn(
 
     def fn(params: np.ndarray) -> Tuple[float, np.ndarray]:
         mus, values, _, caches = model.forward_window(params, states, record.h0)
-        n = len(states)
-        dmus = np.zeros((n, 4))
-        dvalues = np.zeros(n)
-        loss = 0.0
-        if kind in ("distill", "combined"):
-            part = 0.0
-            for i, s in enumerate(record.steps):
-                if s.teacher_action is None:
-                    raise InvalidInputError("distill loss needs teacher actions")
-                diff = mus[i] - s.teacher_action
-                part += s.mask * float(np.sum(np.abs(diff)))
-                dmus[i] += s.mask * np.sign(diff)
-            loss += part
-        if kind in ("policy", "rl", "combined"):
-            part = 0.0
-            scale = rl_scale if kind == "combined" else 1.0
-            for i, s in enumerate(record.steps):
-                if s.raw is None or s.sigma is None:
-                    raise InvalidInputError("policy loss needs recorded samples")
-                part -= adv[i] * gaussian_log_density(s.raw, mus[i], s.sigma)
-                dmus[i] += scale * (-adv[i]) * (s.raw - mus[i]) / (s.sigma ** 2)
-            loss += scale * part
-        if kind in ("value", "rl", "combined"):
-            scale = rl_scale if kind == "combined" else 1.0
-            diff = values - targets
-            loss += scale * float(np.sum(0.5 * diff * diff))
-            dvalues += scale * diff
-        grad = model.backward_window(params, caches, dmus, dvalues)
-        if kind == "combined" and weight_decay:
-            loss += 0.5 * weight_decay * float(params @ params)
-            grad = grad + weight_decay * params
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite {kind} loss over a {n}-step window")
-        return float(loss), grad
+        return window_gradient(
+            model, params, record, kind, mus, values, caches, adv, targets,
+            rl_scale, weight_decay,
+        )
 
     return fn
+
+
+def window_gradient(
+    model: StudentModel,
+    params: np.ndarray,
+    record: EpisodeRecord,
+    kind: str,
+    mus: np.ndarray,
+    values: np.ndarray,
+    caches: list,
+    adv: np.ndarray,
+    targets: np.ndarray,
+    rl_scale: float = 1.0,
+    weight_decay: float = 0.0,
+) -> Tuple[float, np.ndarray]:
+    """Loss and exact gradient of one window from its forward pass at params.
+
+    ``mus``, ``values`` and ``caches`` are that pass's per-step outputs, from
+    ``forward_window`` or from the rollout's own ``forward`` calls; ``adv``
+    and ``targets`` are the recorded advantages and value targets. See
+    ``window_loss_fn`` for the loss kinds.
+    """
+    n = len(record.steps)
+    dmus = np.zeros((n, 4))
+    dvalues = np.zeros(n)
+    loss = 0.0
+    if kind in ("distill", "combined"):
+        part = 0.0
+        for i, s in enumerate(record.steps):
+            if s.teacher_action is None:
+                raise InvalidInputError("distill loss needs teacher actions")
+            diff = mus[i] - s.teacher_action
+            part += s.mask * float(np.sum(np.abs(diff)))
+            dmus[i] += s.mask * np.sign(diff)
+        loss += part
+    if kind in ("policy", "rl", "combined"):
+        part = 0.0
+        scale = rl_scale if kind == "combined" else 1.0
+        for i, s in enumerate(record.steps):
+            if s.raw is None or s.sigma is None:
+                raise InvalidInputError("policy loss needs recorded samples")
+            part -= adv[i] * gaussian_log_density(s.raw, mus[i], s.sigma)
+            dmus[i] += scale * (-adv[i]) * (s.raw - mus[i]) / (s.sigma ** 2)
+        loss += scale * part
+    if kind in ("value", "rl", "combined"):
+        scale = rl_scale if kind == "combined" else 1.0
+        diff = values - targets
+        loss += scale * float(np.sum(0.5 * diff * diff))
+        dvalues += scale * diff
+    grad = model.backward_window(params, caches, dmus, dvalues)
+    if kind == "combined" and weight_decay:
+        loss += 0.5 * weight_decay * float(params @ params)
+        grad = grad + weight_decay * params
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite {kind} loss over a {n}-step window")
+    return float(loss), grad
 
 
 # -- optimizer and shared store ------------------------------------------------
@@ -255,11 +284,16 @@ class OptimizerConfig:
 
 
 class SharedWeights:
-    """The master parameter vector plus optimizer state, lock-serialized.
+    """The master parameter vector plus optimizer state.
 
-    Reads hand out full copies; updates are atomic and counted. With
-    ``record_deltas`` every applied delta is kept so a single-threaded replay
-    can reproduce the final vector bitwise.
+    Reads hand out full copies; updates are counted. Every update, rejection
+    and ``log_entry`` call is kept in ``log`` and, given ``log_file``, written
+    to it as one JSON line and flushed at once. With ``record_deltas`` every
+    applied delta is kept so a replay can reproduce the final vector bitwise.
+
+    The optimizer works in preallocated buffers; each element goes through the
+    same operations in the same order as the textbook formulas, so results are
+    bitwise equal to them.
     """
 
     def __init__(
@@ -267,6 +301,7 @@ class SharedWeights:
         params: np.ndarray,
         opt: OptimizerConfig,
         record_deltas: bool = False,
+        log_file: Optional[TextIO] = None,
     ):
         opt.validate()
         self.opt = opt
@@ -274,69 +309,91 @@ class SharedWeights:
         self.initial = self._params.copy()
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
+        self._g = np.empty_like(self._params)
+        self._delta = np.empty_like(self._params)
+        self._tmp = np.empty_like(self._params)
         self._t = 0
         self.update_count = 0
         self.rejected_count = 0
-        self._lock = threading.Lock()
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
         self.log: List[dict] = []
+        self._log_file = log_file
 
     def snapshot(self) -> np.ndarray:
-        with self._lock:
-            return self._params.copy()
+        return self._params.copy()
+
+    def log_entry(self, entry: dict) -> None:
+        self.log.append(entry)
+        if self._log_file is not None:
+            self._log_file.write(json.dumps(entry) + "\n")
+            self._log_file.flush()
 
     def _direction(self, g: np.ndarray) -> np.ndarray:
+        """The step lr * direction(g), written into (and returned as) _delta."""
         o = self.opt
+        d, tmp = self._delta, self._tmp
         if o.method == "sgd":
-            return o.lr * g
-        self._m = o.beta1 * self._m + (1.0 - o.beta1) * g
-        self._v = o.beta2 * self._v + (1.0 - o.beta2) * g * g
+            return np.multiply(g, o.lr, out=d)
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        self._m *= o.beta1
+        self._m += np.multiply(g, 1.0 - o.beta1, out=tmp)
+        self._v *= o.beta2
+        np.multiply(g, 1.0 - o.beta2, out=tmp)
+        tmp *= g
+        self._v += tmp
         t = self._t
-        m_hat = self._m / (1.0 - o.beta1 ** t)
+        np.divide(self._m, 1.0 - o.beta1 ** t, out=d)  # m_hat
         if o.method == "adam":
-            v_hat = np.sqrt(self._v / (1.0 - o.beta2 ** t))
-            return o.lr * m_hat / (v_hat + o.eps)
-        # variance-rectified: fall back to unadapted momentum while the
-        # second-moment estimate is too young to be trusted
-        rho_inf = 2.0 / (1.0 - o.beta2) - 1.0
-        rho_t = rho_inf - 2.0 * t * o.beta2 ** t / (1.0 - o.beta2 ** t)
-        if rho_t <= 4.0:
-            return o.lr * m_hat
-        v_hat = np.sqrt(self._v / (1.0 - o.beta2 ** t))
-        rect = math.sqrt(
-            ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
-            / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
-        )
-        return o.lr * rect * m_hat / (v_hat + o.eps)
+            scale = o.lr
+        else:
+            # variance-rectified: fall back to unadapted momentum while the
+            # second-moment estimate is too young to be trusted
+            rho_inf = 2.0 / (1.0 - o.beta2) - 1.0
+            rho_t = rho_inf - 2.0 * t * o.beta2 ** t / (1.0 - o.beta2 ** t)
+            if rho_t <= 4.0:
+                d *= o.lr
+                return d
+            scale = o.lr * math.sqrt(
+                ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+            )
+        # scale * m_hat / (sqrt(v / (1 - beta2^t)) + eps)
+        np.divide(self._v, 1.0 - o.beta2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += o.eps
+        d *= scale
+        d /= tmp
+        return d
 
     def update(self, grad: np.ndarray, kind: str, meta: Optional[dict] = None) -> bool:
         """Apply one gradient; returns False (and logs) when the grad is rejected."""
         if kind not in (DISTILLING, AUTONOMOUS):
             raise InvalidInputError(f"unknown update kind {kind!r}")
-        with self._lock:
-            if not np.all(np.isfinite(grad)):
-                self.rejected_count += 1
-                entry = {"rejected": True, "kind": kind, "reason": "non-finite gradient"}
-                entry.update(meta or {})
-                self.log.append(entry)
-                return False
-            g = grad * self.opt.rl_scale if kind == AUTONOMOUS else grad
-            if self.opt.grad_clip > 0.0:
-                norm = float(np.linalg.norm(g))
-                if norm > self.opt.grad_clip:
-                    g = g * (self.opt.grad_clip / norm)
-            self._t += 1
-            delta = -self._direction(g)
-            if kind == DISTILLING and self.opt.weight_decay > 0.0:
-                delta = delta - self.opt.lr * self.opt.weight_decay * self._params
-            self._params += delta
-            self.update_count += 1
-            if self.deltas is not None:
-                self.deltas.append(delta.copy())
-            entry = {"update": self.update_count, "kind": kind}
+        if not np.all(np.isfinite(grad)):
+            self.rejected_count += 1
+            entry = {"rejected": True, "kind": kind, "reason": "non-finite gradient"}
             entry.update(meta or {})
-            self.log.append(entry)
-            return True
+            self.log_entry(entry)
+            return False
+        g = np.multiply(grad, self.opt.rl_scale, out=self._g) if kind == AUTONOMOUS else grad
+        if self.opt.grad_clip > 0.0:
+            norm = float(np.linalg.norm(g))
+            if norm > self.opt.grad_clip:
+                g = np.multiply(g, self.opt.grad_clip / norm, out=self._g)
+        self._t += 1
+        delta = np.negative(self._direction(g), out=self._delta)
+        if kind == DISTILLING and self.opt.weight_decay > 0.0:
+            delta -= np.multiply(
+                self._params, self.opt.lr * self.opt.weight_decay, out=self._tmp
+            )
+        self._params += delta
+        self.update_count += 1
+        if self.deltas is not None:
+            self.deltas.append(delta.copy())
+        entry = {"update": self.update_count, "kind": kind}
+        entry.update(meta or {})
+        self.log_entry(entry)
+        return True
 
 
 def replay_deltas(initial: np.ndarray, deltas: Sequence[np.ndarray]) -> np.ndarray:
@@ -375,37 +432,30 @@ def curriculum_update(
 
 
 class CurriculumStore:
-    """Per-episode-source horizon table, updated under mutual exclusion."""
+    """Per-episode-source horizon table."""
 
     def __init__(self, initial_horizon: int = 1, tau: float = 0.25):
         if initial_horizon < 1:
             raise ConfigError("initial horizon must be >= 1")
         self.initial_horizon = initial_horizon
         self.tau = tau
-        self._lock = threading.Lock()
         self._table: Dict[tuple, CurriculumState] = {}
 
     def state_for(self, key: tuple, max_horizon: int) -> CurriculumState:
-        with self._lock:
-            if key not in self._table:
-                self._table[key] = CurriculumState(
-                    horizon=min(self.initial_horizon, max_horizon),
-                    max_horizon=max_horizon,
-                )
-            return self._table[key]
+        if key not in self._table:
+            self._table[key] = CurriculumState(
+                horizon=min(self.initial_horizon, max_horizon),
+                max_horizon=max_horizon,
+            )
+        return self._table[key]
 
     def horizon(self, key: tuple, max_horizon: int) -> int:
         return self.state_for(key, max_horizon).horizon
 
     def update(self, key: tuple, max_horizon: int, sum_r_student: float, sum_r_teacher: float) -> None:
-        with self._lock:
-            state = self._table.get(key)
-            if state is None:
-                state = CurriculumState(
-                    horizon=min(self.initial_horizon, max_horizon), max_horizon=max_horizon
-                )
-                self._table[key] = state
-            curriculum_update(state, sum_r_student, sum_r_teacher, self.tau)
+        curriculum_update(
+            self.state_for(key, max_horizon), sum_r_student, sum_r_teacher, self.tau
+        )
 
 
 # -- episodes and workers ------------------------------------------------------
@@ -480,14 +530,30 @@ def run_episode(
 ) -> Tuple[float, float, List[EpisodeRecord]]:
     """Roll one episode under frozen theta, sending one gradient per window.
 
+    The model runs forward exactly once per env step. A window's gradient
+    backpropagates through those same steps' caches, and the step that gives
+    a cut window its bootstrap value is the next window's first step.
+
     Returns (sum of student rewards, sum of best-teacher own rewards, records).
     """
     cfg.validate()
     episode = TrackingEpisode(
         source.frames, source.gt, cfg.context, cfg.patch_size, horizon=horizon
     )
+    loss_kind = "distill" if kind == DISTILLING else "rl"
+
+    def predict(state: State, hidden: HiddenState):
+        out, hidden = model.forward(theta, state, hidden)
+        if not (np.all(np.isfinite(out.action)) and math.isfinite(out.value)):
+            raise NumericError(
+                f"non-finite model output at step {episode.t + 1} of an episode "
+                f"on {source.video_id}"
+            )
+        return out, hidden
+
     state = episode.reset()
     hidden = model.zero_hidden()
+    pending = predict(state, hidden)
     sum_r_student = 0.0
     sum_r_teacher = 0.0
     records: List[EpisodeRecord] = []
@@ -495,10 +561,11 @@ def run_episode(
     while not done:
         h0 = hidden
         steps: List[StepRecord] = []
+        caches = []
         while len(steps) < cfg.t_max and not done:
+            out, hidden = pending
             t_next = episode.t + 1
             b_prev = episode.box
-            out, hidden = model.forward(theta, state, hidden)
             gt_action = infer_action(source.gt[t_next], b_prev)
             ta, r_cand, r_own = _best_teacher_step(source, t_next, b_prev, source.gt[t_next])
             if kind == DISTILLING:
@@ -526,19 +593,22 @@ def run_episode(
                     teacher_reward=r_own,
                 )
             )
+            caches.append(out.cache)
             state = next_state
-        if done:
-            bootstrap = 0.0
-        else:
-            probe, _ = model.forward(theta, state, hidden)
-            bootstrap = probe.value
+            if not done:
+                pending = predict(state, hidden)
         record = EpisodeRecord(
-            steps=steps, h0=h0, bootstrap_value=bootstrap, terminated=done
+            steps=steps,
+            h0=h0,
+            bootstrap_value=0.0 if done else pending[0].value,
+            terminated=done,
         )
         records.append(record)
-        loss_kind = "distill" if kind == DISTILLING else "rl"
-        fn = window_loss_fn(model, record, loss_kind, cfg.gamma, cfg.returns_mode)
-        loss, grad = fn(theta)
+        loss, grad = window_gradient(
+            model, theta, record, loss_kind,
+            np.array([s.mu for s in steps]), np.array([s.value for s in steps]), caches,
+            advantages(record, cfg.gamma), returns(record, cfg.gamma, cfg.returns_mode),
+        )
         entry = {
             "worker": -1,
             "loss": float(loss),
@@ -647,15 +717,22 @@ def train(
     out_dir: str,
     validate_fn: Optional[Callable[[np.ndarray], float]] = None,
     init_params: Optional[np.ndarray] = None,
+    progress: Optional[Callable[[dict], None]] = None,
 ) -> TrainResult:
-    """Run S asynchronous workers (even distilling/autonomous split) to a budget.
+    """Run S logical workers (even distilling/autonomous split) to a budget.
+
+    Workers take turns in round-robin order, one whole episode each, and the
+    budget is checked before every turn, so a run overshoots it by less than
+    one episode. Each worker keeps its own RNG stream and shuffled source
+    order. ``train_log.jsonl`` gets every update, rejection and validation as
+    it happens.
 
     ``validate_fn`` maps a parameter vector to a held-out score (higher is
-    better); the best-scoring snapshot is checkpointed. Without it the final
-    parameters are saved.
+    better). It runs before the first turn and then between turns, once the
+    update count reaches the next ``val_every`` mark; ``progress`` receives
+    each validation's log entry. The best-scoring snapshot is checkpointed.
+    Without ``validate_fn`` the final parameters are saved.
     """
-    import os
-
     settings.validate()
     worker_cfg.validate()
     sources = chunk_sources(chunks)
@@ -664,85 +741,76 @@ def train(
     os.makedirs(out_dir, exist_ok=True)
 
     params0 = model.init_params(settings.seed) if init_params is None else init_params
-    shared = SharedWeights(params0, opt, record_deltas=settings.record_deltas)
     curriculum = (
         CurriculumStore(settings.initial_horizon, settings.tau)
         if settings.curriculum
         else None
     )
-    stop_flag = threading.Event()
-
-    def stop() -> bool:
-        return stop_flag.is_set() or shared.update_count >= settings.max_updates
-
-    threads = []
     n_distill = (settings.workers + 1) // 2
-    for w in range(settings.workers):
-        kind = DISTILLING if w < n_distill else AUTONOMOUS
-        wrng = np.random.default_rng(np.random.SeedSequence([settings.seed, 7, w]))
-        it = _endless_shuffle(sources, np.random.default_rng(np.random.SeedSequence([settings.seed, 11, w])))
-        th = threading.Thread(
-            target=run_worker,
-            args=(kind, it, shared, model, worker_cfg, curriculum, wrng, w, stop),
-            daemon=True,
+    workers = [
+        (
+            DISTILLING if w < n_distill else AUTONOMOUS,
+            np.random.default_rng(np.random.SeedSequence([settings.seed, 7, w])),
+            _endless_shuffle(
+                sources, np.random.default_rng(np.random.SeedSequence([settings.seed, 11, w]))
+            ),
         )
-        threads.append(th)
-
+        for w in range(settings.workers)
+    ]
+    log_path = os.path.join(out_dir, "train_log.jsonl")
     val_history: List[Tuple[int, float]] = []
-    best: Tuple[Optional[float], np.ndarray] = (None, params0.copy())
-    if validate_fn is not None:
-        score = float(validate_fn(params0))
-        val_history.append((0, score))
-        best = (score, params0.copy())
+    best_score: Optional[float] = None
+    best_params: Optional[np.ndarray] = None
 
-    for th in threads:
-        th.start()
-    next_val = settings.val_every
-    bad_rounds = 0
-    try:
-        while any(th.is_alive() for th in threads):
-            time.sleep(0.05)
-            if stop():
+    with open(log_path, "w") as log_file:
+        shared = SharedWeights(
+            params0, opt, record_deltas=settings.record_deltas, log_file=log_file
+        )
+
+        def validate() -> bool:
+            """Score the current parameters; True when they are the new best."""
+            nonlocal best_score, best_params
+            at = shared.update_count
+            snap = shared.snapshot()
+            score = float(validate_fn(snap))
+            val_history.append((at, score))
+            improved = best_score is None or score > best_score
+            if improved:
+                best_score, best_params = score, snap
+            entry = {
+                "validation": True, "update": at, "val_score": score,
+                "best_val_score": best_score,
+            }
+            shared.log_entry(entry)
+            if progress is not None:
+                progress(entry)
+            return improved
+
+        if validate_fn is not None:
+            validate()
+        next_val = settings.val_every
+        bad_rounds = 0
+        for w in itertools.cycle(range(settings.workers)):
+            if shared.update_count >= settings.max_updates:
                 break
+            kind, rng, worker_sources = workers[w]
+            # one turn: this worker's next episode
+            run_worker(
+                kind, [next(worker_sources)], shared, model, worker_cfg, curriculum, rng, w
+            )
             if validate_fn is not None and shared.update_count >= next_val:
-                at = shared.update_count
-                # one snapshot for scoring and keeping: workers move on meanwhile
-                snap = shared.snapshot()
-                score = float(validate_fn(snap))
-                val_history.append((at, score))
-                if best[0] is None or score > best[0]:
-                    best = (score, snap)
-                    bad_rounds = 0
-                else:
-                    bad_rounds += 1
-                next_val = at + settings.val_every
+                bad_rounds = 0 if validate() else bad_rounds + 1
+                next_val = shared.update_count + settings.val_every
                 if bad_rounds >= settings.patience:
                     break
-    finally:
-        stop_flag.set()
-        for th in threads:
-            th.join()
 
-    if validate_fn is not None and shared.update_count >= next_val:
-        snap = shared.snapshot()
-        score = float(validate_fn(snap))
-        val_history.append((shared.update_count, score))
-        if best[0] is None or score > best[0]:
-            best = (score, snap)
-
-    final_params = best[1] if validate_fn is not None else shared.snapshot()
+    final_params = shared.snapshot() if best_params is None else best_params
     ckpt = os.path.join(out_dir, "student.ckpt")
     save_params(ckpt, model.config, final_params)
-    log_path = os.path.join(out_dir, "train_log.jsonl")
-    with open(log_path, "w") as fh:
-        for entry in shared.log:
-            fh.write(json.dumps(entry) + "\n")
-        for at, score in val_history:
-            fh.write(json.dumps({"validation": True, "update": at, "val_score": score}) + "\n")
     return TrainResult(
         checkpoint_path=ckpt,
         log_path=log_path,
-        best_val_ao=best[0],
+        best_val_ao=best_score,
         updates=shared.update_count,
         val_history=val_history,
         deltas=shared.deltas,

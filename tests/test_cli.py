@@ -1,13 +1,16 @@
 """End-to-end checks of the command line, driven in process via main()."""
 
 import filecmp
+import itertools
 import json
 import os
+import re
 
 import pytest
 
-from trackdistill import cli
+from trackdistill import cli, mdp
 from trackdistill.cli import main
+from trackdistill.errors import InvalidInputError
 
 SMALL_INI = """\
 [env]
@@ -209,6 +212,49 @@ class TestTrainAndTrack:
         assert any(n.endswith("_success.csv") for n in names)
         assert any(n.endswith("_precision.csv") for n in names)
         assert any(n.endswith("_videos.json") for n in names)
+
+
+class TestTrainRun:
+    def train(self, pipeline, out, chunks=None):
+        return main([
+            "train", "--config", pipeline["ini"], "--seed", "3", "--out", str(out),
+            pipeline["data"], pipeline["traces"],
+            chunks or os.path.join(pipeline["filter"], "chunks.json"),
+        ])
+
+    def test_episode_error_exits_nonzero(self, pipeline, tmp_path, monkeypatch, capsys):
+        real = mdp.make_state
+        calls = itertools.count()
+
+        def failing_crop(*args):
+            if next(calls) == 10:
+                raise InvalidInputError("injected crop failure")
+            return real(*args)
+
+        monkeypatch.setattr(mdp, "make_state", failing_crop)
+        assert self.train(pipeline, tmp_path / "t") == 2
+        assert "injected crop failure" in capsys.readouterr().err
+
+    def test_progress_line_per_validation(self, pipeline, tmp_path, capsys):
+        # hold one video out of the transfer set so that validation runs
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            index = json.load(fh)
+        index["chunks"] = [c for c in index["chunks"] if c["video"] != "synth003"]
+        chunks = tmp_path / "chunks.json"
+        chunks.write_text(json.dumps(index))
+        assert self.train(pipeline, tmp_path / "t", str(chunks)) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if re.fullmatch(
+                r"update \d+: val AO \d\.\d{4}, best \d\.\d{4}, \d+\.\d upd/s", line
+            )
+        ]
+        with open(tmp_path / "t" / "train_log.jsonl") as fh:
+            validations = [e for e in map(json.loads, fh) if e.get("validation")]
+        assert len(validations) >= 2
+        assert [int(line.split()[1][:-1]) for line in lines] == [
+            e["update"] for e in validations
+        ]
 
 
 class TestGradcheck:

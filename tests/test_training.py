@@ -1,11 +1,11 @@
+import json
 import math
-import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trackdistill.errors import ConfigError, InvalidInputError
+from trackdistill.errors import ConfigError, InvalidInputError, NumericError
 from trackdistill.geometry import Box
 from trackdistill.mdp import State
 from trackdistill.model import StudentConfig, StudentModel, grad_check
@@ -20,6 +20,7 @@ from trackdistill.training import (
     OptimizerConfig,
     SharedWeights,
     StepRecord,
+    TrainSettings,
     WorkerConfig,
     actor_critic_loss,
     advantages,
@@ -33,6 +34,7 @@ from trackdistill.training import (
     run_worker,
     sample_action,
     synthetic_record,
+    train,
     window_loss_fn,
 )
 
@@ -415,6 +417,77 @@ class TestOptimizers:
             SharedWeights(np.zeros(2), OptimizerConfig(method="rmsprop"))
 
 
+class OutOfPlaceOptimizer:
+    """The update rule written with fresh arrays for every term: the form the
+    in-place optimizer has to reproduce bitwise."""
+
+    def __init__(self, params, opt):
+        self.opt = opt
+        self.params = params.copy()
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.t = 0
+        self.branches = set()
+
+    def update(self, grad, kind):
+        o = self.opt
+        g = grad * o.rl_scale if kind == AUTONOMOUS else grad
+        if o.grad_clip > 0.0:
+            norm = float(np.linalg.norm(g))
+            if norm > o.grad_clip:
+                g = g * (o.grad_clip / norm)
+        self.t += 1
+        t = self.t
+        if o.method == "sgd":
+            step = o.lr * g
+        else:
+            self.m = o.beta1 * self.m + (1.0 - o.beta1) * g
+            self.v = o.beta2 * self.v + (1.0 - o.beta2) * g * g
+            m_hat = self.m / (1.0 - o.beta1 ** t)
+            v_hat = np.sqrt(self.v / (1.0 - o.beta2 ** t))
+            if o.method == "adam":
+                step = o.lr * m_hat / (v_hat + o.eps)
+            else:
+                rho_inf = 2.0 / (1.0 - o.beta2) - 1.0
+                rho_t = rho_inf - 2.0 * t * o.beta2 ** t / (1.0 - o.beta2 ** t)
+                if rho_t <= 4.0:
+                    self.branches.add("momentum")
+                    step = o.lr * m_hat
+                else:
+                    self.branches.add("rectified")
+                    rect = math.sqrt(
+                        ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                        / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+                    )
+                    step = o.lr * rect * m_hat / (v_hat + o.eps)
+        delta = -step
+        if kind == DISTILLING and o.weight_decay > 0.0:
+            delta = delta - o.lr * o.weight_decay * self.params
+        self.params = self.params + delta
+        return delta
+
+
+class TestInPlaceOptimizer:
+    @pytest.mark.parametrize("method", ["sgd", "adam", "radam"])
+    @pytest.mark.parametrize("grad_clip", [0.0, 4.0])
+    def test_bitwise_equal_to_out_of_place_formulas(self, method, grad_clip):
+        rng = np.random.default_rng(61)
+        theta0 = rng.normal(size=50)
+        cfg = OptimizerConfig(method=method, lr=1e-2, weight_decay=0.05, grad_clip=grad_clip)
+        sw = SharedWeights(theta0, cfg, record_deltas=True)
+        ref = OutOfPlaceOptimizer(theta0, cfg)
+        for i in range(12):
+            g = rng.normal(size=50) * (10.0 if i % 3 == 0 else 1.0)
+            kind = DISTILLING if rng.integers(2) == 0 else AUTONOMOUS
+            assert sw.update(g, kind)
+            want = ref.update(g, kind)
+            assert np.array_equal(sw.deltas[-1], want)
+            assert np.array_equal(sw.snapshot(), ref.params)
+        if method == "radam":
+            # beta2 = 0.999 keeps the rectification gate closed for t <= 4
+            assert ref.branches == {"momentum", "rectified"}
+
+
 class TestSharedWeights:
     def test_snapshot_is_a_copy(self):
         sw = SharedWeights(np.zeros(3), OptimizerConfig(method="sgd"))
@@ -452,26 +525,6 @@ class TestSharedWeights:
             sw.update(rng.normal(size=20), kind)
         replayed = replay_deltas(sw.initial, sw.deltas)
         assert np.array_equal(replayed, sw.snapshot())
-
-    def test_concurrent_updates_all_land(self):
-        sw = SharedWeights(
-            np.zeros(8), OptimizerConfig(method="sgd", lr=1e-3, weight_decay=0.0),
-            record_deltas=True,
-        )
-
-        def hammer(seed):
-            rng = np.random.default_rng(seed)
-            for _ in range(50):
-                sw.update(rng.normal(size=8), AUTONOMOUS, {"worker": seed})
-
-        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sw.update_count == 200
-        assert len(sw.deltas) == 200
-        assert np.array_equal(replay_deltas(sw.initial, sw.deltas), sw.snapshot())
 
 
 class TestCurriculum:
@@ -567,8 +620,8 @@ class TestRunEpisode:
         assert records[0].bootstrap_value == 0.0
 
     def test_recorded_mus_match_fresh_replay(self):
-        # window_loss_fn re-runs the forward pass; the rollout's own hidden
-        # chain has to land on the same numbers or gradients lie
+        # the reference path re-runs the forward pass; the rollout's own
+        # hidden chain has to land on the same numbers or gradients lie
         rng = np.random.default_rng(7)
         source = noise_source(rng)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
@@ -640,6 +693,87 @@ class TestRunEpisode:
         )
         assert [len(r.steps) for r in records] == [1]
         assert records[0].terminated
+
+
+class RecordingShared(SharedWeights):
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.sent = []
+
+    def update(self, grad, kind, meta=None):
+        self.sent.append((grad.copy(), dict(meta or {})))
+        return super().update(grad, kind, meta)
+
+
+class CountingModel(StudentModel):
+    def __init__(self, config):
+        super().__init__(config)
+        self.forward_calls = 0
+        self.window_calls = 0
+
+    def forward(self, params, state, hidden):
+        self.forward_calls += 1
+        return super().forward(params, state, hidden)
+
+    def forward_window(self, params, states, hidden):
+        self.window_calls += 1
+        return super().forward_window(params, states, hidden)
+
+
+class TestRolloutGradients:
+    """run_episode reuses the rollout's forward pass; window_loss_fn recomputes
+    it and is the reference."""
+
+    def setup_method(self):
+        self.model = StudentModel(SMALL)
+        self.params = self.model.init_params(3)
+        self.cfg = WorkerConfig(t_max=5, patch_size=16)
+
+    @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
+    def test_sent_gradient_equals_reference(self, kind):
+        source = noise_source(np.random.default_rng(7))
+        sw = RecordingShared(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        _, _, records = run_episode(
+            self.model, self.params, source, kind, self.cfg, sw,
+            np.random.default_rng(2), horizon=12,
+        )
+        assert [r.terminated for r in records] == [False, False, True]
+        loss_kind = "distill" if kind == DISTILLING else "rl"
+        for rec, (grad, entry) in zip(records, sw.sent):
+            loss, want = window_loss_fn(self.model, rec, loss_kind)(self.params)
+            assert np.array_equal(grad, want)
+            assert entry["loss"] == loss
+
+    def test_bootstrap_is_next_window_first_value(self):
+        source = noise_source(np.random.default_rng(7))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        _, _, records = run_episode(
+            self.model, self.params, source, AUTONOMOUS, self.cfg, sw,
+            np.random.default_rng(2), horizon=12,
+        )
+        for cut, following in zip(records, records[1:]):
+            assert cut.bootstrap_value == following.steps[0].value
+
+    def test_one_forward_per_env_step(self):
+        model = CountingModel(SMALL)
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        _, _, records = run_episode(
+            model, self.params, noise_source(np.random.default_rng(7)), DISTILLING,
+            self.cfg, sw, np.random.default_rng(2), horizon=12,
+        )
+        assert model.forward_calls == sum(len(r.steps) for r in records) == 12
+        assert model.window_calls == 0
+
+    def test_nonfinite_output_raises_where_it_appears(self):
+        params = self.params.copy()
+        self.model.view(params, "policy.b")[0] = np.nan
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        with pytest.raises(NumericError, match="step 1 .* on v0"):
+            run_episode(
+                self.model, params, noise_source(np.random.default_rng(7)), DISTILLING,
+                self.cfg, sw, np.random.default_rng(2), horizon=12,
+            )
+        assert sw.update_count == 0
 
 
 class CountingShared(SharedWeights):
@@ -789,8 +923,8 @@ class TestTrain:
         assert res.val_history[0][0] == 0
 
     def test_checkpoint_is_the_scored_snapshot(self, tmp_path):
-        # workers keep updating while validate_fn runs; the kept parameters
-        # must be the ones that earned the best score, not a later state
+        # training goes on after each validation; the kept parameters must
+        # be the ones that earned the best score, not a later state
         import time as _time
 
         from trackdistill.model import load_params
@@ -837,3 +971,67 @@ class TestTrain:
                 model, [], TrainSettings(workers=2),
                 WorkerConfig(), OptimizerConfig(), str(tmp_path),
             )
+
+    def test_episode_error_propagates_and_log_survives(self, tmp_path):
+        # a grayscale last frame: the first window lands, then cropping the
+        # frame for the second window's last step raises
+        chunk = make_chunk(np.random.default_rng(0), "v0", n_frames=12)
+        chunk.frames[11] = chunk.frames[11][:, :, 0]
+        with pytest.raises(InvalidInputError, match="frame must be"):
+            train(
+                StudentModel(SMALL), [chunk],
+                TrainSettings(workers=2, max_updates=50, val_every=1, seed=0, curriculum=False),
+                WorkerConfig(t_max=5, patch_size=16),
+                OptimizerConfig(method="sgd", lr=1e-5),
+                str(tmp_path), validate_fn=lambda params: 0.5,
+            )
+        with open(tmp_path / "train_log.jsonl") as fh:
+            entries = [json.loads(line) for line in fh]
+        assert [(e.get("validation", False), e["update"]) for e in entries] == [
+            (True, 0), (False, 1),
+        ]
+
+    def test_whole_run_is_reproducible(self, tmp_path):
+        rng = np.random.default_rng(5)
+        chunks = [make_chunk(rng, f"v{i}", n_frames=12) for i in range(3)]
+        model = StudentModel(SMALL)
+
+        def run(out):
+            res = train(
+                model, chunks,
+                TrainSettings(max_updates=60, val_every=20, seed=3),
+                WorkerConfig(t_max=5, patch_size=16),
+                OptimizerConfig(lr=1e-3),
+                str(out), validate_fn=lambda params: -float(np.abs(params).sum()),
+            )
+            with open(res.checkpoint_path, "rb") as ckpt, open(res.log_path) as log:
+                return ckpt.read(), log.read()
+
+        first = run(tmp_path / "a")
+        assert first == run(tmp_path / "b")
+        workers = {json.loads(line).get("worker") for line in first[1].splitlines()}
+        assert workers - {None} == set(range(8))
+
+    def test_log_is_written_as_it_happens(self, tmp_path):
+        model = StudentModel(SMALL)
+        chunks = [make_chunk(np.random.default_rng(1), "v0")]
+        seen = []
+        res = train(
+            model, chunks,
+            TrainSettings(workers=2, max_updates=8, val_every=4, seed=2),
+            WorkerConfig(t_max=5, patch_size=16),
+            OptimizerConfig(method="sgd", lr=1e-5),
+            str(tmp_path), validate_fn=lambda params: 0.5, progress=seen.append,
+        )
+        with open(res.log_path) as fh:
+            entries = [json.loads(line) for line in fh]
+        applied = 0
+        for e in entries:
+            if e.get("validation"):
+                assert e["update"] == applied  # sits at the update it scored
+                assert e["best_val_score"] == 0.5
+            else:
+                applied += 1
+        validations = [e for e in entries if e.get("validation")]
+        assert [(e["update"], e["val_score"]) for e in validations] == res.val_history
+        assert seen == validations

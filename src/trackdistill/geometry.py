@@ -52,11 +52,6 @@ class Box:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, a: Sequence[float]) -> "Box":
-        x, y, w, h = (float(v) for v in a)
-        return cls(x, y, w, h)
-
 
 def iou(a: Box, b: Box) -> float:
     """Intersection area over union area of two boxes.
@@ -123,22 +118,44 @@ def context_region(box: Box, context: float) -> Box:
 
 
 def crop_patch(frame: np.ndarray, region: Box, out_size: Tuple[int, int]) -> np.ndarray:
-    """Resample ``region`` of an (H, W, 3) frame to (out_h, out_w, 3) float64.
+    """Resample ``region`` of an (H, W, 3) frame to (out_h, out_w, 3) float64,
+    as one frame through :func:`crop_patches`."""
+    return crop_patches((frame,), region, out_size)[0]
+
+
+def _window_taps(i0: np.ndarray, size: int):
+    """Lay one axis's ascending taps i0 and i0 + 1 on a window buffer: frame
+    lines lo..hi sit between two zero lines that all off-frame taps read.
+    Returns (frame slice lo..hi, local i0, local i0 + 1, buffer length)."""
+    lo = max(int(i0[0]), 0)
+    hi = max(min(int(i0[-1]) + 1, size - 1), lo - 1)  # hi = lo - 1: no line on the frame
+    edge = hi - lo + 2
+    return slice(lo, hi + 1), np.clip(i0 - lo + 1, 0, edge), np.clip(i0 - lo + 2, 0, edge), edge + 1
+
+
+def crop_patches(
+    frames: Sequence[np.ndarray], region: Box, out_size: Tuple[int, int]
+) -> np.ndarray:
+    """Resample one ``region`` of n equal-shape (H, W, 3) frames to an
+    (n, out_h, out_w, 3) float64 stack.
 
     Bilinear sampling on pixel centers: output pixel (i, j) reads the source
     point region.origin + ((j, i) + 0.5) * region.size / out_size - 0.5.
     Samples outside the frame are zero. Input may be uint8 or float; values
-    pass through unscaled (a uint8 frame yields a patch in [0, 255]).
+    pass through unscaled (a uint8 frame yields a patch in [0, 255]). Only
+    the frame window the samples touch is converted to float64.
     """
     ow, oh = int(out_size[0]), int(out_size[1])
     if ow <= 0 or oh <= 0:
         raise InvalidInputError(f"non-positive patch size {out_size!r}")
     if region.w <= 0 or region.h <= 0:
         raise InvalidInputError("crop region has zero or negative area")
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise InvalidInputError(f"frame must be (H, W, 3), got shape {frame.shape}")
-    fh, fw = frame.shape[0], frame.shape[1]
-    src = frame.astype(np.float64, copy=False)
+    shape = frames[0].shape
+    for frame in frames:
+        if frame.ndim != 3 or frame.shape[2] != 3:
+            raise InvalidInputError(f"frame must be (H, W, 3), got shape {frame.shape}")
+        if frame.shape != shape:
+            raise InvalidInputError(f"frame shapes differ: {frame.shape} vs {shape}")
 
     xs = region.x + (np.arange(ow, dtype=np.float64) + 0.5) * (region.w / ow) - 0.5
     ys = region.y + (np.arange(oh, dtype=np.float64) + 0.5) * (region.h / oh) - 0.5
@@ -147,25 +164,18 @@ def crop_patch(frame: np.ndarray, region: Box, out_size: Tuple[int, int]) -> np.
     fx = xs - x0
     fy = ys - y0
 
-    def gather(yi: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        # Zero-fill outside the frame; clip only to keep the fancy index legal.
-        vy = (yi >= 0) & (yi < fh)
-        vx = (xi >= 0) & (xi < fw)
-        yc = np.clip(yi, 0, fh - 1)
-        xc = np.clip(xi, 0, fw - 1)
-        vals = src[np.ix_(yc, xc)]
-        return vals * np.outer(vy, vx)[:, :, None]
-
-    p00 = gather(y0, x0)
-    p01 = gather(y0, x0 + 1)
-    p10 = gather(y0 + 1, x0)
-    p11 = gather(y0 + 1, x0 + 1)
+    rs, ya, yb, nr = _window_taps(y0, shape[0])
+    cs, xa, xb, nc = _window_taps(x0, shape[1])
+    win = np.zeros((len(frames), nr, nc, 3))
+    for k, frame in enumerate(frames):
+        win[k, 1:-1, 1:-1] = frame[rs, cs]
+    top = win.take(ya, axis=1)
+    bottom = win.take(yb, axis=1)
     wx = fx[None, :, None]
     wy = fy[:, None, None]
-    patch = (
-        p00 * (1.0 - wy) * (1.0 - wx)
-        + p01 * (1.0 - wy) * wx
-        + p10 * wy * (1.0 - wx)
-        + p11 * wy * wx
+    return (
+        top.take(xa, axis=2) * (1.0 - wy) * (1.0 - wx)
+        + top.take(xb, axis=2) * (1.0 - wy) * wx
+        + bottom.take(xa, axis=2) * wy * (1.0 - wx)
+        + bottom.take(xb, axis=2) * wy * wx
     )
-    return patch

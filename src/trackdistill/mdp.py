@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, ProtocolError
-from .geometry import Box, apply_action, context_region, crop_patch, iou
+from .geometry import Box, apply_action, context_region, crop_patches, iou
 
 IOU_FAIL_LIMIT = 0.5
 QUANT_STEP = 0.05
@@ -32,9 +32,6 @@ class State:
     patch_cur: np.ndarray
     anchor: Box
 
-    def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.patch_prev, self.patch_cur
-
 
 def make_state(
     frame_prev: np.ndarray,
@@ -43,13 +40,12 @@ def make_state(
     context: float,
     patch_size: int,
 ) -> State:
-    region = context_region(box_prev, context)
-    size = (patch_size, patch_size)
-    return State(
-        patch_prev=crop_patch(frame_prev, region, size),
-        patch_cur=crop_patch(frame_cur, region, size),
-        anchor=box_prev,
+    """Crop the context region around ``box_prev`` from both (equal-shape)
+    frames in one :func:`crop_patches` call; each patch equals its crop_patch."""
+    patches = crop_patches(
+        (frame_prev, frame_cur), context_region(box_prev, context), (patch_size, patch_size)
     )
+    return State(patch_prev=patches[0], patch_cur=patches[1], anchor=box_prev)
 
 
 def quantized_overlap(z: float) -> float:
@@ -131,7 +127,3 @@ class TrackingEpisode:
         out_of_frames = self.t + 1 >= len(self.frames)
         self.done = out_of_frames or self.t >= self.horizon
         return (None if self.done else self._state()), r, self.done
-
-    @property
-    def steps_taken(self) -> int:
-        return self.t

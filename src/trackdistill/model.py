@@ -106,20 +106,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ConvIndex:
-    """Precomputed gather indices for one stride-2, pad-1, 3x3 stage."""
-
-    def __init__(self, h: int, w: int, cin: int):
-        self.h, self.w, self.cin = h, w, cin
-        self.oh = (h + 2 - 3) // 2 + 1
-        self.ow = (w + 2 - 3) // 2 + 1
-        oy = np.arange(self.oh) * 2
-        ox = np.arange(self.ow) * 2
-        k = np.arange(3)
-        self.Y = (oy[:, None, None, None] + k[None, None, :, None])
-        self.X = (ox[None, :, None, None] + k[None, None, None, :])
-
-
 class StudentModel:
     """Stateless computation over flat parameter vectors for one architecture."""
 
@@ -135,13 +121,13 @@ class StudentModel:
             offset += int(np.prod(shape))
 
         p = config.patch_size
-        self._conv_idx: List[_ConvIndex] = []
+        self._conv_stages: List[Tuple[int, int]] = []  # (side, channels) into each stage
         if config.encoder == "conv":
             side, cin = p, 3
             for k, cout in enumerate(config.conv_channels):
                 add(f"enc.conv{k}.W", (cout, cin, 3, 3))
                 add(f"enc.conv{k}.b", (cout,))
-                self._conv_idx.append(_ConvIndex(side, side, cin))
+                self._conv_stages.append((side, cin))
                 side //= 2
                 cin = cout
             self.feature_dim = side * side * cin
@@ -203,35 +189,42 @@ class StudentModel:
 
     # -- encoder --------------------------------------------------------------
 
-    def _encode(self, v: Dict[str, np.ndarray], patch: np.ndarray):
-        x = patch / 255.0 - 0.5
+    def _encode(self, v: Dict[str, np.ndarray], patches: np.ndarray):
+        """(n, feature_dim) features of an (n, p, p, 3) patch stack, and their cache."""
+        n = patches.shape[0]
+        x = patches / 255.0 - 0.5
         if self.config.encoder == "conv":
             stage_caches = []
-            for k in range(len(self.config.conv_channels)):
+            for k, (side, cin) in enumerate(self._conv_stages):
                 W = v[f"enc.conv{k}.W"]
-                idx = self._conv_idx[k]
-                xpad = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-                patches = xpad[idx.Y, idx.X]  # (oh, ow, 3, 3, cin)
-                cols = patches.transpose(0, 1, 4, 2, 3).reshape(idx.oh * idx.ow, idx.cin * 9)
+                half = side // 2
+                xpad = np.zeros((n, side + 2, side + 2, cin))
+                xpad[:, 1:-1, 1:-1] = x
+                # im2col: kernel tap (ky, kx) reads every other padded pixel from (ky, kx)
+                cols = np.empty((n, half, half, cin, 3, 3))
+                for ky in range(3):
+                    for kx in range(3):
+                        cols[..., ky, kx] = xpad[:, ky : ky + side : 2, kx : kx + side : 2]
+                # a matmul per patch, so rows round as in a one-patch call
+                cols = cols.reshape(n, half * half, cin * 9)
                 pre = cols @ W.reshape(W.shape[0], -1).T + v[f"enc.conv{k}.b"]
-                stage_caches.append((cols, pre))
-                x = np.maximum(pre, 0.0).reshape(idx.oh, idx.ow, W.shape[0])
-            return x.reshape(-1), stage_caches
+                stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, W.shape[0])))
+                x = np.maximum(pre, 0.0).reshape(n, half, half, W.shape[0])
+            return x.reshape(n, -1), stage_caches
         side = self.config.patch_size // self.config.pool_factor
         f = self.config.pool_factor
-        pooled = x.reshape(side, f, side, f, 3).mean(axis=(1, 3))
-        flat = pooled.reshape(-1)
-        pre = v["enc.fc.W"] @ flat + v["enc.fc.b"]
+        pooled = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4))
+        flat = pooled.reshape(n, -1)
+        pre = (v["enc.fc.W"] @ flat[:, :, None])[:, :, 0] + v["enc.fc.b"]
         return np.maximum(pre, 0.0), (flat, pre)
 
     def _encode_backward(self, v, g, dfeat: np.ndarray, cache) -> None:
         # Input-patch gradients are never needed (patches are data), so the
         # first stage skips the scatter back to pixels.
         if self.config.encoder == "conv":
-            chans = self.config.conv_channels
             dx = dfeat
-            for k in range(len(chans) - 1, -1, -1):
-                idx = self._conv_idx[k]
+            for k in range(len(self._conv_stages) - 1, -1, -1):
+                side, cin = self._conv_stages[k]
                 W = v[f"enc.conv{k}.W"]
                 cols, pre = cache[k]
                 cout = W.shape[0]
@@ -240,21 +233,22 @@ class StudentModel:
                 g[f"enc.conv{k}.b"] += dpre.sum(axis=0)
                 if k == 0:
                     break
-                dcols = dpre @ W.reshape(cout, -1)
-                dpatches = dcols.reshape(idx.oh, idx.ow, idx.cin, 3, 3).transpose(0, 1, 3, 4, 2)
-                dxpad = np.zeros((idx.h + 2, idx.w + 2, idx.cin))
-                np.add.at(dxpad, (idx.Y, idx.X), dpatches)
-                dx = dxpad[1:-1, 1:-1, :]
+                dcols = (dpre @ W.reshape(cout, -1)).reshape(-1, side // 2, side // 2, cin, 3, 3)
+                dxpad = np.zeros((dcols.shape[0], side + 2, side + 2, cin))
+                for ky in range(3):  # col2im: the adjoint of the im2col gather
+                    for kx in range(3):
+                        dxpad[:, ky : ky + side : 2, kx : kx + side : 2] += dcols[..., ky, kx]
+                dx = dxpad[:, 1:-1, 1:-1]
             return
         flat, pre = cache
         dpre = dfeat * (pre > 0)
-        g["enc.fc.W"] += np.outer(dpre, flat)
-        g["enc.fc.b"] += dpre
+        g["enc.fc.W"] += dpre.T @ flat
+        g["enc.fc.b"] += dpre.sum(axis=0)
 
     def encode_feature(self, params: np.ndarray, patch: np.ndarray) -> np.ndarray:
         """The shared-branch feature for one patch (both branches use this)."""
-        feat, _ = self._encode(self.views(params), patch)
-        return feat
+        feats, _ = self._encode(self.views(params), patch[None])
+        return feats[0]
 
     # -- forward --------------------------------------------------------------
 
@@ -268,9 +262,8 @@ class StudentModel:
             )
 
     def _step(self, v: Dict[str, np.ndarray], state: State, h_prev, c_prev):
-        f1, ce1 = self._encode(v, state.patch_prev)
-        f2, ce2 = self._encode(v, state.patch_cur)
-        z = np.concatenate([f1, f2])
+        feats, enc_cache = self._encode(v, np.stack((state.patch_prev, state.patch_cur)))
+        z = feats.reshape(-1)
         pre1 = v["fuse1.W"] @ z + v["fuse1.b"]
         a1 = np.maximum(pre1, 0.0)
         pre2 = v["fuse2.W"] @ a1 + v["fuse2.b"]
@@ -289,7 +282,7 @@ class StudentModel:
         za = v["policy.W"] @ h + v["policy.b"]
         mu = np.tanh(za)
         value = float(v["value.W"][0] @ h + v["value.b"][0])
-        cache = (ce1, ce2, z, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, c, tc, h, mu)
+        cache = (enc_cache, z, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, c, tc, h, mu)
         return mu, value, h, c, cache
 
     def forward(self, params: np.ndarray, state: State, hidden: HiddenState):
@@ -340,7 +333,7 @@ class StudentModel:
         dc_carry = np.zeros(hdim)
 
         for i in range(len(caches) - 1, -1, -1):
-            (ce1, ce2, z, pre1, a1, pre2, a2, h_prev, c_prev,
+            (enc_cache, z, pre1, a1, pre2, a2, h_prev, c_prev,
              gi, gf, gg, go, c, tc, h, mu) = caches[i]
 
             dza = dmus[i] * (1.0 - mu * mu)
@@ -379,8 +372,7 @@ class StudentModel:
             g["fuse1.W"] += np.outer(dpre1, z)
             g["fuse1.b"] += dpre1
             dz = v["fuse1.W"].T @ dpre1
-            self._encode_backward(v, g, dz[: self.feature_dim], ce1)
-            self._encode_backward(v, g, dz[self.feature_dim :], ce2)
+            self._encode_backward(v, g, dz.reshape(2, -1), enc_cache)
         return grad
 
 
@@ -420,7 +412,6 @@ class GradCheckReport:
     worst_index: int
     worst_name: str
     checked: int
-    details: List[Tuple[str, float, float, float]] = field(repr=False, default_factory=list)
 
     def __str__(self) -> str:
         return (
@@ -450,7 +441,6 @@ def grad_check(
     count = min(samples, n)
     idx = rng.choice(n, size=count, replace=False)
     worst = (0.0, int(idx[0]))
-    details = []
     for i in idx:
         probe = params.copy()
         probe[i] = params[i] + eps
@@ -460,12 +450,10 @@ def grad_check(
         numeric = (lp - lm) / (2.0 * eps)
         analytic = grad[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-        name = name_of(int(i)) if name_of else str(int(i))
-        details.append((name, float(analytic), float(numeric), float(rel)))
         if rel > worst[0]:
             worst = (float(rel), int(i))
     worst_name = name_of(worst[1]) if name_of else str(worst[1])
-    return GradCheckReport(worst[0], worst[1], worst_name, count, details)
+    return GradCheckReport(worst[0], worst[1], worst_name, count)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from .video import Video, read_groundtruth, write_groundtruth, write_ppm
 _SCALE_FLOOR = 0.2
 _KAPPA_MAX = 1.6
 WIRE_TIMEOUT = 5.0
+STDERR_TAIL = 2048  # bytes of an external teacher's stderr quoted in its TeacherError
 
 
 def teacher_action(teacher_box: Box, prev: Box) -> np.ndarray:
@@ -217,7 +218,8 @@ class ExternalSession(TeacherSession):
 
     Frames are handed over as file paths; in-memory videos are spilled to a
     temporary directory. Any malformed reply, timeout, or early exit raises
-    TeacherError carrying the teacher id.
+    TeacherError carrying the teacher id and the tail of the child's stderr,
+    which goes to an unnamed temporary file: no reader, no full pipe.
     """
 
     def __init__(self, teacher_id: str, video: Video, command: str, timeout: float = WIRE_TIMEOUT):
@@ -225,16 +227,18 @@ class ExternalSession(TeacherSession):
         self._video = video
         self._timeout = timeout
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
                 shlex.split(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
                 text=True,
                 bufsize=1,
             )
         except OSError as e:
+            self._stderr.close()
             raise TeacherError(teacher_id, f"cannot start {command!r}: {e}")
         self._replies: "queue.Queue[Optional[str]]" = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
@@ -244,6 +248,15 @@ class ExternalSession(TeacherSession):
         for line in self._proc.stdout:
             self._replies.put(line)
         self._replies.put(None)
+
+    def _error(self, message: str) -> TeacherError:
+        """A TeacherError quoting the last STDERR_TAIL bytes of stderr."""
+        if not self._stderr.closed:  # pread keeps the offset the child writes at
+            fd = self._stderr.fileno()
+            tail = os.pread(fd, STDERR_TAIL, max(0, os.fstat(fd).st_size - STDERR_TAIL))
+            if tail.strip():
+                message += f"; stderr tail: {tail.decode('utf-8', 'replace').strip()!r}"
+        return TeacherError(self.teacher_id, message)
 
     def _frame_path(self, t: int) -> str:
         if self._video.frame_paths is not None:
@@ -260,19 +273,19 @@ class ExternalSession(TeacherSession):
             self._proc.stdin.write(json.dumps(msg) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError, OSError) as e:
-            raise TeacherError(self.teacher_id, f"write failed: {e}")
+            raise self._error(f"write failed: {e}")
         try:
             line = self._replies.get(timeout=self._timeout)
         except queue.Empty:
-            raise TeacherError(self.teacher_id, f"no reply within {self._timeout:.1f}s")
+            raise self._error(f"no reply within {self._timeout:.1f}s")
         if line is None:
-            raise TeacherError(self.teacher_id, "process closed its output stream")
+            raise self._error("process closed its output stream")
         try:
             reply = json.loads(line)
         except json.JSONDecodeError:
-            raise TeacherError(self.teacher_id, f"malformed reply {line!r}")
+            raise self._error(f"malformed reply {line!r}")
         if not isinstance(reply, dict):
-            raise TeacherError(self.teacher_id, f"malformed reply {line!r}")
+            raise self._error(f"malformed reply {line!r}")
         return reply
 
     def _on_init(self, frame0: np.ndarray, g0: Box) -> None:
@@ -285,17 +298,17 @@ class ExternalSession(TeacherSession):
             }
         )
         if reply.get("ok") is not True:
-            raise TeacherError(self.teacher_id, f"init not acknowledged: {reply!r}")
+            raise self._error(f"init not acknowledged: {reply!r}")
 
     def _predict(self, frame: np.ndarray, t: int) -> Box:
         reply = self._roundtrip({"cmd": "predict", "frame": self._frame_path(t)})
         box = reply.get("box")
         if not (isinstance(box, list) and len(box) == 4):
-            raise TeacherError(self.teacher_id, f"bad predict reply: {reply!r}")
+            raise self._error(f"bad predict reply: {reply!r}")
         try:
             return Box(*(float(v) for v in box))
         except (TypeError, ValueError, InvalidInputError) as e:
-            raise TeacherError(self.teacher_id, f"bad box in reply: {e}")
+            raise self._error(f"bad box in reply: {e}")
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -308,6 +321,7 @@ class ExternalSession(TeacherSession):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        self._stderr.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -62,6 +62,13 @@ class _Lane:
         return out
 
 
+def _check_evaluator(evaluator: str, video: Video) -> None:
+    if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
+        raise InvalidInputError(f"unknown evaluator {evaluator!r}")
+    if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
+        raise InvalidInputError("oracle evaluator needs ground truth on every frame")
+
+
 def tras(
     video: Video,
     g0: Box,
@@ -97,10 +104,7 @@ def trast(
     The oracle evaluator replaces both value estimates with the candidates'
     true overlap against ground truth (testing hook; needs full annotation).
     """
-    if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
-        raise InvalidInputError(f"unknown evaluator {evaluator!r}")
-    if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
-        raise InvalidInputError("oracle evaluator needs ground truth on every frame")
+    _check_evaluator(evaluator, video)
     student_lane = _Lane(model, params, context)
     teacher_lane = _Lane(model, params, context)
     tid = teacher.teacher_id
@@ -161,10 +165,7 @@ def trasfust(
     to the lowest pool index. The student predicts no boxes of its own."""
     if not pool:
         raise InvalidInputError("teacher pool must be non-empty")
-    if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
-        raise InvalidInputError(f"unknown evaluator {evaluator!r}")
-    if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
-        raise InvalidInputError("oracle evaluator needs ground truth on every frame")
+    _check_evaluator(evaluator, video)
     ids = [f.teacher_id for f in pool]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("teacher pool has duplicate ids")

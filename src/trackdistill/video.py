@@ -91,11 +91,6 @@ class Video:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def size(self):
-        h, w = self.frames[0].shape[:2]
-        return w, h
-
 
 def read_groundtruth(path: str) -> List[Box]:
     boxes = []
@@ -126,7 +121,7 @@ def write_groundtruth(path: str, boxes: List[Box]) -> None:
             fh.write("%.6f,%.6f,%.6f,%.6f\n" % (b.x, b.y, b.w, b.h))
 
 
-def load_video(seq_dir: str, lazy: bool = False) -> Video:
+def load_video(seq_dir: str) -> Video:
     """Load one sequence directory (frames/ + groundtruth.csv)."""
     frames_dir = os.path.join(seq_dir, "frames")
     gt_path = os.path.join(seq_dir, "groundtruth.csv")

@@ -9,9 +9,11 @@ from trackdistill.geometry import (
     apply_action,
     context_region,
     crop_patch,
+    crop_patches,
     infer_action,
     iou,
 )
+from trackdistill.mdp import make_state
 
 
 def raster_iou(a: Box, b: Box) -> float:
@@ -194,3 +196,45 @@ class TestCropPatch:
         out = crop_patch(frame, Box(1, 1, 3, 3), (6, 4))
         assert out.shape == (4, 6, 3)
         assert out.dtype == np.float64
+
+
+class TestCropPatches:
+    """The stacked crop that make_state uses, against the scalar oracle."""
+
+    @staticmethod
+    def regions(rng, fw, fh):
+        for _ in range(10):
+            yield Box(*rng.uniform(0, [fw - 6, fh - 6]), *rng.uniform(0.5, 6, 2))  # inside
+            yield Box(*rng.uniform(-8, [fw, fh]), *rng.uniform(4, 12, 2))  # partly off-frame
+            yield Box(fw + rng.uniform(0.5, 20), rng.uniform(-30, fh + 30), *rng.uniform(0.5, 10, 2))
+            yield Box(*rng.uniform(-40, -12, 2), *rng.uniform(0.5, 10, 2))  # fully off-frame
+            yield Box(*rng.uniform([-fw, -fh], 0), *rng.uniform([2 * fw, 2 * fh], [3 * fw, 3 * fh]))
+
+    @pytest.mark.parametrize("fh, fw", [(9, 8), (240, 320)])
+    def test_matches_scalar_oracle(self, fh, fw):
+        rng = np.random.default_rng(fw)
+        frames = rng.integers(0, 256, (2, fh, fw, 3)).astype(np.uint8)
+        for region in self.regions(rng, fw, fh):
+            got = crop_patches((frames[0], frames[1]), region, (5, 4))
+            assert got.shape == (2, 4, 5, 3)
+            for k in range(2):
+                want = crop_patch_slow(frames[k], region, (5, 4))
+                np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-10)
+
+    def test_make_state_patches_equal_single_crops(self):
+        rng = np.random.default_rng(23)
+        fa, fb = rng.integers(0, 256, (2, 40, 50, 3)).astype(np.uint8)
+        for _ in range(30):
+            box = Box(*rng.uniform(-15, 50, 2), *rng.uniform(1, 40, 2))
+            s = make_state(fa, fb, box, context=1.5, patch_size=16)
+            region = context_region(box, 1.5)
+            np.testing.assert_array_equal(s.patch_prev, crop_patch(fa, region, (16, 16)))
+            np.testing.assert_array_equal(s.patch_cur, crop_patch(fb, region, (16, 16)))
+
+    def test_frames_of_different_shapes_rejected(self):
+        a = np.zeros((20, 20, 3), dtype=np.uint8)
+        b = np.zeros((20, 21, 3), dtype=np.uint8)
+        with pytest.raises(InvalidInputError, match="differ"):
+            crop_patches((a, b), Box(2, 2, 5, 5), (4, 4))
+        with pytest.raises(InvalidInputError, match="differ"):
+            make_state(a, b, Box(2, 2, 5, 5), context=1.5, patch_size=8)

@@ -199,6 +199,77 @@ class TestGradients:
         assert "[" in report.worst_name and "]" in report.worst_name
 
 
+def conv_reference(x, W, b):
+    """Direct stride-2, pad-1, 3x3 convolution plus ReLU of one (h, w, cin) map."""
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    oh, ow = x.shape[0] // 2, x.shape[1] // 2
+    out = np.empty((oh, ow, W.shape[0]))
+    for i in range(oh):
+        for j in range(ow):
+            window = xp[2 * i : 2 * i + 3, 2 * j : 2 * j + 3]  # (3, 3, cin)
+            out[i, j] = np.einsum("yxc,ocyx->o", window, W) + b
+    return np.maximum(out, 0.0)
+
+
+class TestBatchedEncoder:
+    @pytest.mark.parametrize(
+        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
+    )
+    def test_rows_equal_single_patch_features(self, config):
+        rng = np.random.default_rng(115)
+        model = StudentModel(config)
+        params = model.init_params(seed=11)
+        p = config.patch_size
+        patches = rng.uniform(0, 255, (4, p, p, 3))
+        feats, _ = model._encode(model.views(params), patches)
+        assert feats.shape == (4, model.feature_dim)
+        for k in range(4):  # bitwise: batching must not change the rounding
+            np.testing.assert_array_equal(feats[k], model.encode_feature(params, patches[k]))
+
+    def test_conv_features_match_direct_convolution(self):
+        rng = np.random.default_rng(116)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=12)
+        v = model.views(params)
+        patch = rng.uniform(0, 255, (16, 16, 3))
+        x = patch / 255.0 - 0.5
+        for k in range(len(SMALL.conv_channels)):
+            x = conv_reference(x, v[f"enc.conv{k}.W"], v[f"enc.conv{k}.b"])
+        np.testing.assert_allclose(model.encode_feature(params, patch), x.reshape(-1), atol=1e-12)
+
+    def test_every_conv_coordinate_fd(self):
+        """Central differences on all encoder weights, not a sample: every
+        conv0 coordinate reaches the loss through the stage-1 col2im."""
+        rng = np.random.default_rng(120)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=13)
+        states = [random_state(rng) for _ in range(2)]
+        h0 = model.zero_hidden()
+        fn = window_sum_loss(model, states, h0, rng.normal(size=(2, 4)), rng.normal(size=2))
+        _, grad = fn(params)
+        # Every ReLU input (encoder stages; fuse1/fuse2 at cache entries 2, 4)
+        # this far from its kink cannot flip under a 1e-6 step, so the loss
+        # is smooth along every probe.
+        _, _, _, caches = model.forward_window(params, states, h0)
+        relu_inputs = [pre for c in caches for _, pre in c[0]] + [c[i] for c in caches for i in (2, 4)]
+        assert min(np.abs(p).min() for p in relu_inputs) > 1e-5
+        coords = np.concatenate([
+            np.arange(model.n_params)[sl]
+            for name, (sl, _) in model._slices.items() if name.startswith("enc.conv")
+        ])
+        assert coords.size == 4 * 3 * 9 + 4 + 8 * 4 * 9 + 8
+        eps = 1e-6
+        for i in coords:
+            probe = params.copy()
+            probe[i] += eps
+            lp, _ = fn(probe)
+            probe[i] = params[i] - eps
+            lm, _ = fn(probe)
+            numeric = (lp - lm) / (2.0 * eps)
+            rel = abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-3)
+            assert rel < 1e-6, (model.param_name(int(i)), grad[i], numeric)
+
+
 class TestParamNames:
     def test_partition_covers_vector(self):
         model = StudentModel(SMALL)

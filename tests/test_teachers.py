@@ -8,6 +8,7 @@ import pytest
 from trackdistill.errors import InvalidInputError, ProtocolError, TeacherError
 from trackdistill.geometry import Box, iou
 from trackdistill.teachers import (
+    STDERR_TAIL,
     ExternalFactory,
     OracleNoiseFactory,
     TraceFactory,
@@ -233,6 +234,25 @@ class TestExternalTeacher:
         vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 4, "dead")
         with pytest.raises(TeacherError):
             run_teacher_on_video(self.make_factory(tmp_path, "import sys; sys.exit(0)\n"), vid)
+
+    def test_stderr_tail_in_error(self, tmp_path):
+        # 200 KB of stderr would fill a pipe nobody reads; the child then
+        # dies mid-session, after the init reply.
+        body = (
+            "import json, sys\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'ok': True}), flush=True)\n"
+            "sys.stdin.readline()\n"
+            "sys.stderr.write('noise ' * 40000 + 'fatal: weights missing\\n')\n"
+            "sys.exit(3)\n"
+        )
+        vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 5, "loud")
+        with pytest.raises(TeacherError) as info:
+            run_teacher_on_video(self.make_factory(tmp_path, body), vid)
+        msg = str(info.value)
+        assert "process closed its output stream; stderr tail: " in msg
+        assert msg.endswith("fatal: weights missing'")
+        assert len(msg) < STDERR_TAIL + 100
 
 
 class TestTeacherSpecParsing:

@@ -98,12 +98,14 @@ class StudentOutput:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W @ x for each row x of X as its own gemv; a flat ``X @ W.T`` rounds differently."""
+    return (W @ X[:, :, None])[:, :, 0]
 
 
 class StudentModel:
@@ -215,7 +217,7 @@ class StudentModel:
         f = self.config.pool_factor
         pooled = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4))
         flat = pooled.reshape(n, -1)
-        pre = (v["enc.fc.W"] @ flat[:, :, None])[:, :, 0] + v["enc.fc.b"]
+        pre = _matvecs(v["enc.fc.W"], flat) + v["enc.fc.b"]
         return np.maximum(pre, 0.0), (flat, pre)
 
     def _encode_backward(self, v, g, dfeat: np.ndarray, cache) -> None:
@@ -261,35 +263,57 @@ class StudentModel:
                 f"do not match configured {want}"
             )
 
-    def _step(self, v: Dict[str, np.ndarray], state: State, h_prev, c_prev):
-        feats, enc_cache = self._encode(v, np.stack((state.patch_prev, state.patch_cur)))
-        z = feats.reshape(-1)
-        pre1 = v["fuse1.W"] @ z + v["fuse1.b"]
+    def _step(self, v: Dict[str, np.ndarray], states: Sequence[State], h_prev, c_prev):
+        """Advance K lanes: lane k reads states[k] and row k of the (K, hidden) h_prev
+        and c_prev; lanes given one State object share its encoding. Each lane's rows are
+        bitwise a one-lane step's. Returns (mu, value, h, c, encoder cache, (K, ...) rows)."""
+        distinct = list({id(s): s for s in states}.values())
+        feats, enc_cache = self._encode(
+            v, np.stack([p for s in distinct for p in (s.patch_prev, s.patch_cur)])
+        )
+        z = feats.reshape(len(distinct), -1)
+        pre1 = _matvecs(v["fuse1.W"], z) + v["fuse1.b"]
         a1 = np.maximum(pre1, 0.0)
-        pre2 = v["fuse2.W"] @ a1 + v["fuse2.b"]
+        pre2 = _matvecs(v["fuse2.W"], a1) + v["fuse2.b"]
         a2 = np.maximum(pre2, 0.0)
+        if len(distinct) < len(states):  # fan each shared state's row out to its lanes
+            row = {id(s): i for i, s in enumerate(distinct)}
+            a2 = a2[[row[id(s)] for s in states]]
 
         hdim = self.config.hidden_dim
-        gates = v["rnn.Wx"] @ a2 + v["rnn.Wh"] @ h_prev + v["rnn.b"]
-        gi = _sigmoid(gates[0:hdim])
-        gf = _sigmoid(gates[hdim : 2 * hdim])
-        gg = np.tanh(gates[2 * hdim : 3 * hdim])
-        go = _sigmoid(gates[3 * hdim : 4 * hdim])
+        gates = _matvecs(v["rnn.Wx"], a2) + _matvecs(v["rnn.Wh"], h_prev) + v["rnn.b"]
+        sig = _sigmoid(gates)  # one call for the i, f and o gates; the g block goes unused
+        gi, gf, go = sig[:, 0:hdim], sig[:, hdim : 2 * hdim], sig[:, 3 * hdim : 4 * hdim]
+        gg = np.tanh(gates[:, 2 * hdim : 3 * hdim])
         c = gf * c_prev + gi * gg
         tc = np.tanh(c)
         h = go * tc
 
-        za = v["policy.W"] @ h + v["policy.b"]
-        mu = np.tanh(za)
-        value = float(v["value.W"][0] @ h + v["value.b"][0])
-        cache = (enc_cache, z, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, c, tc, h, mu)
-        return mu, value, h, c, cache
+        mu = np.tanh(_matvecs(v["policy.W"], h) + v["policy.b"])
+        value = (h[:, None, :] @ v["value.W"][0][:, None])[:, 0, 0] + v["value.b"][0]
+        rows = (z, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, c, tc, h, mu)
+        return mu, value, h, c, enc_cache, rows
 
     def forward(self, params: np.ndarray, state: State, hidden: HiddenState):
-        """One prediction; purely functional in (params, state, hidden)."""
+        """One prediction, with its backward cache; purely functional in (params, state, hidden)."""
         self._check_state(state)
-        mu, value, h, c, cache = self._step(self.views(params), state, hidden.h, hidden.c)
-        return StudentOutput(mu, value, cache), HiddenState(h, c)
+        mu, value, h, c, enc_cache, rows = self._step(
+            self.views(params), (state,), hidden.h[None], hidden.c[None]
+        )
+        cache = (enc_cache,) + tuple(r[0] for r in rows)
+        return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
+
+    def forward_lanes(
+        self, params: np.ndarray, states: Sequence[State], hiddens: Sequence[HiddenState]
+    ):
+        """One batched prediction for K lanes, lane k reading states[k] with hiddens[k]; lanes
+        passing one State object share its encoding. Row k is bitwise ``forward(params,
+        states[k], hiddens[k])``. Returns (actions (K, 4), values (K,), [HiddenState] * K)."""
+        for state in states:
+            self._check_state(state)
+        hs, cs = np.stack([x.h for x in hiddens]), np.stack([x.c for x in hiddens])
+        mu, value, h, c, _, _ = self._step(self.views(params), states, hs, cs)
+        return mu, value, [HiddenState(h[k], c[k]) for k in range(len(states))]
 
     def forward_window(
         self, params: np.ndarray, states: Sequence[State], hidden: HiddenState
@@ -298,18 +322,15 @@ class StudentModel:
 
         Returns (mus (n,4), values (n,), final HiddenState, cache).
         """
-        v = self.views(params)
-        h, c = hidden.h, hidden.c
         mus, values, caches = [], [], []
         for i, state in enumerate(states):
-            self._check_state(state)
-            mu, value, h, c, cache = self._step(v, state, h, c)
-            if not (np.all(np.isfinite(mu)) and np.isfinite(value)):
+            out, hidden = self.forward(params, state, hidden)
+            if not (np.all(np.isfinite(out.action)) and np.isfinite(out.value)):
                 raise NumericError(f"non-finite model output at window step {i}")
-            mus.append(mu)
-            values.append(value)
-            caches.append(cache)
-        return np.array(mus), np.array(values), HiddenState(h, c), caches
+            mus.append(out.action)
+            values.append(out.value)
+            caches.append(out.cache)
+        return np.array(mus), np.array(values), hidden, caches
 
     # -- backward -------------------------------------------------------------
 

@@ -4,17 +4,21 @@ tras runs the policy alone. trast pairs it with one teacher and hands control
 to whichever the value head trusts more, frame by frame. trasfust runs a pool
 of teachers and uses the value head purely as a judge, emitting the box of
 the highest-valued teacher each frame.
+
+Each value judgement is a lane with its own hidden state. trast and trasfust
+step all lanes of a frame in one ``forward_lanes`` call and crop each distinct
+anchor box once. Non-finite student output raises NumericError.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, TeacherError
+from .errors import InvalidInputError, NumericError, ParseError, TeacherError
 from .geometry import Box, apply_action, iou
 from .mdp import make_state
 from .model import HiddenSchedule, StudentModel
@@ -43,23 +47,26 @@ class TrackRun:
         return list(self.v_teachers)
 
 
-class _Lane:
-    """One recurrent evaluation chain with the standard periodic reset."""
+def _check_finite(protocol: str, video: Video, t: int, actions, values) -> None:
+    if not (np.isfinite(actions).all() and np.isfinite(values).all()):
+        raise NumericError(f"{protocol}: non-finite output on {video.video_id!r} at frame {t}")
 
-    def __init__(self, model: StudentModel, params: np.ndarray, context: float):
-        self.model = model
-        self.params = params
-        self.context = context
-        self.sched = HiddenSchedule(model)
 
-    def step(self, frame_prev, frame_cur, anchor: Box, t: int):
-        state = make_state(
-            frame_prev, frame_cur, anchor, self.context, self.model.config.patch_size
-        )
-        hidden = self.sched.before(t)
-        out, hidden = self.model.forward(self.params, state, hidden)
-        self.sched.after(t, hidden)
-        return out
+def _step_lanes(
+    protocol: str, video: Video, t: int, anchors: Sequence[Box], model, params, context, scheds
+):
+    """Advance lane k from ``anchors[k]`` on frame t under hidden schedule
+    ``scheds[k]``, cropping each distinct anchor once (equal boxes give equal
+    states). Returns (actions (K, 4), values (K,))."""
+    frames, size = (video.frames[t - 1], video.frames[t]), model.config.patch_size
+    states = {box: make_state(*frames, box, context, size) for box in dict.fromkeys(anchors)}
+    actions, values, hiddens = model.forward_lanes(
+        params, [states[box] for box in anchors], [s.before(t) for s in scheds]
+    )
+    for sched, hidden in zip(scheds, hiddens):
+        sched.after(t, hidden)
+    _check_finite(protocol, video, t, actions, values)
+    return actions, values
 
 
 def _check_evaluator(evaluator: str, video: Video) -> None:
@@ -77,11 +84,16 @@ def tras(
     context: float = 1.5,
 ) -> TrackRun:
     """Pure student: the mean action drives the box chain deterministically."""
-    lane = _Lane(model, params, context)
+    sched = HiddenSchedule(model)
     box = g0
     run = TrackRun(video.video_id, "tras", boxes=[], controllers=[])
     for t in range(1, len(video.frames)):
-        out = lane.step(video.frames[t - 1], video.frames[t], box, t)
+        state = make_state(
+            video.frames[t - 1], video.frames[t], box, context, model.config.patch_size
+        )
+        out, hidden = model.forward(params, state, sched.before(t))
+        sched.after(t, hidden)
+        _check_finite("tras", video, t, out.action, out.value)
         box = apply_action(out.action, box)
         run.boxes.append(box)
         run.controllers.append(STUDENT)
@@ -105,8 +117,8 @@ def trast(
     true overlap against ground truth (testing hook; needs full annotation).
     """
     _check_evaluator(evaluator, video)
-    student_lane = _Lane(model, params, context)
-    teacher_lane = _Lane(model, params, context)
+    oracle = evaluator == ORACLE_EVALUATOR
+    scheds = [HiddenSchedule(model) for _ in range(1 if oracle else 2)]
     tid = teacher.teacher_id
     run = TrackRun(
         video.video_id, "trast", boxes=[], controllers=[], v_teachers={tid: []}
@@ -124,18 +136,17 @@ def trast(
                     run.partial = True
                     run.error = str(exc)
                     return run
-                out = student_lane.step(video.frames[t - 1], video.frames[t], box, t)
-                student_box = apply_action(out.action, box)
-                if evaluator == ORACLE_EVALUATOR:
+                anchors = [box] if oracle else [box, prev_teacher_box]
+                actions, values = _step_lanes(
+                    "trast", video, t, anchors, model, params, context, scheds
+                )
+                student_box = apply_action(actions[0], box)
+                if oracle:
                     gt = video.ground_truth[t]
                     v_s = iou(student_box, gt)
                     v_t = iou(teacher_box, gt)
                 else:
-                    v_s = out.value
-                    t_out = teacher_lane.step(
-                        video.frames[t - 1], video.frames[t], prev_teacher_box, t
-                    )
-                    v_t = t_out.value
+                    v_s, v_t = values.tolist()
                 if v_s >= v_t:
                     box = student_box
                     run.controllers.append(STUDENT)
@@ -162,7 +173,9 @@ def trasfust(
 ) -> TrackRun:
     """Teacher fusion: every pool member tracks its own chain; each frame the
     student's value head picks the box of the highest-valued teacher. Ties go
-    to the lowest pool index. The student predicts no boxes of its own."""
+    to the lowest pool index. The student predicts no boxes of its own; once
+    every member has predicted frame t, one batched step judges all K lanes,
+    lane k anchored on member k's box at t - 1."""
     if not pool:
         raise InvalidInputError("teacher pool must be non-empty")
     _check_evaluator(evaluator, video)
@@ -176,7 +189,7 @@ def trasfust(
         controllers=[],
         v_teachers={tid: [] for tid in ids},
     )
-    lanes = [_Lane(model, params, context) for _ in pool]
+    scheds = [HiddenSchedule(model) for _ in pool]
     sessions = []
     try:
         for factory in pool:
@@ -184,18 +197,13 @@ def trasfust(
             sessions[-1].init(video.frames[0], g0)
         prev_boxes = [g0 for _ in pool]
         for t in range(1, len(video.frames)):
-            values = np.empty(len(pool))
-            cur_boxes = []
-            for k, session in enumerate(sessions):
-                b = session.predict(video.frames[t])
-                cur_boxes.append(b)
-                if evaluator == ORACLE_EVALUATOR:
-                    values[k] = iou(b, video.ground_truth[t])
-                else:
-                    out = lanes[k].step(
-                        video.frames[t - 1], video.frames[t], prev_boxes[k], t
-                    )
-                    values[k] = out.value
+            cur_boxes = [session.predict(video.frames[t]) for session in sessions]
+            if evaluator == ORACLE_EVALUATOR:
+                values = [iou(b, video.ground_truth[t]) for b in cur_boxes]
+            else:
+                _, values = _step_lanes(
+                    "trasfust", video, t, prev_boxes, model, params, context, scheds
+                )
             best = int(np.argmax(values))  # argmax takes the first maximum
             run.boxes.append(cur_boxes[best])
             run.controllers.append(ids[best])

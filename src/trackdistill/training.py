@@ -51,7 +51,6 @@ class StepRecord:
     sigma: Optional[np.ndarray] = None
     teacher_action: Optional[np.ndarray] = None
     mask: int = 0
-    teacher_reward: float = 0.0  # the best teacher's own-chain reward at this frame
 
 
 @dataclass
@@ -590,7 +589,6 @@ def run_episode(
                     sigma=None if sample is None else sample.sigma,
                     teacher_action=ta,
                     mask=mask(r, r_cand),
-                    teacher_reward=r_own,
                 )
             )
             caches.append(out.cache)
@@ -860,9 +858,9 @@ def synthetic_record(
                 sigma=sample.sigma,
                 teacher_action=rng.uniform(-0.8, 0.8, 4),
                 mask=int(rng.integers(0, 2)),
-                teacher_reward=float(rng.choice([0.0, 0.4, 0.8])),
             )
         )
+        rng.choice([0.0, 0.4, 0.8])  # discarded; keeps the windows each seed gives unchanged
     terminated = bool(rng.integers(0, 2))
     return EpisodeRecord(
         steps=steps,

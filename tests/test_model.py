@@ -9,8 +9,10 @@ from trackdistill.mdp import State
 from trackdistill.model import (
     GradCheckReport,
     HiddenSchedule,
+    HiddenState,
     StudentConfig,
     StudentModel,
+    _sigmoid,
     grad_check,
     load_params,
     save_params,
@@ -123,6 +125,77 @@ class TestForward:
             StudentModel(StudentConfig(encoder="mlp"))
         with pytest.raises(ConfigError):
             StudentModel(StudentConfig(encoder="pool", patch_size=30, pool_factor=4))
+
+
+def masked_sigmoid(x):
+    """The earlier boolean-mask formulation, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_form(self):
+        rng = np.random.default_rng(130)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300])
+        for x in (edges, rng.normal(scale=8.0, size=200_000), rng.normal(size=(3, 64))[:, 5:37]):
+            got = _sigmoid(x)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, masked_sigmoid(x))
+            assert np.array_equal(np.signbit(got), np.signbit(masked_sigmoid(x)))
+
+    def test_nan_stays_nan(self):
+        assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan]))))
+
+
+class TestForwardLanes:
+    @pytest.mark.parametrize(
+        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_equal_per_lane_forward(self, config, k):
+        rng = np.random.default_rng(140 + k)
+        model = StudentModel(config)
+        params = model.init_params(seed=13) * 2.0
+        hdim = config.hidden_dim
+        distinct = [random_state(rng, config.patch_size) for _ in range(2)]
+        # lanes 0 and 2 share one State object; every lane has its own hidden state
+        states = [distinct[0], distinct[1], distinct[0], random_state(rng, config.patch_size)][:k]
+        hiddens = [
+            HiddenState(rng.normal(size=hdim), rng.normal(size=hdim)) for _ in range(k)
+        ]
+        actions, values, new_hiddens = model.forward_lanes(params, states, hiddens)
+        assert actions.shape == (k, 4) and values.shape == (k,) and len(new_hiddens) == k
+        for lane in range(k):  # bitwise: batching and sharing must not change the rounding
+            out, hidden = model.forward(params, states[lane], hiddens[lane])
+            np.testing.assert_array_equal(actions[lane], out.action)
+            assert values[lane] == out.value
+            np.testing.assert_array_equal(new_hiddens[lane].h, hidden.h)
+            np.testing.assert_array_equal(new_hiddens[lane].c, hidden.c)
+
+    def test_shared_state_encoded_once(self, monkeypatch):
+        rng = np.random.default_rng(150)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=14)
+        a, b = random_state(rng), random_state(rng)
+        encoded = []
+        encode = model._encode
+        monkeypatch.setattr(
+            model, "_encode", lambda v, patches: encoded.append(len(patches)) or encode(v, patches)
+        )
+        model.forward_lanes(params, [a, b, a, a], [model.zero_hidden()] * 4)
+        assert encoded == [4]  # two distinct states, two patches each, one call
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(151)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=1)
+        states = [random_state(rng), random_state(rng, patch_size=8)]
+        with pytest.raises(ConfigError):
+            model.forward_lanes(params, states, [model.zero_hidden()] * 2)
 
 
 def window_sum_loss(model, states, h0, cmu, cv):

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trackdistill.errors import InvalidInputError, TeacherError
-from trackdistill.geometry import Box, iou
-from trackdistill.model import StudentConfig, StudentModel
+from trackdistill import trackers
+from trackdistill.errors import InvalidInputError, NumericError, TeacherError
+from trackdistill.geometry import Box, apply_action, iou
+from trackdistill.mdp import make_state
+from trackdistill.model import HiddenSchedule, StudentConfig, StudentModel
 from trackdistill.teachers import (
     OracleNoiseFactory,
     TeacherFactory,
@@ -230,6 +232,147 @@ class TestTrasfust:
         run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
         assert run.partial
         assert len(run.boxes) == 3
+
+
+class RefLane:
+    """One judgement chain stepped alone through ``forward``: the per-lane
+    reference that the batched trackers must reproduce bitwise."""
+
+    def __init__(self, model, params):
+        self.model, self.params = model, params
+        self.sched = HiddenSchedule(model)
+
+    def step(self, video, t, anchor):
+        state = make_state(
+            video.frames[t - 1], video.frames[t], anchor, 1.5, self.model.config.patch_size
+        )
+        out, hidden = self.model.forward(self.params, state, self.sched.before(t))
+        self.sched.after(t, hidden)
+        return out
+
+
+def reference_trast(video, model, params, teacher):
+    student, judge = RefLane(model, params), RefLane(model, params)
+    chain = run_teacher_on_video(teacher, video).boxes
+    tid = teacher.teacher_id
+    run = TrackRun(video.video_id, "trast", [], [], v_teachers={tid: []})
+    box = video.ground_truth[0]
+    for t in range(1, len(video.frames)):
+        out = student.step(video, t, box)
+        v_t = judge.step(video, t, chain[t - 1]).value
+        if out.value >= v_t:
+            box, who = apply_action(out.action, box), STUDENT
+        else:
+            box, who = chain[t], tid
+        run.boxes.append(box)
+        run.controllers.append(who)
+        run.v_student.append(out.value)
+        run.v_teachers[tid].append(v_t)
+    return run
+
+
+def reference_trasfust(video, model, params, pool):
+    lanes = [RefLane(model, params) for _ in pool]
+    chains = [run_teacher_on_video(f, video).boxes for f in pool]
+    ids = [f.teacher_id for f in pool]
+    run = TrackRun(video.video_id, "trasfust", [], [], v_teachers={tid: [] for tid in ids})
+    for t in range(1, len(video.frames)):
+        values = [lane.step(video, t, chain[t - 1]).value for lane, chain in zip(lanes, chains)]
+        best = int(np.argmax(values))
+        run.boxes.append(chains[best][t])
+        run.controllers.append(ids[best])
+        for tid, value in zip(ids, values):
+            run.v_teachers[tid].append(value)
+    return run
+
+
+def count_crops(monkeypatch):
+    """Record (frame, anchor) for every make_state call the trackers make."""
+    calls = []
+
+    def counting(frame_prev, frame_cur, box, context, patch_size):
+        calls.append((id(frame_cur), box))
+        return make_state(frame_prev, frame_cur, box, context, patch_size)
+
+    monkeypatch.setattr(trackers, "make_state", counting)
+    return calls
+
+
+class TestBatchedLanes:
+    def setup_method(self):
+        self.model = StudentModel(SMALL)
+        self.params = self.model.init_params(31)
+
+    def test_trast_equals_per_lane_reference(self):
+        video = small_video(40, frames=40)  # crosses the hidden reset at frame 33
+        teacher = OracleNoiseFactory("t8", 0.8, seed=7)
+        run = trast(video, video.ground_truth[0], self.model, self.params, teacher)
+        assert run == reference_trast(video, self.model, self.params, teacher)
+        assert {STUDENT, "t8"} <= set(run.controllers)  # both candidates win somewhere
+
+    def test_trasfust_equals_per_lane_reference(self):
+        video = small_video(41, frames=40)
+        pool = [OracleNoiseFactory(f"o{k}", q, seed=k) for k, q in enumerate((0.5, 0.7, 0.9, 1.0))]
+        run = trasfust(video, video.ground_truth[0], self.model, self.params, pool)
+        assert run == reference_trasfust(video, self.model, self.params, pool)
+        assert len(set(run.controllers)) > 1
+
+    def test_trast_crops_each_distinct_anchor_once(self, monkeypatch):
+        video = small_video(42, frames=30)
+        teacher = OracleNoiseFactory("exact", 1.0)
+        calls = count_crops(monkeypatch)
+        run = trast(video, video.ground_truth[0], self.model, self.params, teacher)
+        chain = run_teacher_on_video(teacher, video).boxes
+        outputs = [video.ground_truth[0]] + run.boxes
+        want = [
+            (id(video.frames[t]), box)
+            for t in range(1, len(video.frames))
+            for box in dict.fromkeys((outputs[t - 1], chain[t - 1]))
+        ]
+        assert calls == want
+        assert len(calls) < 2 * len(run.boxes)  # the shared anchors were cropped once
+
+    def test_trasfust_crops_each_distinct_anchor_once(self, monkeypatch):
+        video = small_video(43, frames=20)
+        pool = [OracleNoiseFactory("a", 0.8, seed=1), OracleNoiseFactory("b", 1.0),
+                OracleNoiseFactory("c", 1.0, seed=5)]
+        calls = count_crops(monkeypatch)
+        trasfust(video, video.ground_truth[0], self.model, self.params, pool)
+        chains = [run_teacher_on_video(f, video).boxes for f in pool]
+        want = [
+            (id(video.frames[t]), box)
+            for t in range(1, len(video.frames))
+            for box in dict.fromkeys(chain[t - 1] for chain in chains)
+        ]
+        assert calls == want
+        assert len(calls) < 2 * (len(video.frames) - 1)  # "b" and "c" always agree
+
+    @pytest.mark.parametrize("protocol", ["tras", "trast", "trasfust"])
+    def test_nonfinite_output_names_protocol_video_and_frame(self, protocol):
+        video = small_video(44, frames=6)
+        params = np.full(self.model.n_params, np.nan)
+        g0 = video.ground_truth[0]
+        calls = {
+            "tras": lambda: tras(video, g0, self.model, params),
+            "trast": lambda: trast(video, g0, self.model, params, OracleNoiseFactory("t", 0.9)),
+            "trasfust": lambda: trasfust(
+                video, g0, self.model, params,
+                [OracleNoiseFactory("p", 0.9), OracleNoiseFactory("q", 0.7, seed=2)],
+            ),
+        }
+        with pytest.raises(NumericError, match=f"^{protocol}: .*'clip044' at frame 1$"):
+            calls[protocol]()
+
+    def test_trasfust_member_failure_keeps_earlier_frames(self):
+        video = small_video(45, frames=12)
+        g0 = video.ground_truth[0]
+        ok = OracleNoiseFactory("ok", 0.9, seed=1)
+        full = trasfust(video, g0, self.model, self.params, [ok, FailAfter("flaky", 10**6)])
+        run = trasfust(video, g0, self.model, self.params, [ok, FailAfter("flaky", 5)])
+        assert run.partial and "flaky" in run.error
+        assert run.boxes == full.boxes[:5]
+        assert run.controllers == full.controllers[:5]
+        assert run.v_teachers == {tid: v[:5] for tid, v in full.v_teachers.items()}
 
 
 class TestSerialization:

@@ -30,9 +30,9 @@ from .metrics import EvalResult, ope_run, report, run_metrics
 from .model import StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
-    TrajectoryTrace,
     load_trace,
     parse_teacher_spec,
+    run_pool_on_video,
     save_trace,
 )
 from .trackers import read_trackrun, tras, trasfust, trast, write_trackrun
@@ -46,7 +46,7 @@ from .transferset import (
     write_chunk_index,
     write_stats_csv,
 )
-from .video import generate_video, load_dataset, write_groundtruth, write_video
+from .video import generate_video, load_dataset, write_video
 
 GRADCHECK_TOLERANCE = 1e-4
 STATS_BETAS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -101,30 +101,17 @@ def cmd_run_teachers(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     failures = 0
-    for factory in pool:
-        for video in videos:
-            boxes = [video.ground_truth[0]]
-            try:
-                with factory.session(video) as session:
-                    session.init(video.frames[0], video.ground_truth[0])
-                    for t in range(1, len(video)):
-                        boxes.append(session.predict(video.frames[t]))
-            except TeacherError as e:
+    for video in videos:
+        for trace, error in run_pool_on_video(pool, video):
+            if error is None:
+                save_trace(args.out, trace)
+            else:  # quarantine the partial boxes
                 failures += 1
-                quarantine = os.path.join(
-                    _failed_dir(args.out), factory.teacher_id
-                )
-                os.makedirs(quarantine, exist_ok=True)
-                partial = TrajectoryTrace(video.video_id, factory.teacher_id, boxes)
-                write_groundtruth(
-                    os.path.join(quarantine, f"{video.video_id}.csv"), partial.boxes
-                )
+                save_trace(_failed_dir(args.out), trace)
                 print(
-                    f"warning: {factory.teacher_id} failed on {video.video_id}: {e}",
+                    f"warning: {trace.teacher_id} failed on {video.video_id}: {error}",
                     file=sys.stderr,
                 )
-                continue
-            save_trace(args.out, TrajectoryTrace(video.video_id, factory.teacher_id, boxes))
     print(
         f"traced {len(pool)} teachers over {len(videos)} videos"
         + (f" ({failures} failures quarantined)" if failures else "")

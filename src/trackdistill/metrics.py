@@ -43,13 +43,11 @@ def sr(ious: Sequence[float], thr: float) -> float:
 
 
 def success_auc(ious: Sequence[float]) -> float:
-    arr = _checked(ious, "overlap")
-    return float(np.mean([np.mean(arr >= t) for t in SUCCESS_GRID]))
+    return float(np.mean(success_curve(ious)))
 
 
 def precision_auc(center_errors: Sequence[float]) -> float:
-    arr = _checked(center_errors, "center-error")
-    return float(np.mean([np.mean(arr <= t) for t in PRECISION_GRID]))
+    return float(np.mean(precision_curve(center_errors)))
 
 
 def precision_at(center_errors: Sequence[float], px: float = 20.0) -> float:
@@ -58,13 +56,16 @@ def precision_at(center_errors: Sequence[float], px: float = 20.0) -> float:
 
 
 def success_curve(ious: Sequence[float]) -> np.ndarray:
+    """Fraction of frames at or above each overlap threshold, one comparison
+    for the whole grid; each row's mean is that threshold's ``sr``."""
     arr = _checked(ious, "overlap")
-    return np.array([np.mean(arr >= t) for t in SUCCESS_GRID])
+    return np.mean(arr >= SUCCESS_GRID[:, None], axis=1)
 
 
 def precision_curve(center_errors: Sequence[float]) -> np.ndarray:
+    """Fraction of frames within each pixel threshold, one comparison for the grid."""
     arr = _checked(center_errors, "center-error")
-    return np.array([np.mean(arr <= t) for t in PRECISION_GRID])
+    return np.mean(arr <= PRECISION_GRID[:, None], axis=1)
 
 
 @dataclass

@@ -156,6 +156,8 @@ class StudentModel:
             name: (slice(off, off + int(np.prod(shape))), shape)
             for name, shape, off in self._layout
         }
+        self._views_of: Optional[np.ndarray] = None  # the vector _views were built on
+        self._views: Dict[str, np.ndarray] = {}
 
     # -- parameter vector plumbing -------------------------------------------
 
@@ -165,6 +167,16 @@ class StudentModel:
 
     def views(self, params: np.ndarray) -> Dict[str, np.ndarray]:
         return {name: self.view(params, name) for name, _, _ in self._layout}
+
+    def _param_views(self, params: np.ndarray) -> Dict[str, np.ndarray]:
+        """``views(params)`` for the paths that read parameters, kept for the
+        last vector seen. The check is by identity, and the reference held
+        keeps that id from being reused; the views share the vector's memory,
+        so in-place updates to it show through."""
+        if self._views_of is not params:
+            self._views = self.views(params)
+            self._views_of = params
+        return self._views
 
     def param_name(self, index: int) -> str:
         for name, shape, off in self._layout:
@@ -249,7 +261,7 @@ class StudentModel:
 
     def encode_feature(self, params: np.ndarray, patch: np.ndarray) -> np.ndarray:
         """The shared-branch feature for one patch (both branches use this)."""
-        feats, _ = self._encode(self.views(params), patch[None])
+        feats, _ = self._encode(self._param_views(params), patch[None])
         return feats[0]
 
     # -- forward --------------------------------------------------------------
@@ -298,7 +310,7 @@ class StudentModel:
         """One prediction, with its backward cache; purely functional in (params, state, hidden)."""
         self._check_state(state)
         mu, value, h, c, enc_cache, rows = self._step(
-            self.views(params), (state,), hidden.h[None], hidden.c[None]
+            self._param_views(params), (state,), hidden.h[None], hidden.c[None]
         )
         cache = (enc_cache,) + tuple(r[0] for r in rows)
         return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
@@ -312,7 +324,7 @@ class StudentModel:
         for state in states:
             self._check_state(state)
         hs, cs = np.stack([x.h for x in hiddens]), np.stack([x.c for x in hiddens])
-        mu, value, h, c, _, _ = self._step(self.views(params), states, hs, cs)
+        mu, value, h, c, _, _ = self._step(self._param_views(params), states, hs, cs)
         return mu, value, [HiddenState(h[k], c[k]) for k in range(len(states))]
 
     def forward_window(
@@ -346,7 +358,7 @@ class StudentModel:
         dmus/dvalues are the loss derivatives at each step's outputs;
         backpropagation runs through time across the whole window.
         """
-        v = self.views(params)
+        v = self._param_views(params)
         grad = np.zeros(self.n_params)
         g = self.views(grad)
         hdim = self.config.hidden_dim

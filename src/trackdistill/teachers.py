@@ -4,6 +4,22 @@ A teacher session is bound to one video, primed with the first frame and
 ground-truth box, then fed frames in temporal order, producing one box per
 frame. Factories build fresh sessions per video so pools can be replayed
 deterministically across passes.
+
+Every step has two phases: ``submit`` hands the session its input and
+``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
+A pool's sessions for one video are in flight together: ``run_pool_on_video``
+and ``trasfust`` submit to every member before they collect from any, and end
+the video by closing every member's input before they wait for any to exit.
+
+An external teacher is a child process, one per (teacher, video), speaking
+one JSON object per line on its stdin and stdout:
+
+    -> {"cmd": "init", "video": <id>, "box": [x, y, w, h], "frame": <path>}
+    <- {"ok": true}
+    -> {"cmd": "predict", "frame": <path>}     (once per frame 1..T-1)
+    <- {"box": [x, y, w, h]}
+
+End of file on its stdin ends the child. Frames are PPM file paths.
 """
 
 from __future__ import annotations
@@ -15,9 +31,10 @@ import shlex
 import subprocess
 import tempfile
 import threading
+import time
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +46,7 @@ from .video import Video, read_groundtruth, write_groundtruth, write_ppm
 _SCALE_FLOOR = 0.2
 _KAPPA_MAX = 1.6
 WIRE_TIMEOUT = 5.0
+EXIT_GRACE = 1.0  # seconds an external teacher has to exit after its input closes
 STDERR_TAIL = 2048  # bytes of an external teacher's stderr quoted in its TeacherError
 
 
@@ -55,7 +73,8 @@ class TrajectoryTrace:
 
 
 class TeacherSession:
-    """Base session: init-once then predict per frame, in order."""
+    """Base session: init once, then predict per frame, in order, each step
+    split into submit and collect."""
 
     def __init__(self, teacher_id: str, video_id: str):
         self.teacher_id = teacher_id
@@ -63,26 +82,61 @@ class TeacherSession:
         self.box = None  # the teacher's latest output
         self._initialized = False
         self._t = 0
+        self._pending = False  # a step was submitted and not yet collected
+        self._frame = None
 
     def init(self, frame0: np.ndarray, g0: Box) -> None:
+        self.submit_init(frame0, g0)
+        self.collect()
+
+    def predict(self, frame: np.ndarray) -> Box:
+        self.submit(frame)
+        return self.collect()
+
+    def submit_init(self, frame0: np.ndarray, g0: Box) -> None:
+        """First phase of ``init``: hand over the first frame and its box."""
         if self._initialized:
             raise ProtocolError(f"teacher {self.teacher_id!r}: double init")
         self._initialized = True
         self._t = 0
         self.box = g0
-        self._on_init(frame0, g0)
+        self._start(frame0)
 
-    def predict(self, frame: np.ndarray) -> Box:
+    def submit(self, frame: np.ndarray) -> None:
+        """First phase of ``predict``: hand over the next frame."""
         if not self._initialized:
             raise ProtocolError(f"teacher {self.teacher_id!r}: predict before init")
+        if self._pending:
+            raise ProtocolError(f"teacher {self.teacher_id!r}: submit before collect")
         self._t += 1
-        self.box = self._predict(frame, self._t)
+        self._start(frame)
+
+    def _start(self, frame: np.ndarray) -> None:
+        self._pending = True
+        self._frame = frame
+        self._submit(frame, self._t)
+
+    def collect(self) -> Box:
+        """Second phase: the box of the frame last submitted (the start box after init)."""
+        if not self._pending:
+            raise ProtocolError(f"teacher {self.teacher_id!r}: collect without submit")
+        self._pending = False
+        if self._t == 0:
+            self._collect_init()
+        else:
+            self.box = self._predict(self._frame, self._t)
         return self.box
+
+    def close_input(self) -> None:
+        """Tell the teacher no more frames come; ``close`` then waits for it."""
 
     def close(self) -> None:
         pass
 
-    def _on_init(self, frame0: np.ndarray, g0: Box) -> None:
+    def _submit(self, frame: np.ndarray, t: int) -> None:
+        """Start work on frame t (0 is the init); in-process teachers do it in ``_predict``."""
+
+    def _collect_init(self) -> None:
         pass
 
     def _predict(self, frame: np.ndarray, t: int) -> Box:
@@ -93,6 +147,15 @@ class TeacherSession:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def close_sessions(sessions: Sequence[TeacherSession]) -> None:
+    """Close every session's input before waiting for any to end, so
+    external children exit side by side."""
+    for session in sessions:
+        session.close_input()
+    for session in sessions:
+        session.close()
 
 
 class TeacherFactory:
@@ -214,12 +277,15 @@ class TraceFactory(TeacherFactory):
 
 
 class ExternalSession(TeacherSession):
-    """Drives a child process over the line-JSON wire protocol.
+    """Drives a child process over the line-JSON wire protocol (module docstring).
 
-    Frames are handed over as file paths; in-memory videos are spilled to a
-    temporary directory. Any malformed reply, timeout, or early exit raises
-    TeacherError carrying the teacher id and the tail of the child's stderr,
-    which goes to an unnamed temporary file: no reader, no full pipe.
+    ``submit`` writes the request line and ``collect`` reads the reply, which
+    a reader thread queues as it arrives, so a pool can write ahead to every
+    child without a full pipe stalling either side. Frames are handed over as
+    file paths; in-memory videos are spilled to a temporary directory. Any
+    malformed reply, timeout, or early exit raises TeacherError carrying the
+    teacher id and the tail of the child's stderr, which goes to an unnamed
+    temporary file: no reader, no full pipe.
     """
 
     def __init__(self, teacher_id: str, video: Video, command: str, timeout: float = WIRE_TIMEOUT):
@@ -268,12 +334,24 @@ class ExternalSession(TeacherSession):
             write_ppm(path, self._video.frames[t])
         return path
 
-    def _roundtrip(self, msg: dict) -> dict:
+    def _submit(self, frame: np.ndarray, t: int) -> None:
+        if t == 0:
+            g0 = self.box
+            msg = {
+                "cmd": "init",
+                "video": self.video_id,
+                "box": [g0.x, g0.y, g0.w, g0.h],
+                "frame": self._frame_path(0),
+            }
+        else:
+            msg = {"cmd": "predict", "frame": self._frame_path(t)}
         try:
             self._proc.stdin.write(json.dumps(msg) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError, OSError) as e:
             raise self._error(f"write failed: {e}")
+
+    def _reply(self) -> dict:
         try:
             line = self._replies.get(timeout=self._timeout)
         except queue.Empty:
@@ -288,20 +366,13 @@ class ExternalSession(TeacherSession):
             raise self._error(f"malformed reply {line!r}")
         return reply
 
-    def _on_init(self, frame0: np.ndarray, g0: Box) -> None:
-        reply = self._roundtrip(
-            {
-                "cmd": "init",
-                "video": self.video_id,
-                "box": [g0.x, g0.y, g0.w, g0.h],
-                "frame": self._frame_path(0),
-            }
-        )
+    def _collect_init(self) -> None:
+        reply = self._reply()
         if reply.get("ok") is not True:
             raise self._error(f"init not acknowledged: {reply!r}")
 
     def _predict(self, frame: np.ndarray, t: int) -> Box:
-        reply = self._roundtrip({"cmd": "predict", "frame": self._frame_path(t)})
+        reply = self._reply()
         box = reply.get("box")
         if not (isinstance(box, list) and len(box) == 4):
             raise self._error(f"bad predict reply: {reply!r}")
@@ -310,17 +381,24 @@ class ExternalSession(TeacherSession):
         except (TypeError, ValueError, InvalidInputError) as e:
             raise self._error(f"bad box in reply: {e}")
 
+    def close_input(self) -> None:
+        try:
+            self._proc.stdin.close()
+        except OSError:  # a child that already exited leaves a broken pipe
+            pass
+
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        self.close_input()
+        # The reader ends when the child's output closes at exit; joining it
+        # blocks where Popen.wait(timeout) would poll in sleeps. The child
+        # gets EXIT_GRACE in all before it is killed.
+        deadline = time.monotonic() + EXIT_GRACE
+        self._reader.join(timeout=EXIT_GRACE)
+        try:
+            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
         self._stderr.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
@@ -371,14 +449,58 @@ def parse_teacher_spec(spec: str, default_seed: int = 0) -> TeacherFactory:
     raise InvalidInputError(f"unknown teacher kind {kind!r} in {spec!r}")
 
 
-def run_teacher_on_video(factory: TeacherFactory, video: Video) -> TrajectoryTrace:
-    """Feed every frame through a fresh session; boxes[0] is the ground-truth start."""
-    with factory.session(video) as session:
-        session.init(video.frames[0], video.ground_truth[0])
-        boxes = [video.ground_truth[0]]
+def run_pool_on_video(
+    pool: Sequence[TeacherFactory], video: Video
+) -> List[Tuple[TrajectoryTrace, Optional[TeacherError]]]:
+    """Run every pool member over ``video`` side by side.
+
+    One session per member is opened first, which starts all external
+    children together. Then, for the init and for each frame, every live
+    member is submitted to before any is collected from. A member that
+    raises TeacherError is dropped and keeps the boxes it gave so far; the
+    others go on. Returns, in pool order, each member's trace (boxes[0] is
+    the ground-truth start) and its error, or None.
+    """
+    g0 = video.ground_truth[0]
+    traces = [TrajectoryTrace(video.video_id, f.teacher_id, [g0]) for f in pool]
+    errors: List[Optional[TeacherError]] = [None] * len(pool)
+    opened: List[TeacherSession] = []
+    live: Dict[int, TeacherSession] = {}
+
+    def each_live(step: Callable[[int, TeacherSession], object]) -> None:
+        for k, session in list(live.items()):
+            try:
+                step(k, session)
+            except TeacherError as e:
+                errors[k] = e
+                del live[k]
+
+    try:
+        for k, factory in enumerate(pool):
+            try:
+                opened.append(factory.session(video))
+            except TeacherError as e:
+                errors[k] = e
+            else:
+                live[k] = opened[-1]
+        each_live(lambda k, s: s.submit_init(video.frames[0], g0))
+        each_live(lambda k, s: s.collect())
         for t in range(1, len(video)):
-            boxes.append(session.predict(video.frames[t]))
-    return TrajectoryTrace(video.video_id, factory.teacher_id, boxes)
+            frame = video.frames[t]
+            each_live(lambda k, s: s.submit(frame))
+            each_live(lambda k, s: traces[k].boxes.append(s.collect()))
+    finally:
+        close_sessions(opened)
+    return list(zip(traces, errors))
+
+
+def run_teacher_on_video(factory: TeacherFactory, video: Video) -> TrajectoryTrace:
+    """The one-member pool: every frame through a fresh session; boxes[0] is
+    the ground-truth start. Raises the member's TeacherError."""
+    [(trace, error)] = run_pool_on_video([factory], video)
+    if error is not None:
+        raise error
+    return trace
 
 
 def trace_path(trace_root: str, teacher_id: str, video_id: str) -> str:

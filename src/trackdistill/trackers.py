@@ -22,7 +22,7 @@ from .errors import InvalidInputError, NumericError, ParseError, TeacherError
 from .geometry import Box, apply_action, iou
 from .mdp import make_state
 from .model import HiddenSchedule, StudentModel
-from .teachers import TeacherFactory
+from .teachers import TeacherFactory, close_sessions
 from .video import Video
 
 STUDENT = "student"
@@ -173,8 +173,9 @@ def trasfust(
 ) -> TrackRun:
     """Teacher fusion: every pool member tracks its own chain; each frame the
     student's value head picks the box of the highest-valued teacher. Ties go
-    to the lowest pool index. The student predicts no boxes of its own; once
-    every member has predicted frame t, one batched step judges all K lanes,
+    to the lowest pool index. The student predicts no boxes of its own. Frame
+    t is submitted to every member before any box is collected, so external
+    members work side by side; then one batched step judges all K lanes,
     lane k anchored on member k's box at t - 1."""
     if not pool:
         raise InvalidInputError("teacher pool must be non-empty")
@@ -194,10 +195,15 @@ def trasfust(
     try:
         for factory in pool:
             sessions.append(factory.session(video))
-            sessions[-1].init(video.frames[0], g0)
+        for session in sessions:
+            session.submit_init(video.frames[0], g0)
+        for session in sessions:
+            session.collect()
         prev_boxes = [g0 for _ in pool]
         for t in range(1, len(video.frames)):
-            cur_boxes = [session.predict(video.frames[t]) for session in sessions]
+            for session in sessions:
+                session.submit(video.frames[t])
+            cur_boxes = [session.collect() for session in sessions]
             if evaluator == ORACLE_EVALUATOR:
                 values = [iou(b, video.ground_truth[t]) for b in cur_boxes]
             else:
@@ -214,8 +220,7 @@ def trasfust(
         run.partial = True
         run.error = str(exc)
     finally:
-        for session in sessions:
-            session.close()
+        close_sessions(sessions)
     return run
 
 

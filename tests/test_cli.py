@@ -5,12 +5,17 @@ import itertools
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from trackdistill import cli, mdp
 from trackdistill.cli import main
 from trackdistill.errors import InvalidInputError
+from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
+from trackdistill.video import load_dataset
+
+from test_teachers import DIES_AT_FRAME_3, ECHO_TEACHER
 
 SMALL_INI = """\
 [env]
@@ -165,6 +170,43 @@ class TestTeachersAndFilter:
         assert sorted(os.listdir(failed)) == [f"synth{i:03d}.csv" for i in range(4)]
         assert os.path.exists(os.path.join(out, "oracle0.9", "synth000.csv"))
         assert not os.path.exists(os.path.join(out, "bad"))
+
+    def test_pool_traces_equal_single_teacher_runs(self, tmp_path, pipeline):
+        # one member of each kind; the extern one drifts +1 px per frame
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_TEACHER)
+        pool = (
+            f"oracle:0.8,trace:{pipeline['traces']}:oracle0.6,"
+            f"ext=extern:ext:{sys.executable} {script}"
+        )
+        out, ref = str(tmp_path / "traces"), str(tmp_path / "ref")
+        assert main(["run-teachers", "--config", pipeline["ini"], "--seed", "4",
+                     "--pool", pool, "--out", out, pipeline["data"]]) == 0
+        for factory in cli._parse_pool(pool, 4):
+            for video in load_dataset(pipeline["data"]):
+                path = save_trace(ref, run_teacher_on_video(factory, video))
+                assert filecmp.cmp(path, trace_path(out, factory.teacher_id, video.video_id),
+                                   shallow=False)
+        assert not os.path.exists(os.path.join(out, ".failed"))
+
+    def test_member_dying_mid_video_quarantined(self, tmp_path, pipeline, capsys):
+        # "dies" drifts like "echo" until it exits on being sent frame 3
+        dies, echo = tmp_path / "dies.py", tmp_path / "echo.py"
+        dies.write_text(DIES_AT_FRAME_3)
+        echo.write_text(ECHO_TEACHER)
+        out = str(tmp_path / "traces")
+        pool = (f"dies=extern:dies:{sys.executable} {dies},oracle:0.9,"
+                f"echo=extern:echo:{sys.executable} {echo}")
+        code = main(["run-teachers", "--config", pipeline["ini"],
+                     "--pool", pool, "--out", out, pipeline["data"]])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("(4 failures quarantined)\n")
+        for video in load_dataset(pipeline["data"]):
+            partial = load_trace(os.path.join(out, ".failed"), "dies", video.video_id).boxes
+            echoed = load_trace(out, "echo", video.video_id).boxes
+            assert len(echoed) == len(video) and partial == echoed[:3]
+            assert len(load_trace(out, "oracle0.9", video.video_id).boxes) == len(video)
+        assert not os.path.exists(os.path.join(out, "dies"))
 
     def test_chunk_index(self, pipeline):
         with open(os.path.join(pipeline["filter"], "chunks.json")) as f:

@@ -13,11 +13,15 @@ from trackdistill.metrics import (
     ao,
     ope_run,
     precision_at,
+    PRECISION_GRID,
+    SUCCESS_GRID,
     precision_auc,
+    precision_curve,
     report,
     run_metrics,
     sr,
     success_auc,
+    success_curve,
 )
 from trackdistill.trackers import TrackRun
 from trackdistill.video import SyntheticSpec, generate_video
@@ -77,6 +81,21 @@ class TestScalarMetrics:
         for _ in range(30):
             errors = rng.uniform(0, 60, int(rng.integers(1, 60)))
             npt.assert_allclose(precision_auc(errors), brute_ps(list(errors)), atol=1e-12)
+
+    def test_curves_equal_per_threshold_loop(self):
+        # the reference: one mean per threshold, as the curves were computed
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 39, 400):
+            ious = rng.uniform(0.0, 1.0, n)
+            ious[: n // 2] = np.round(ious[: n // 2], 2)  # values on the grid
+            errors = rng.uniform(0.0, 60.0, n)
+            errors[: n // 2] = np.round(errors[: n // 2])
+            s_ref = np.array([np.mean(ious >= t) for t in SUCCESS_GRID])
+            p_ref = np.array([np.mean(errors <= t) for t in PRECISION_GRID])
+            assert np.array_equal(success_curve(ious), s_ref)
+            assert np.array_equal(precision_curve(errors), p_ref)
+            assert success_auc(ious) == float(np.mean(s_ref))
+            assert precision_auc(errors) == float(np.mean(p_ref))
 
     def test_sr_monotone_in_threshold(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,7 @@
 """Forward determinism, weight sharing, exact gradients, checkpoints."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,52 @@ class TestForward:
             StudentModel(StudentConfig(encoder="mlp"))
         with pytest.raises(ConfigError):
             StudentModel(StudentConfig(encoder="pool", patch_size=30, pool_factor=4))
+
+
+class TestParamViewCache:
+    def counting(self, model):
+        calls = []
+        views = model.views
+        model.views = lambda params: calls.append(params) or views(params)
+        return calls
+
+    def test_views_built_once_per_vector(self):
+        rng = np.random.default_rng(111)
+        model = StudentModel(SMALL)
+        calls = self.counting(model)
+        params = model.init_params(seed=1)
+        states = [random_state(rng) for _ in range(3)]
+        _, _, _, caches = model.forward_window(params, states, model.zero_hidden())
+        model.forward_lanes(params, states[:2], [model.zero_hidden()] * 2)
+        model.encode_feature(params, states[0].patch_cur)
+        assert [c is params for c in calls] == [True]
+        # backward reads the cached views; its fresh gradient's views are not kept
+        model.backward_window(params, caches, np.ones((3, 4)), np.ones(3))
+        model.forward(params, states[0], model.zero_hidden())
+        assert [c is params for c in calls] == [True, False]
+
+    def test_cache_holds_its_vector(self):
+        rng = np.random.default_rng(112)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=1)
+        model.forward(params, random_state(rng), model.zero_hidden())
+        ref = weakref.ref(params)
+        del params
+        assert ref() is not None  # so no later vector can take its id
+
+    def test_outputs_follow_the_vector(self):
+        rng = np.random.default_rng(113)
+        model, fresh = StudentModel(SMALL), StudentModel(SMALL)
+        s, h = random_state(rng), model.zero_hidden()
+        p, q = model.init_params(seed=1), model.init_params(seed=2)
+        for params in (p, q.copy(), p):
+            got, _ = model.forward(params, s, h)
+            want, _ = fresh.forward(params.copy(), s, h)
+            assert np.array_equal(got.action, want.action) and got.value == want.value
+        p[:] = q  # an in-place update shows through the cached views
+        got, _ = model.forward(p, s, h)
+        want, _ = fresh.forward(q, s, h)
+        assert np.array_equal(got.action, want.action) and got.value == want.value
 
 
 def masked_sigmoid(x):

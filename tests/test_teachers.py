@@ -11,12 +11,15 @@ from trackdistill.teachers import (
     STDERR_TAIL,
     ExternalFactory,
     OracleNoiseFactory,
+    TeacherFactory,
+    TeacherSession,
     TraceFactory,
     TrajectoryTrace,
     best_teacher,
     calibrate_noise,
     load_trace,
     parse_teacher_spec,
+    run_pool_on_video,
     run_teacher_on_video,
     save_trace,
     teacher_action,
@@ -183,6 +186,21 @@ class TestSessionProtocol:
         with pytest.raises(ProtocolError):
             sess.predict(vid.frames[1])
 
+    def test_submit_and_collect_alternate(self):
+        rng = np.random.default_rng(93)
+        vid = gt_only_video("v", 4, rng)
+        sess = OracleNoiseFactory("o", 0.9, 1).session(vid)
+        with pytest.raises(ProtocolError, match="collect without submit"):
+            sess.collect()
+        sess.submit_init(vid.frames[0], vid.ground_truth[0])
+        assert sess.collect() == vid.ground_truth[0]
+        sess.submit(vid.frames[1])
+        with pytest.raises(ProtocolError, match="submit before collect"):
+            sess.submit(vid.frames[2])
+        ref = OracleNoiseFactory("o", 0.9, 1).session(vid)
+        ref.init(vid.frames[0], vid.ground_truth[0])
+        assert sess.collect() == ref.predict(vid.frames[1])
+
 
 ECHO_TEACHER = r"""
 import json, os, sys
@@ -253,6 +271,144 @@ class TestExternalTeacher:
         assert "process closed its output stream; stderr tail: " in msg
         assert msg.endswith("fatal: weights missing'")
         assert len(msg) < STDERR_TAIL + 100
+
+
+# On predict t it leaves the marker "<me>_t" and waits up to 2 s for
+# "<other>_t"; without it, it exits. Two of these finish a video only when
+# each is sent frame t before either reply is awaited.
+RENDEZVOUS_TEACHER = r"""
+import json, os, sys, time
+me, other, marks = sys.argv[1:4]
+t = 0
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        box = msg["box"]
+        print(json.dumps({"ok": True}), flush=True)
+        continue
+    t += 1
+    open(os.path.join(marks, "%s_%d" % (me, t)), "w").close()
+    deadline = time.monotonic() + 2.0
+    while not os.path.exists(os.path.join(marks, "%s_%d" % (other, t))):
+        if time.monotonic() > deadline:
+            sys.exit("no marker %s_%d" % (other, t))
+        time.sleep(0.002)
+    print(json.dumps({"box": box}), flush=True)
+"""
+
+
+# The echo teacher's drift, until it exits on being sent frame 3.
+DIES_AT_FRAME_3 = r"""
+import json, sys
+t = 0
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        box = msg["box"]
+        print(json.dumps({"ok": True}), flush=True)
+        continue
+    t += 1
+    if t == 3:
+        sys.exit(1)
+    box = [box[0] + 1.0, box[1], box[2], box[3]]
+    print(json.dumps({"box": box}), flush=True)
+"""
+
+
+def rendezvous_pool(tmp_path):
+    script = tmp_path / "rendezvous.py"
+    script.write_text(RENDEZVOUS_TEACHER)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    return [
+        ExternalFactory(me, f"{sys.executable} {script} {me} {other} {marks}")
+        for me, other in (("a", "b"), ("b", "a"))
+    ]
+
+
+class Recorder(TeacherFactory):
+    """Sessions that echo ground truth and log each phase they are driven through."""
+
+    def __init__(self, teacher_id, log):
+        super().__init__(teacher_id)
+        self.log = log
+
+    def session(self, video):
+        log, tid = self.log, self.teacher_id
+
+        class _S(TeacherSession):
+            def _submit(self, frame, t):
+                log.append(("submit", tid, t))
+
+            def _collect_init(self):
+                log.append(("collect", tid, 0))
+
+            def _predict(self, frame, t):
+                log.append(("collect", tid, t))
+                return video.ground_truth[t]
+
+            def close_input(self):
+                log.append(("close_input", tid))
+
+            def close(self):
+                log.append(("close", tid))
+
+        return _S(tid, video.video_id)
+
+
+class TestPool:
+    def video(self, frames=5, seed=11):
+        spec = SyntheticSpec(num_frames=frames, width=48, height=48, max_size=20)
+        return generate_video(spec, seed, "pool")
+
+    def test_schedule_submits_all_before_collecting_any(self):
+        vid = self.video(frames=3)
+        log = []
+        run_pool_on_video([Recorder("a", log), Recorder("b", log)], vid)
+        want = []
+        for t in range(3):
+            want += [("submit", "a", t), ("submit", "b", t)]
+            want += [("collect", "a", t), ("collect", "b", t)]
+        want += [("close_input", "a"), ("close_input", "b"), ("close", "a"), ("close", "b")]
+        assert log == want
+
+    def test_members_run_in_lockstep(self, tmp_path):
+        vid = self.video()
+        results = run_pool_on_video(rendezvous_pool(tmp_path), vid)
+        for (trace, error), tid in zip(results, ("a", "b")):
+            assert error is None
+            assert trace.teacher_id == tid
+            assert trace.boxes == [vid.ground_truth[0]] * len(vid)
+
+    def test_one_member_alone_cannot_meet(self, tmp_path):
+        # the sequential schedule: "a" waits for a "b" that is never started
+        with pytest.raises(TeacherError, match="no marker b_1"):
+            run_teacher_on_video(rendezvous_pool(tmp_path)[0], self.video())
+
+    def test_member_dying_at_frame_3_keeps_3_boxes(self, tmp_path):
+        vid = self.video(frames=8)
+        script = tmp_path / "dies.py"
+        script.write_text(DIES_AT_FRAME_3)
+        echo = tmp_path / "echo.py"
+        echo.write_text(ECHO_TEACHER)
+        pool = [
+            OracleNoiseFactory("o", 0.9, 1),
+            ExternalFactory("dies", f"{sys.executable} {script}"),
+            ExternalFactory("echo", f"{sys.executable} {echo}"),
+        ]
+        (oracle, e_o), (dead, e_d), (live, e_l) = run_pool_on_video(pool, vid)
+        assert e_o is None and e_l is None
+        assert isinstance(e_d, TeacherError) and e_d.teacher_id == "dies"
+        assert oracle.boxes == run_teacher_on_video(pool[0], vid).boxes
+        assert len(live.boxes) == len(vid)
+        assert dead.boxes == live.boxes[:3]
+
+    def test_unopenable_member_keeps_start_box(self, tmp_path):
+        vid = self.video()
+        pool = [TraceFactory("ghost", str(tmp_path)), OracleNoiseFactory("o", 0.9, 1)]
+        (ghost, error), (oracle, none) = run_pool_on_video(pool, vid)
+        assert isinstance(error, TeacherError) and ghost.boxes == [vid.ground_truth[0]]
+        assert none is None and len(oracle.boxes) == len(vid)
 
 
 class TestTeacherSpecParsing:

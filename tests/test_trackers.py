@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,10 +10,13 @@ from trackdistill.geometry import Box, apply_action, iou
 from trackdistill.mdp import make_state
 from trackdistill.model import HiddenSchedule, StudentConfig, StudentModel
 from trackdistill.teachers import (
+    ExternalFactory,
     OracleNoiseFactory,
     TeacherFactory,
     TeacherSession,
+    TraceFactory,
     run_teacher_on_video,
+    save_trace,
 )
 from trackdistill.trackers import (
     ORACLE_EVALUATOR,
@@ -24,6 +29,8 @@ from trackdistill.trackers import (
     write_trackrun,
 )
 from trackdistill.video import SyntheticSpec, generate_video
+
+from test_teachers import rendezvous_pool
 
 SMALL = StudentConfig(patch_size=16, conv_channels=(4, 8), fc_dim=16, hidden_dim=12)
 
@@ -232,6 +239,51 @@ class TestTrasfust:
         run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
         assert run.partial
         assert len(run.boxes) == 3
+
+    def test_extern_members_equal_trace_members(self, tmp_path):
+        # two child processes replaying stored boxes judge exactly like
+        # in-process trace sessions over the same boxes
+        video = small_video(27, frames=15)
+        params = self.model.init_params(8)
+        script = tmp_path / "replay.py"
+        script.write_text(REPLAY_TEACHER)
+        traced, extern = [], []
+        for k, q in enumerate((0.6, 0.9)):
+            trace = run_teacher_on_video(OracleNoiseFactory(f"m{k}", q, seed=k), video)
+            save_trace(str(tmp_path), trace)
+            traced.append(TraceFactory(trace.teacher_id, str(tmp_path)))
+            extern.append(ExternalFactory(
+                trace.teacher_id, f"{sys.executable} {script} {tmp_path / trace.teacher_id}"
+            ))
+        g0 = video.ground_truth[0]
+        want = trasfust(video, g0, self.model, params, traced)
+        got = trasfust(video, g0, self.model, params, extern)
+        assert not got.partial and got == want
+        assert len(set(got.controllers)) == 2  # both members control some frames
+
+    def test_extern_members_run_in_lockstep(self, tmp_path):
+        video = small_video(28, frames=5)
+        run = trasfust(
+            video, video.ground_truth[0], self.model, self.zero, rendezvous_pool(tmp_path)
+        )
+        assert not run.partial, run.error
+        assert len(run.boxes) == 4
+
+
+# Replays <dir>/<video>.csv, one "x,y,w,h" row per frame, over the wire protocol.
+REPLAY_TEACHER = r"""
+import json, os, sys
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        with open(os.path.join(sys.argv[1], msg["video"] + ".csv")) as fh:
+            rows = [[float(v) for v in row.split(",")] for row in fh if row.strip()]
+        t = 0
+        print(json.dumps({"ok": True}), flush=True)
+    else:
+        t += 1
+        print(json.dumps({"box": rows[t]}), flush=True)
+"""
 
 
 class RefLane:

@@ -27,7 +27,7 @@ from .errors import (
     TeacherError,
 )
 from .metrics import EvalResult, ope_run, report, run_metrics
-from .model import StudentModel, grad_check, load_params
+from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
     load_trace,
@@ -36,6 +36,7 @@ from .teachers import (
     save_trace,
 )
 from .trackers import read_trackrun, tras, trasfust, trast, write_trackrun
+from .training import OptimizerConfig, TrainSettings, WorkerConfig
 from .training import synthetic_record, train, window_loss_fn
 from .transferset import (
     CHUNK_LENGTH,
@@ -46,7 +47,7 @@ from .transferset import (
     write_chunk_index,
     write_stats_csv,
 )
-from .video import generate_video, load_dataset, write_video
+from .video import SyntheticSpec, generate_video, load_dataset, write_video
 
 GRADCHECK_TOLERANCE = 1e-4
 STATS_BETAS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -72,14 +73,14 @@ def _failed_dir(out_dir: str) -> str:
 
 
 def _load_checkpoint(args, config: cfgmod.Config):
-    model = StudentModel(cfgmod.student_config(config))
+    model = StudentModel(cfgmod.build(config, StudentConfig))
     params = load_params(args.checkpoint, model.config)
     return model, params
 
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    spec = cfgmod.synthetic_spec(config)
+    spec = cfgmod.build(config, SyntheticSpec)
     spec.validate()
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
@@ -154,7 +155,7 @@ def cmd_train(args) -> int:
     chunks = load_chunk_index(args.chunks, videos, args.traces)
     if not chunks:
         raise InvalidInputError(f"chunk index {args.chunks!r} is empty")
-    model = StudentModel(cfgmod.student_config(config))
+    model = StudentModel(cfgmod.build(config, StudentConfig))
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
 
@@ -187,9 +188,9 @@ def cmd_train(args) -> int:
     result = train(
         model,
         chunks,
-        cfgmod.train_settings(config, args.seed),
-        cfgmod.worker_config(config),
-        cfgmod.optimizer_config(config),
+        cfgmod.build(config, TrainSettings, seed=args.seed),
+        cfgmod.build(config, WorkerConfig),
+        cfgmod.build(config, OptimizerConfig),
         args.out,
         validate_fn=validate_fn,
         progress=progress,
@@ -304,7 +305,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _load_config(args)
-    model = StudentModel(cfgmod.student_config(config))
+    model = StudentModel(cfgmod.build(config, StudentConfig))
     rng = np.random.default_rng(args.seed)
     params = model.init_params(args.seed)
     record = synthetic_record(model, params, 5, rng)

@@ -1,14 +1,18 @@
 """Flat INI configuration shared by every command.
 
-Keys live in five sections (env, model, train, teachers, eval) and carry
-typed defaults; anything outside the schema is rejected so a typo cannot
-silently fall back to a default. Every run echoes its effective config.
+Keys live in five sections (env, model, train, teachers, eval). Defaults live
+in the config dataclasses, whose fields are keys typed by their default, and
+``build`` makes one of them from a config. Anything outside the schema is
+rejected so a typo cannot silently fall back to a default. Every run echoes
+its effective config.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
+from dataclasses import fields
 from typing import Any, Dict
 
 from .errors import ConfigError
@@ -16,52 +20,41 @@ from .model import StudentConfig
 from .training import OptimizerConfig, TrainSettings, WorkerConfig
 from .video import SyntheticSpec
 
-# key -> (type tag, default); tags: int, float, bool, str, ints (comma list)
-SCHEMA: Dict[str, tuple] = {
-    # synthetic environment and cropping
-    "env.width": ("int", 96),
-    "env.height": ("int", 96),
-    "env.num_frames": ("int", 64),
-    "env.num_videos": ("int", 20),
-    "env.min_size": ("int", 16),
-    "env.max_size": ("int", 40),
-    "env.motion": ("str", "random-walk"),
-    "env.max_step": ("float", 2.0),
-    "env.scale_drift": ("float", 0.0),
-    "env.background": ("str", "noise"),
-    "env.context": ("float", 1.5),
-    # student architecture
-    "model.patch_size": ("int", 32),
-    "model.encoder": ("str", "conv"),
-    "model.conv_channels": ("ints", (8, 16, 32)),
-    "model.pool_factor": ("int", 4),
-    "model.pool_dim": ("int", 32),
-    "model.fc_dim": ("int", 64),
-    "model.hidden_dim": ("int", 64),
-    # learning
-    "train.workers": ("int", 8),
-    "train.t_max": ("int", 5),
-    "train.gamma": ("float", 1.0),
-    "train.optimizer": ("str", "radam"),
-    "train.lr": ("float", 1e-6),
-    "train.weight_decay": ("float", 1e-4),
-    "train.rl_scale": ("float", 1e-3),
-    "train.grad_clip": ("float", 0.0),
-    "train.sigma_floor": ("float", 1e-3),
-    "train.returns": ("str", "forward"),
-    "train.max_updates": ("int", 50000),
-    "train.val_every": ("int", 2000),
-    "train.patience": ("int", 5),
-    "train.curriculum": ("bool", True),
-    "train.initial_horizon": ("int", 1),
-    "train.tau": ("float", 0.25),
-    # demonstration sources
-    "teachers.pool": ("str", "oracle:0.9"),
-    # filtering and evaluation
-    "eval.beta": ("float", 0.5),
-    "eval.evaluator": ("str", "value"),
-    "eval.dataset_id": ("str", "dataset"),
+SECTIONS = {
+    StudentConfig: "model",
+    SyntheticSpec: "env",
+    OptimizerConfig: "train",
+    WorkerConfig: "train",
+    TrainSettings: "train",
 }
+# (class, field) -> key, where the key is not <section>.<field>
+RENAMED = {
+    (OptimizerConfig, "method"): "train.optimizer",
+    (WorkerConfig, "returns_mode"): "train.returns",
+    (WorkerConfig, "context"): "env.context",
+}
+# fields fixed by the code or the command line, not by the config
+NOT_KEYS = {"beta1", "beta2", "eps", "seed", "record_deltas"}
+# keys no dataclass carries
+EXTRA = {
+    "env.num_videos": 20,
+    "teachers.pool": "oracle:0.9",
+    "eval.beta": 0.5,
+    "eval.evaluator": "value",
+    "eval.dataset_id": "dataset",
+}
+
+
+def _keyed_fields(cls: type):
+    """(field, key) for each field of ``cls`` that is a config key."""
+    for f in fields(cls):
+        if f.name not in NOT_KEYS:
+            yield f, RENAMED.get((cls, f.name), f"{SECTIONS[cls]}.{f.name}")
+
+
+# key -> default; a key's type is its default's (a tuple is a comma list of ints)
+SCHEMA: Dict[str, Any] = {key: f.default for cls in SECTIONS for f, key in _keyed_fields(cls)}
+SCHEMA.update(EXTRA)
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -70,21 +63,24 @@ _FALSE = {"0", "false", "no", "off"}
 def parse_value(key: str, text: str) -> Any:
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    tag = SCHEMA[key][0]
+    kind = type(SCHEMA[key])
     text = text.strip()
     try:
-        if tag == "int":
+        if kind is int:
             return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
+        if kind is float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
+        if kind is bool:
             low = text.lower()
             if low in _TRUE:
                 return True
             if low in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if tag == "ints":
+        if kind is tuple:
             return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
     except ValueError as e:
         raise ConfigError(f"{key}: {e}")
@@ -103,15 +99,10 @@ class Config:
     def __getitem__(self, key: str) -> Any:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        return self.values.get(key, SCHEMA[key][1])
+        return self.values.get(key, SCHEMA[key])
 
     def with_overrides(self, overrides: Dict[str, Any]) -> "Config":
-        merged = dict(self.values)
-        for key, value in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-        return Config(merged)
+        return Config({**self.values, **overrides})
 
     def effective(self) -> Dict[str, Any]:
         return {key: self[key] for key in SCHEMA}
@@ -162,64 +153,7 @@ def echo_config(config: Config, out_dir: str, name: str = "config.ini") -> str:
     return path
 
 
-# -- bridges into module dataclasses -------------------------------------------
-
-
-def student_config(config: Config) -> StudentConfig:
-    return StudentConfig(
-        patch_size=config["model.patch_size"],
-        encoder=config["model.encoder"],
-        conv_channels=tuple(config["model.conv_channels"]),
-        pool_factor=config["model.pool_factor"],
-        pool_dim=config["model.pool_dim"],
-        fc_dim=config["model.fc_dim"],
-        hidden_dim=config["model.hidden_dim"],
-    )
-
-
-def synthetic_spec(config: Config) -> SyntheticSpec:
-    return SyntheticSpec(
-        width=config["env.width"],
-        height=config["env.height"],
-        num_frames=config["env.num_frames"],
-        min_size=config["env.min_size"],
-        max_size=config["env.max_size"],
-        motion=config["env.motion"],
-        max_step=config["env.max_step"],
-        scale_drift=config["env.scale_drift"],
-        background=config["env.background"],
-    )
-
-
-def optimizer_config(config: Config) -> OptimizerConfig:
-    return OptimizerConfig(
-        method=config["train.optimizer"],
-        lr=config["train.lr"],
-        weight_decay=config["train.weight_decay"],
-        rl_scale=config["train.rl_scale"],
-        grad_clip=config["train.grad_clip"],
-    )
-
-
-def worker_config(config: Config) -> WorkerConfig:
-    return WorkerConfig(
-        t_max=config["train.t_max"],
-        gamma=config["train.gamma"],
-        context=config["env.context"],
-        patch_size=config["model.patch_size"],
-        sigma_floor=config["train.sigma_floor"],
-        returns_mode=config["train.returns"],
-    )
-
-
-def train_settings(config: Config, seed: int) -> TrainSettings:
-    return TrainSettings(
-        workers=config["train.workers"],
-        max_updates=config["train.max_updates"],
-        val_every=config["train.val_every"],
-        patience=config["train.patience"],
-        seed=seed,
-        curriculum=config["train.curriculum"],
-        initial_horizon=config["train.initial_horizon"],
-        tau=config["train.tau"],
-    )
+def build(config: Config, cls: type, **extra: Any):
+    """An instance of config dataclass ``cls`` with every key field read from
+    ``config``; ``extra`` sets the fields that are not keys (``seed=``)."""
+    return cls(**{f.name: config[key] for f, key in _keyed_fields(cls)}, **extra)

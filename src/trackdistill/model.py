@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,18 +64,7 @@ class StudentConfig:
                 raise ConfigError("pool_dim must be positive")
 
     def fingerprint(self) -> bytes:
-        payload = json.dumps(
-            {
-                "patch_size": self.patch_size,
-                "encoder": self.encoder,
-                "conv_channels": list(self.conv_channels),
-                "pool_factor": self.pool_factor,
-                "pool_dim": self.pool_dim,
-                "fc_dim": self.fc_dim,
-                "hidden_dim": self.hidden_dim,
-            },
-            sort_keys=True,
-        ).encode("ascii")
+        payload = json.dumps(asdict(self), sort_keys=True).encode("ascii")
         return hashlib.sha256(payload).digest()
 
 

@@ -45,7 +45,6 @@ class StepRecord:
     value: float
     executed: np.ndarray
     reward: float
-    gt_action: np.ndarray
     log_density: Optional[float] = None
     raw: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
@@ -491,7 +490,6 @@ class WorkerConfig:
     t_max: int = 5
     gamma: float = 1.0
     context: float = 1.5
-    patch_size: int = 32
     sigma_floor: float = 1e-3
     returns_mode: str = "forward"
 
@@ -537,7 +535,7 @@ def run_episode(
     """
     cfg.validate()
     episode = TrackingEpisode(
-        source.frames, source.gt, cfg.context, cfg.patch_size, horizon=horizon
+        source.frames, source.gt, cfg.context, model.config.patch_size, horizon=horizon
     )
     loss_kind = "distill" if kind == DISTILLING else "rl"
 
@@ -565,12 +563,12 @@ def run_episode(
             out, hidden = pending
             t_next = episode.t + 1
             b_prev = episode.box
-            gt_action = infer_action(source.gt[t_next], b_prev)
             ta, r_cand, r_own = _best_teacher_step(source, t_next, b_prev, source.gt[t_next])
             if kind == DISTILLING:
                 sample = None
                 executed = out.action
             else:
+                gt_action = infer_action(source.gt[t_next], b_prev)
                 sample = sample_action(out.action, gt_action, rng, cfg.sigma_floor)
                 executed = sample.action
             next_state, r, done = episode.step(executed)
@@ -583,7 +581,6 @@ def run_episode(
                     value=out.value,
                     executed=executed,
                     reward=r,
-                    gt_action=gt_action,
                     log_density=None if sample is None else sample.log_density,
                     raw=None if sample is None else sample.raw,
                     sigma=None if sample is None else sample.sigma,
@@ -628,20 +625,18 @@ def run_worker(
     curriculum: Optional[CurriculumStore] = None,
     rng: Optional[np.random.Generator] = None,
     worker_id: int = 0,
-    stop: Optional[Callable[[], bool]] = None,
 ) -> int:
-    """Consume episode sources until exhaustion (or stop()); returns episode count.
+    """Consume episode sources until exhaustion; returns the episode count.
 
-    Theta is re-snapshot once per episode, never mid-episode.
+    Theta is re-snapshot once per episode, never mid-episode. ``rng`` draws
+    the autonomous worker's action samples; a distilling worker draws none.
     """
     if kind not in (DISTILLING, AUTONOMOUS):
         raise ConfigError(f"unknown worker kind {kind!r}")
-    if rng is None:
-        rng = np.random.default_rng(worker_id)
+    if kind == AUTONOMOUS and rng is None:
+        raise ConfigError("an autonomous worker needs an rng")
     episodes = 0
     for source in sources:
-        if stop is not None and stop():
-            break
         max_horizon = len(source.frames) - 1
         horizon = (
             curriculum.horizon(source.key, max_horizon) if curriculum else max_horizon
@@ -852,7 +847,6 @@ def synthetic_record(
                 value=float(values[i]),
                 executed=sample.action,
                 reward=float(rng.choice([-1.0, 0.0, 0.4, 0.8, 1.0])),
-                gt_action=gt_action,
                 log_density=sample.log_density,
                 raw=sample.raw,
                 sigma=sample.sigma,

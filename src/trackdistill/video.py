@@ -182,8 +182,8 @@ class SyntheticSpec:
     width: int = 96
     height: int = 96
     num_frames: int = 64
-    min_size: float = 16.0
-    max_size: float = 40.0
+    min_size: int = 16
+    max_size: int = 40
     motion: str = "random-walk"  # or "linear"
     max_step: float = 2.0
     scale_drift: float = 0.0

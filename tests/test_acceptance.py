@@ -187,7 +187,7 @@ def test_gate_04_loss_hand_cases(capsys):
         def step(**kw):
             base = dict(
                 state=None, mu=np.zeros(4), value=0.0,
-                executed=np.zeros(4), reward=0.0, gt_action=np.zeros(4),
+                executed=np.zeros(4), reward=0.0,
             )
             base.update(kw)
             return StepRecord(**base)

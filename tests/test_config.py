@@ -1,18 +1,74 @@
+from dataclasses import fields
+
 import pytest
 
 from trackdistill.config import (
+    SCHEMA,
     Config,
+    _keyed_fields,
+    build,
     default_config,
     echo_config,
     load_config,
-    optimizer_config,
     parse_value,
-    student_config,
-    synthetic_spec,
-    train_settings,
-    worker_config,
 )
 from trackdistill.errors import ConfigError
+from trackdistill.model import StudentConfig
+from trackdistill.training import OptimizerConfig, TrainSettings, WorkerConfig
+from trackdistill.video import SyntheticSpec
+
+CONFIG_CLASSES = (StudentConfig, SyntheticSpec, OptimizerConfig, WorkerConfig, TrainSettings)
+
+DEFAULT_INI = """\
+[env]
+background = noise
+context = 1.5
+height = 96
+max_size = 40
+max_step = 2.0
+min_size = 16
+motion = random-walk
+num_frames = 64
+num_videos = 20
+scale_drift = 0.0
+width = 96
+
+[eval]
+beta = 0.5
+dataset_id = dataset
+evaluator = value
+
+[model]
+conv_channels = 8,16,32
+encoder = conv
+fc_dim = 64
+hidden_dim = 64
+patch_size = 32
+pool_dim = 32
+pool_factor = 4
+
+[teachers]
+pool = oracle:0.9
+
+[train]
+curriculum = true
+gamma = 1.0
+grad_clip = 0.0
+initial_horizon = 1
+lr = 1e-06
+max_updates = 50000
+optimizer = radam
+patience = 5
+returns = forward
+rl_scale = 0.001
+sigma_floor = 0.001
+t_max = 5
+tau = 0.25
+val_every = 2000
+weight_decay = 0.0001
+workers = 8
+
+"""
 
 
 class TestSchema:
@@ -48,6 +104,41 @@ class TestSchema:
             parse_value("train.workers", "several")
         with pytest.raises(ConfigError):
             parse_value("train.curriculum", "maybe")
+
+    def test_exact_key_set(self):
+        assert sorted(SCHEMA) == sorted(
+            ["env." + k for k in (
+                "width", "height", "num_frames", "num_videos", "min_size", "max_size",
+                "motion", "max_step", "scale_drift", "background", "context",
+            )]
+            + ["model." + k for k in (
+                "patch_size", "encoder", "conv_channels", "pool_factor", "pool_dim",
+                "fc_dim", "hidden_dim",
+            )]
+            + ["train." + k for k in (
+                "workers", "t_max", "gamma", "optimizer", "lr", "weight_decay",
+                "rl_scale", "grad_clip", "sigma_floor", "returns", "max_updates",
+                "val_every", "patience", "curriculum", "initial_horizon", "tau",
+            )]
+            + ["teachers.pool", "eval.beta", "eval.evaluator", "eval.dataset_id"]
+        )
+        assert len(SCHEMA) == 38
+
+    @pytest.mark.parametrize("key", sorted(k for k, v in SCHEMA.items() if type(v) is float))
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " NaN ", "-Infinity"])
+    def test_non_finite_float_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"{key}: not a finite number"):
+            parse_value(key, text)
+
+    def test_non_finite_float_rejected_from_ini(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\nweight_decay = nan\n")
+        with pytest.raises(ConfigError, match="train.weight_decay"):
+            load_config(str(ini))
+
+    def test_fractional_object_size_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_value("env.min_size", "16.5")
 
     def test_overrides(self):
         c = default_config().with_overrides({"train.lr": 0.5})
@@ -90,6 +181,9 @@ class TestLoadAndEcho:
         back = load_config(path)
         assert back.effective() == c.effective()
 
+    def test_default_echo_text(self, tmp_path):
+        assert open(echo_config(default_config(), str(tmp_path))).read() == DEFAULT_INI
+
     def test_echo_is_deterministic(self, tmp_path):
         c = default_config()
         a = open(echo_config(c, str(tmp_path / "a"))).read()
@@ -97,30 +191,62 @@ class TestLoadAndEcho:
         assert a == b
 
 
+def _other(value):
+    """An INI text for a value of the same type as ``value`` but unequal to it."""
+    if isinstance(value, bool):
+        return "false" if value else "true"
+    if isinstance(value, tuple):
+        return "4,8"
+    if isinstance(value, (int, float)):
+        return str(value + 3)
+    return value + "-x"
+
+
 class TestBridges:
     def test_student_config(self):
-        sc = student_config(default_config())
+        sc = build(default_config(), StudentConfig)
+        assert sc == StudentConfig()
         assert sc.patch_size == 32
         assert sc.conv_channels == (8, 16, 32)
         sc.validate()
 
     def test_synthetic_spec(self):
-        spec = synthetic_spec(default_config())
+        spec = build(default_config(), SyntheticSpec)
+        assert spec == SyntheticSpec()
         assert (spec.width, spec.height, spec.num_frames) == (96, 96, 64)
         spec.validate()
 
     def test_optimizer_and_worker(self):
         c = default_config()
-        opt = optimizer_config(c)
+        opt = build(c, OptimizerConfig)
         assert opt.method == "radam" and opt.lr == 1e-6
         assert opt.rl_scale == 1e-3 and opt.weight_decay == 1e-4
-        wc = worker_config(c)
-        assert wc.t_max == 5 and wc.context == 1.5 and wc.patch_size == 32
+        wc = build(c, WorkerConfig)
+        assert wc.t_max == 5 and wc.context == 1.5
         wc.validate()
 
     def test_train_settings_carry_seed(self):
-        ts = train_settings(default_config(), 42)
+        ts = build(default_config(), TrainSettings, seed=42)
         assert ts.seed == 42
         assert ts.workers == 8
         assert ts.tau == 0.25
         ts.validate()
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_every_key_reaches_its_field(self, cls, tmp_path):
+        keyed = list(_keyed_fields(cls))
+        sections = {}
+        for f, key in keyed:
+            section, option = key.split(".")
+            sections.setdefault(section, []).append(f"{option} = {_other(f.default)}")
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(f"[{s}]\n" + "\n".join(o) + "\n" for s, o in sections.items()))
+        built = build(load_config(str(ini)), cls)
+        for f, key in keyed:
+            value = getattr(built, f.name)
+            assert value != f.default, key
+            assert value == parse_value(key, _other(f.default))
+        # the fields that are not keys keep their defaults
+        for f in fields(cls):
+            if f.name not in {g.name for g, _ in keyed}:
+                assert getattr(built, f.name) == f.default

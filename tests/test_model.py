@@ -468,6 +468,15 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="different architecture"):
             load_params(p, other)
 
+    def test_fingerprint_pinned(self):
+        # checkpoints written so far carry these; a change makes them unloadable
+        assert StudentConfig().fingerprint().hex() == (
+            "d795bb48bb38e7f59201d96db2c78587585751eb8a26161d85ee7445654d1a2d"
+        )
+        assert SMALL.fingerprint().hex() == (
+            "5747493fe6fa258130dfbf651ddb43ba4ae8e0957adb18fbac9b2b5cf346fd6f"
+        )
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.ckpt"
         p.write_bytes(b"")

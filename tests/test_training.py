@@ -48,7 +48,6 @@ def bare_step(**kw):
         value=0.0,
         executed=np.zeros(4),
         reward=0.0,
-        gt_action=np.zeros(4),
     )
     defaults.update(kw)
     return StepRecord(**defaults)
@@ -593,7 +592,7 @@ class TestRunEpisode:
     def setup_method(self):
         self.model = StudentModel(SMALL)
         self.params = self.model.init_params(3)
-        self.cfg = WorkerConfig(t_max=5, patch_size=16)
+        self.cfg = WorkerConfig(t_max=5)
 
     def test_window_boundaries_5_10_12(self):
         rng = np.random.default_rng(0)
@@ -727,7 +726,7 @@ class TestRolloutGradients:
     def setup_method(self):
         self.model = StudentModel(SMALL)
         self.params = self.model.init_params(3)
-        self.cfg = WorkerConfig(t_max=5, patch_size=16)
+        self.cfg = WorkerConfig(t_max=5)
 
     @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
     def test_sent_gradient_equals_reference(self, kind):
@@ -790,7 +789,7 @@ class TestRunWorker:
     def setup_method(self):
         self.model = StudentModel(SMALL)
         self.params = self.model.init_params(3)
-        self.cfg = WorkerConfig(t_max=5, patch_size=16)
+        self.cfg = WorkerConfig(t_max=5)
 
     def sources(self, n, seed=0, frames=6):
         rng = np.random.default_rng(seed)
@@ -815,13 +814,22 @@ class TestRunWorker:
         )
         assert sw.snapshot_calls == 4  # one per episode despite 3 windows each
 
-    def test_stop_callback_honored(self):
+    def test_default_worker_config_follows_model_patch_size(self):
+        # a 16-px model under a default WorkerConfig crops 16-px patches
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        n = run_worker(
-            DISTILLING, self.sources(10), sw, self.model, self.cfg,
-            rng=np.random.default_rng(0), stop=lambda: sw.update_count >= 2,
-        )
-        assert n == 2
+        for kind in (DISTILLING, AUTONOMOUS):
+            n = run_worker(
+                kind, self.sources(2), sw, self.model, WorkerConfig(),
+                rng=np.random.default_rng(0),
+            )
+            assert n == 2
+        assert sw.update_count == 4
+
+    def test_autonomous_worker_needs_rng(self):
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        with pytest.raises(ConfigError, match="rng"):
+            run_worker(AUTONOMOUS, self.sources(1), sw, self.model, self.cfg)
+        assert sw.update_count == 0
 
     def test_curriculum_shortens_early_episodes(self):
         store = CurriculumStore(initial_horizon=1)
@@ -881,7 +889,7 @@ class TestTrain:
         )
         res = train(
             model, chunks, settings,
-            WorkerConfig(t_max=5, patch_size=16),
+            WorkerConfig(t_max=5),
             OptimizerConfig(method="sgd", lr=1e-5),
             str(tmp_path),
         )
@@ -914,7 +922,7 @@ class TestTrain:
         res = train(
             model, chunks,
             TrainSettings(workers=2, max_updates=8, val_every=4, seed=2),
-            WorkerConfig(t_max=5, patch_size=16),
+            WorkerConfig(t_max=5),
             OptimizerConfig(method="sgd", lr=1e-5),
             str(tmp_path), validate_fn=fake_val,
         )
@@ -943,7 +951,7 @@ class TestTrain:
         res = train(
             model, chunks,
             TrainSettings(workers=2, max_updates=30, val_every=10, seed=4),
-            WorkerConfig(t_max=5, patch_size=16),
+            WorkerConfig(t_max=5),
             OptimizerConfig(method="sgd", lr=1e-4),
             str(tmp_path), validate_fn=slow_val,
         )
@@ -981,7 +989,7 @@ class TestTrain:
             train(
                 StudentModel(SMALL), [chunk],
                 TrainSettings(workers=2, max_updates=50, val_every=1, seed=0, curriculum=False),
-                WorkerConfig(t_max=5, patch_size=16),
+                WorkerConfig(t_max=5),
                 OptimizerConfig(method="sgd", lr=1e-5),
                 str(tmp_path), validate_fn=lambda params: 0.5,
             )
@@ -1000,7 +1008,7 @@ class TestTrain:
             res = train(
                 model, chunks,
                 TrainSettings(max_updates=60, val_every=20, seed=3),
-                WorkerConfig(t_max=5, patch_size=16),
+                WorkerConfig(t_max=5),
                 OptimizerConfig(lr=1e-3),
                 str(out), validate_fn=lambda params: -float(np.abs(params).sum()),
             )
@@ -1019,7 +1027,7 @@ class TestTrain:
         res = train(
             model, chunks,
             TrainSettings(workers=2, max_updates=8, val_every=4, seed=2),
-            WorkerConfig(t_max=5, patch_size=16),
+            WorkerConfig(t_max=5),
             OptimizerConfig(method="sgd", lr=1e-5),
             str(tmp_path), validate_fn=lambda params: 0.5, progress=seen.append,
         )

@@ -30,6 +30,7 @@ from .metrics import EvalResult, ope_run, report, run_metrics
 from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
+    close_factories,
     load_trace,
     parse_teacher_spec,
     run_pool_on_video,
@@ -42,6 +43,7 @@ from .transferset import (
     CHUNK_LENGTH,
     build_transfer_set,
     load_chunk_index,
+    trace_ious,
     transfer_report,
     videos_by_id,
     write_chunk_index,
@@ -102,17 +104,20 @@ def cmd_run_teachers(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     failures = 0
-    for video in videos:
-        for trace, error in run_pool_on_video(pool, video):
-            if error is None:
-                save_trace(args.out, trace)
-            else:  # quarantine the partial boxes
-                failures += 1
-                save_trace(_failed_dir(args.out), trace)
-                print(
-                    f"warning: {trace.teacher_id} failed on {video.video_id}: {error}",
-                    file=sys.stderr,
-                )
+    try:
+        for video in videos:
+            for trace, error in run_pool_on_video(pool, video):
+                if error is None:
+                    save_trace(args.out, trace)
+                else:  # quarantine the partial boxes
+                    failures += 1
+                    save_trace(_failed_dir(args.out), trace)
+                    print(
+                        f"warning: {trace.teacher_id} failed on {video.video_id}: {error}",
+                        file=sys.stderr,
+                    )
+    finally:
+        close_factories(pool)
     print(
         f"traced {len(pool)} teachers over {len(videos)} videos"
         + (f" ({failures} failures quarantined)" if failures else "")
@@ -133,14 +138,15 @@ def cmd_filter(args) -> int:
             traces.append(load_trace(args.traces, factory.teacher_id, vid))
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
-    kept, chunks = build_transfer_set(traces, videos, beta, seed=args.seed)
+    ious = trace_ious(traces, videos)
+    kept, chunks = build_transfer_set(traces, videos, beta, seed=args.seed, ious=ious)
     write_chunk_index(
         chunks, os.path.join(args.out, "chunks.json"), beta, CHUNK_LENGTH, args.seed
     )
     betas = list(STATS_BETAS)
     if beta not in betas:
         betas.append(beta)
-    rows = transfer_report(traces, videos, betas, seed=args.seed)
+    rows = transfer_report(traces, videos, betas, seed=args.seed, ious=ious)
     write_stats_csv(rows, os.path.join(args.out, "transfer_stats.csv"))
     print(
         f"beta={beta:g}: kept {len(kept)}/{len(traces)} trajectories, "
@@ -175,6 +181,13 @@ def cmd_train(args) -> int:
             )
             return result.ao
 
+    else:
+        print(
+            "warning: no held-out videos (every video has a chunk in the index): "
+            "validation, progress lines and early stopping are off; "
+            "the final parameters are saved",
+            file=sys.stderr,
+        )
     started = time.perf_counter()
 
     def progress(entry: dict) -> None:
@@ -236,13 +249,16 @@ def cmd_track(args) -> int:
     else:
         spec = args.teacher or config["teachers.pool"].split(",")[0].strip()
         teacher = parse_teacher_spec(spec, default_seed=args.seed)
-        for video in videos:
-            runs.append(
-                trast(
-                    video, video.ground_truth[0], model, params, teacher,
-                    context, evaluator,
+        try:
+            for video in videos:
+                runs.append(
+                    trast(
+                        video, video.ground_truth[0], model, params, teacher,
+                        context, evaluator,
+                    )
                 )
-            )
+        finally:
+            close_factories([teacher])
     ok = _write_runs(runs, args.out)
     print(f"{args.mode}: {ok}/{len(videos)} videos tracked into {args.out}")
     return 0
@@ -259,10 +275,13 @@ def cmd_fuse(args) -> int:
     evaluator = config["eval.evaluator"]
     os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
-    runs = [
-        trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
-        for v in videos
-    ]
+    try:
+        runs = [
+            trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
+            for v in videos
+        ]
+    finally:
+        close_factories(pool)
     ok = _write_runs(runs, args.out)
     print(f"trasfust: {ok}/{len(videos)} videos fused into {args.out}")
     return 0

@@ -8,18 +8,22 @@ deterministically across passes.
 Every step has two phases: ``submit`` hands the session its input and
 ``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
 A pool's sessions for one video are in flight together: ``run_pool_on_video``
-and ``trasfust`` submit to every member before they collect from any, and end
-the video by closing every member's input before they wait for any to exit.
+and ``trasfust`` submit to every member before they collect from any.
 
-An external teacher is a child process, one per (teacher, video), speaking
-one JSON object per line on its stdin and stdout:
+An external teacher is a child process, one per teacher per command: its
+factory starts it for the first video and sends every later video to the
+same child. It speaks one JSON object per line on its stdin and stdout:
 
     -> {"cmd": "init", "video": <id>, "box": [x, y, w, h], "frame": <path>}
     <- {"ok": true}
     -> {"cmd": "predict", "frame": <path>}     (once per frame 1..T-1)
     <- {"box": [x, y, w, h]}
 
-End of file on its stdin ends the child. Frames are PPM file paths.
+Each video starts with an ``init``, also on a child that served the video
+before. End of file on its stdin comes when the command ends (``close`` on
+the factory; ``close_factories`` ends a pool's children side by side) and
+ends the child. A session that fails kills its child, and the factory's next
+video starts a fresh one. Frames are PPM file paths.
 """
 
 from __future__ import annotations
@@ -150,8 +154,9 @@ class TeacherSession:
 
 
 def close_sessions(sessions: Sequence[TeacherSession]) -> None:
-    """Close every session's input before waiting for any to end, so
-    external children exit side by side."""
+    """Close every session's input before waiting for any to end, so that
+    the children of failed external sessions are all killed before any is
+    waited for."""
     for session in sessions:
         session.close_input()
     for session in sessions:
@@ -159,7 +164,9 @@ def close_sessions(sessions: Sequence[TeacherSession]) -> None:
 
 
 class TeacherFactory:
-    """Builds one session per video; subclasses define the teacher behavior."""
+    """Builds one session per video; subclasses define the teacher behavior.
+    A factory may hold resources across its sessions (an external teacher's
+    child process); ``close`` releases them."""
 
     def __init__(self, teacher_id: str):
         if not teacher_id or "/" in teacher_id:
@@ -168,6 +175,21 @@ class TeacherFactory:
 
     def session(self, video: Video) -> TeacherSession:
         raise NotImplementedError
+
+    def close_input(self) -> None:
+        """Tell the teacher no more videos come; ``close`` then waits for it."""
+
+    def close(self) -> None:
+        pass
+
+
+def close_factories(factories: Sequence[TeacherFactory]) -> None:
+    """Close every factory's input before waiting for any, so external
+    children exit side by side."""
+    for factory in factories:
+        factory.close_input()
+    for factory in factories:
+        factory.close()
 
 
 def _video_seed(base_seed: int, video_id: str) -> np.random.Generator:
@@ -276,52 +298,115 @@ class TraceFactory(TeacherFactory):
         return TraceSession(self.teacher_id, video.video_id, trace.boxes)
 
 
-class ExternalSession(TeacherSession):
-    """Drives a child process over the line-JSON wire protocol (module docstring).
+class _Child:
+    """One running external teacher: its pipes, a reader thread that queues
+    its reply lines as they arrive, and its stderr in an unnamed temporary
+    file (no reader, no full pipe). It serves one session at a time."""
 
-    ``submit`` writes the request line and ``collect`` reads the reply, which
-    a reader thread queues as it arrives, so a pool can write ahead to every
-    child without a full pipe stalling either side. Frames are handed over as
-    file paths; in-memory videos are spilled to a temporary directory. Any
-    malformed reply, timeout, or early exit raises TeacherError carrying the
-    teacher id and the tail of the child's stderr, which goes to an unnamed
-    temporary file: no reader, no full pipe.
-    """
-
-    def __init__(self, teacher_id: str, video: Video, command: str, timeout: float = WIRE_TIMEOUT):
-        super().__init__(teacher_id, video.video_id)
-        self._video = video
-        self._timeout = timeout
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self._stderr = tempfile.TemporaryFile()
+    def __init__(self, teacher_id: str, command: str):
+        self.stderr = tempfile.TemporaryFile()
         try:
-            self._proc = subprocess.Popen(
+            self.proc = subprocess.Popen(
                 shlex.split(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=self._stderr,
+                stderr=self.stderr,
                 text=True,
                 bufsize=1,
             )
         except OSError as e:
-            self._stderr.close()
+            self.stderr.close()
             raise TeacherError(teacher_id, f"cannot start {command!r}: {e}")
-        self._replies: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        self.replies: "queue.Queue[Optional[str]]" = queue.Queue()
+        # The thread holds the pipe, not this object, so a child whose owner
+        # is dropped unclosed still gets end of file on its input.
+        self.reader = threading.Thread(
+            target=_pump, args=(self.proc.stdout, self.replies), daemon=True
+        )
+        self.reader.start()
+        self.busy = False  # a session is open on it
+        self.broken = False  # killed: its reply stream may be out of step
 
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._replies.put(line)
-        self._replies.put(None)
+    def stderr_size(self) -> int:
+        return os.fstat(self.stderr.fileno()).st_size
+
+    def stderr_tail(self, start: int) -> str:
+        """The last STDERR_TAIL bytes of stderr written from offset ``start`` on."""
+        if self.stderr.closed:
+            return ""
+        # pread keeps the offset the child writes at
+        tail = os.pread(
+            self.stderr.fileno(), STDERR_TAIL, max(start, self.stderr_size() - STDERR_TAIL)
+        )
+        return tail.decode("utf-8", "replace").strip()
+
+    def kill(self) -> None:
+        self.broken = True
+        self.proc.kill()
+
+    def close_input(self) -> None:
+        try:
+            self.proc.stdin.close()
+        except OSError:  # a child that already exited leaves a broken pipe
+            pass
+
+    def close(self) -> None:
+        self.close_input()
+        # The reader ends when the child's output closes at exit; joining it
+        # blocks where Popen.wait(timeout) would poll in sleeps. The child
+        # gets EXIT_GRACE in all before it is killed.
+        deadline = time.monotonic() + EXIT_GRACE
+        self.reader.join(timeout=EXIT_GRACE)
+        try:
+            self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        if not self.reader.is_alive():  # it read the pipe to its end
+            self.proc.stdout.close()
+        self.stderr.close()
+
+
+def _pump(stream, replies: "queue.Queue[Optional[str]]") -> None:
+    for line in stream:
+        replies.put(line)
+    replies.put(None)
+
+
+class ExternalSession(TeacherSession):
+    """One video on its factory's child, over the line-JSON wire protocol
+    (module docstring).
+
+    ``submit`` writes the request line and ``collect`` reads the reply, which
+    the child's reader thread queues as it arrives, so a pool can write ahead
+    to every child without a full pipe stalling either side. Frames are
+    handed over as file paths; in-memory videos are spilled to a temporary
+    directory that the session removes at close. Any malformed reply,
+    timeout, or early exit raises TeacherError carrying the teacher id and
+    the tail of what the child wrote to stderr since this video's init.
+
+    A session that closes with every submitted step collected and nothing
+    raised leaves the child running for the factory's next video. One that
+    raised, or closes with a request pending, kills the child, because its
+    replies may be out of step; the factory then starts a fresh one.
+    """
+
+    def __init__(self, teacher_id: str, video: Video, child: _Child, timeout: float):
+        super().__init__(teacher_id, video.video_id)
+        self._video = video
+        self._child = child
+        self._timeout = timeout
+        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        self._stderr_start = 0
+        self._failed = False
+        child.busy = True
 
     def _error(self, message: str) -> TeacherError:
-        """A TeacherError quoting the last STDERR_TAIL bytes of stderr."""
-        if not self._stderr.closed:  # pread keeps the offset the child writes at
-            fd = self._stderr.fileno()
-            tail = os.pread(fd, STDERR_TAIL, max(0, os.fstat(fd).st_size - STDERR_TAIL))
-            if tail.strip():
-                message += f"; stderr tail: {tail.decode('utf-8', 'replace').strip()!r}"
+        """A TeacherError quoting the tail of this video's stderr."""
+        self._failed = True
+        tail = self._child.stderr_tail(self._stderr_start)
+        if tail:
+            message += f"; stderr tail: {tail!r}"
         return TeacherError(self.teacher_id, message)
 
     def _frame_path(self, t: int) -> str:
@@ -336,6 +421,7 @@ class ExternalSession(TeacherSession):
 
     def _submit(self, frame: np.ndarray, t: int) -> None:
         if t == 0:
+            self._stderr_start = self._child.stderr_size()
             g0 = self.box
             msg = {
                 "cmd": "init",
@@ -346,14 +432,14 @@ class ExternalSession(TeacherSession):
         else:
             msg = {"cmd": "predict", "frame": self._frame_path(t)}
         try:
-            self._proc.stdin.write(json.dumps(msg) + "\n")
-            self._proc.stdin.flush()
+            self._child.proc.stdin.write(json.dumps(msg) + "\n")
+            self._child.proc.stdin.flush()
         except (BrokenPipeError, ValueError, OSError) as e:
             raise self._error(f"write failed: {e}")
 
     def _reply(self) -> dict:
         try:
-            line = self._replies.get(timeout=self._timeout)
+            line = self._child.replies.get(timeout=self._timeout)
         except queue.Empty:
             raise self._error(f"no reply within {self._timeout:.1f}s")
         if line is None:
@@ -382,37 +468,48 @@ class ExternalSession(TeacherSession):
             raise self._error(f"bad box in reply: {e}")
 
     def close_input(self) -> None:
-        try:
-            self._proc.stdin.close()
-        except OSError:  # a child that already exited leaves a broken pipe
-            pass
+        # A failed or abandoned step leaves the reply stream out of step.
+        if self._failed or self._pending:
+            self._child.kill()
 
     def close(self) -> None:
         self.close_input()
-        # The reader ends when the child's output closes at exit; joining it
-        # blocks where Popen.wait(timeout) would poll in sleeps. The child
-        # gets EXIT_GRACE in all before it is killed.
-        deadline = time.monotonic() + EXIT_GRACE
-        self._reader.join(timeout=EXIT_GRACE)
-        try:
-            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-        self._stderr.close()
+        if self._child.broken:
+            self._child.close()
+        self._child.busy = False
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
 
 class ExternalFactory(TeacherFactory):
+    """An external teacher: one child process that serves every video of a
+    command in turn, each of its sessions starting with an ``init``. The
+    first session starts the child; a session that fails, or closes with a
+    request pending, kills it, and the next session starts a fresh one.
+    ``close`` ends the child."""
+
     def __init__(self, teacher_id: str, command: str, timeout: float = WIRE_TIMEOUT):
         super().__init__(teacher_id)
         self.command = command
         self.timeout = timeout
+        self._child: Optional[_Child] = None
 
     def session(self, video: Video) -> ExternalSession:
-        return ExternalSession(self.teacher_id, video, self.command, self.timeout)
+        if self._child is None or self._child.broken:
+            self._child = _Child(self.teacher_id, self.command)
+        elif self._child.busy:
+            raise ProtocolError(f"teacher {self.teacher_id!r}: a session is still open")
+        return ExternalSession(self.teacher_id, video, self._child, self.timeout)
+
+    def close_input(self) -> None:
+        if self._child is not None:
+            self._child.close_input()
+
+    def close(self) -> None:
+        if self._child is not None:
+            self._child.close()
+            self._child = None
 
 
 def parse_teacher_spec(spec: str, default_seed: int = 0) -> TeacherFactory:
@@ -454,9 +551,9 @@ def run_pool_on_video(
 ) -> List[Tuple[TrajectoryTrace, Optional[TeacherError]]]:
     """Run every pool member over ``video`` side by side.
 
-    One session per member is opened first, which starts all external
-    children together. Then, for the init and for each frame, every live
-    member is submitted to before any is collected from. A member that
+    One session per member is opened first, which starts together every
+    external child not yet running. Then, for the init and for each frame,
+    every live member is submitted to before any is collected from. A member that
     raises TeacherError is dropped and keeps the boxes it gave so far; the
     others go on. Returns, in pool order, each member's trace (boxes[0] is
     the ground-truth start) and its error, or None.

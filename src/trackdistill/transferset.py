@@ -14,7 +14,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,22 +63,30 @@ def trajectory_ious(trace: TrajectoryTrace, video: Video) -> np.ndarray:
     )
 
 
+def trace_ious(
+    traces: Sequence[TrajectoryTrace], videos: Dict[str, Video]
+) -> List[np.ndarray]:
+    """``trajectory_ious`` of every trace, in trace order: computed once, they
+    serve every threshold of a report."""
+    for trace in traces:
+        if trace.video_id not in videos:
+            raise InvalidInputError(f"trace references unknown video {trace.video_id!r}")
+    return [trajectory_ious(trace, videos[trace.video_id]) for trace in traces]
+
+
 def filter_trajectories(
     traces: Sequence[TrajectoryTrace],
     videos: Dict[str, Video],
     beta: float,
+    ious: Optional[Sequence[np.ndarray]] = None,
 ) -> List[TrajectoryTrace]:
-    """Keep trajectories whose overlap stays strictly above beta at every frame."""
+    """Keep trajectories whose overlap stays strictly above beta at every
+    frame. ``ious`` are the traces' ``trace_ious``, if already computed."""
     if not (0.5 <= beta < 1.0):
         raise InvalidInputError(f"beta must lie in [0.5, 1), got {beta}")
-    kept = []
-    for trace in traces:
-        if trace.video_id not in videos:
-            raise InvalidInputError(f"trace references unknown video {trace.video_id!r}")
-        ious = trajectory_ious(trace, videos[trace.video_id])
-        if np.all(ious > beta):
-            kept.append(trace)
-    return kept
+    if ious is None:
+        ious = trace_ious(traces, videos)
+    return [trace for trace, z in zip(traces, ious) if np.all(z > beta)]
 
 
 def chunk_trajectory(
@@ -126,9 +134,11 @@ def build_transfer_set(
     length: int = CHUNK_LENGTH,
     count: int = CHUNKS_PER_TRAJECTORY,
     seed: int = 0,
+    ious: Optional[Sequence[np.ndarray]] = None,
 ):
-    """Filter then chunk; returns (kept trajectories, chunks) in stable order."""
-    kept = filter_trajectories(traces, videos, beta)
+    """Filter then chunk; returns (kept trajectories, chunks) in stable order.
+    ``ious`` are the traces' ``trace_ious``, if already computed."""
+    kept = filter_trajectories(traces, videos, beta, ious)
     kept = sorted(kept, key=lambda tr: (tr.video_id, tr.teacher_id))
     chunks: List[TransferChunk] = []
     for trace in kept:
@@ -144,14 +154,18 @@ def stats_row(
     num_chunks: int,
 ) -> dict:
     """One report row; AO pools every prediction frame of the kept trajectories."""
-    mine = [tr for tr in kept if tr.teacher_id == teacher_id]
-    all_ious = [trajectory_ious(tr, videos[tr.video_id]) for tr in mine]
-    ao = float(np.mean(np.concatenate(all_ious))) if all_ious else 0.0
+    mine = [
+        trajectory_ious(tr, videos[tr.video_id]) for tr in kept if tr.teacher_id == teacher_id
+    ]
+    return _row(teacher_id, beta, mine, num_chunks)
+
+
+def _row(teacher_id: str, beta: float, ious: Sequence[np.ndarray], num_chunks: int) -> dict:
     return {
         "teacher": teacher_id,
         "beta": beta,
-        "num_traj": len(mine),
-        "ao": ao,
+        "num_traj": len(ious),
+        "ao": float(np.mean(np.concatenate(ious))) if ious else 0.0,
         "num_chunks": num_chunks,
     }
 
@@ -163,15 +177,22 @@ def transfer_report(
     length: int = CHUNK_LENGTH,
     count: int = CHUNKS_PER_TRAJECTORY,
     seed: int = 0,
+    ious: Optional[Sequence[np.ndarray]] = None,
 ) -> List[dict]:
-    """Rows for every (teacher, beta), teachers sorted, betas in given order."""
+    """Rows for every (teacher, beta), teachers sorted, betas in given order.
+    Each trace's overlaps are computed once (or taken from ``ious``, its
+    ``trace_ious``) and serve every beta."""
+    if ious is None:
+        ious = trace_ious(traces, videos)
+    overlaps = {id(tr): z for tr, z in zip(traces, ious)}
     teacher_ids = sorted({tr.teacher_id for tr in traces})
     rows = []
     for beta in betas:
-        kept, chunks = build_transfer_set(traces, videos, beta, length, count, seed)
+        kept, chunks = build_transfer_set(traces, videos, beta, length, count, seed, ious)
         for tid in teacher_ids:
             n_chunks = sum(1 for ch in chunks if ch.teacher_id == tid)
-            rows.append(stats_row(tid, beta, kept, videos, n_chunks))
+            mine = [overlaps[id(tr)] for tr in kept if tr.teacher_id == tid]
+            rows.append(_row(tid, beta, mine, n_chunks))
     return rows
 
 

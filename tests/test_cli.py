@@ -9,13 +9,13 @@ import sys
 
 import pytest
 
-from trackdistill import cli, mdp
+from trackdistill import cli, mdp, transferset
 from trackdistill.cli import main
 from trackdistill.errors import InvalidInputError
 from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
 from trackdistill.video import load_dataset
 
-from test_teachers import DIES_AT_FRAME_3, ECHO_TEACHER
+from test_teachers import DIES_AT_FRAME_3, ECHO_TEACHER, assert_exited, pid_teacher, started
 
 SMALL_INI = """\
 [env]
@@ -171,7 +171,7 @@ class TestTeachersAndFilter:
         assert os.path.exists(os.path.join(out, "oracle0.9", "synth000.csv"))
         assert not os.path.exists(os.path.join(out, "bad"))
 
-    def test_pool_traces_equal_single_teacher_runs(self, tmp_path, pipeline):
+    def test_pool_traces_equal_single_teacher_runs(self, tmp_path, pipeline, closing):
         # one member of each kind; the extern one drifts +1 px per frame
         script = tmp_path / "echo.py"
         script.write_text(ECHO_TEACHER)
@@ -182,7 +182,8 @@ class TestTeachersAndFilter:
         out, ref = str(tmp_path / "traces"), str(tmp_path / "ref")
         assert main(["run-teachers", "--config", pipeline["ini"], "--seed", "4",
                      "--pool", pool, "--out", out, pipeline["data"]]) == 0
-        for factory in cli._parse_pool(pool, 4):
+        closing += cli._parse_pool(pool, 4)
+        for factory in closing:
             for video in load_dataset(pipeline["data"]):
                 path = save_trace(ref, run_teacher_on_video(factory, video))
                 assert filecmp.cmp(path, trace_path(out, factory.teacher_id, video.video_id),
@@ -208,6 +209,24 @@ class TestTeachersAndFilter:
             assert len(load_trace(out, "oracle0.9", video.video_id).boxes) == len(video)
         assert not os.path.exists(os.path.join(out, "dies"))
 
+    def test_filter_computes_each_trace_overlap_once(self, tmp_path, pipeline, monkeypatch):
+        calls = []
+        real = transferset.trajectory_ious
+
+        def counted(trace, video):
+            calls.append((trace.teacher_id, trace.video_id))
+            return real(trace, video)
+
+        monkeypatch.setattr(transferset, "trajectory_ious", counted)
+        out = tmp_path / "filter"
+        assert main(["filter", "--config", pipeline["ini"], "--out", str(out),
+                     pipeline["data"], pipeline["traces"]]) == 0
+        # the default pool is oracle:0.9
+        assert sorted(calls) == [("oracle0.9", f"synth{i:03d}") for i in range(4)]
+        for name in ("chunks.json", "transfer_stats.csv"):
+            assert filecmp.cmp(out / name, os.path.join(pipeline["filter"], name),
+                               shallow=False)
+
     def test_chunk_index(self, pipeline):
         with open(os.path.join(pipeline["filter"], "chunks.json")) as f:
             index = json.load(f)
@@ -223,6 +242,70 @@ class TestTeachersAndFilter:
         assert lines[0] == "teacher,beta,num_traj,ao,num_chunks"
         betas = {line.split(",")[1] for line in lines[1:]}
         assert {"0.5", "0.6", "0.7", "0.8", "0.9"} <= betas
+
+
+class TestChildPerCommand:
+    """An ``extern:`` teacher runs as one child per command, and no child
+    outlives its command."""
+
+    def test_run_teachers(self, tmp_path, pipeline):
+        (a, pids_a), (b, pids_b) = (pid_teacher(tmp_path, n) for n in "ab")
+        assert main(["run-teachers", "--config", pipeline["ini"],
+                     "--pool", f"a=extern:a:{a},oracle:0.9,b=extern:b:{b}",
+                     "--out", str(tmp_path / "traces"), pipeline["data"]]) == 0
+        for pids in (pids_a, pids_b):
+            assert len(started(pids)) == 1
+            assert_exited(started(pids))
+
+    def test_fuse(self, tmp_path, pipeline):
+        (a, pids_a), (b, pids_b) = (pid_teacher(tmp_path, n) for n in "ab")
+        out = tmp_path / "fuse"
+        assert main(["fuse", "--config", pipeline["ini"],
+                     "--pool", f"a=extern:a:{a},b=extern:b:{b}", "--out", str(out),
+                     os.path.join(pipeline["train"], "student.ckpt"), pipeline["data"]]) == 0
+        assert sorted(os.listdir(out)) == ["config.ini"] + [f"synth{i:03d}.csv" for i in range(4)]
+        for pids in (pids_a, pids_b):
+            assert len(started(pids)) == 1
+            assert_exited(started(pids))
+
+    def test_trast(self, tmp_path, pipeline):
+        command, pids = pid_teacher(tmp_path, "a")
+        out = tmp_path / "trast"
+        assert main(["track", "--config", pipeline["ini"], "--mode", "trast",
+                     "--teacher", f"a=extern:a:{command}", "--out", str(out),
+                     os.path.join(pipeline["train"], "student.ckpt"), pipeline["data"]]) == 0
+        assert sorted(os.listdir(out)) == ["config.ini"] + [f"synth{i:03d}.csv" for i in range(4)]
+        assert len(started(pids)) == 1
+        assert_exited(started(pids))
+
+    def test_death_in_video_3_of_8(self, tmp_path, capsys):
+        ini = tmp_path / "eight.ini"
+        ini.write_text(SMALL_INI.replace("num_videos = 4", "num_videos = 8")
+                       .replace("num_frames = 40", "num_frames = 12"))
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--config", str(ini), "--seed", "5", "--out", data]) == 0
+        outs = {}
+        for run, die_on in (("healthy", "-"), ("dying", "synth002")):
+            command, pids = pid_teacher(tmp_path, run, die_on=die_on)
+            outs[run] = str(tmp_path / run)
+            assert main(["run-teachers", "--config", str(ini),
+                         "--pool", f"t=extern:t:{command},oracle:0.9",
+                         "--out", outs[run], data]) == 0
+            assert len(started(pids)) == (2 if die_on != "-" else 1)
+            assert_exited(started(pids))
+        assert "warning: t failed on synth002: " in capsys.readouterr().err
+        failed = os.path.join(outs["dying"], ".failed")
+        assert os.listdir(os.path.join(failed, "t")) == ["synth002.csv"]
+        partial = load_trace(failed, "t", "synth002").boxes
+        assert partial == load_trace(outs["healthy"], "t", "synth002").boxes[:3]
+        for i in range(8):
+            for tid in ("t", "oracle0.9"):
+                path = trace_path(outs["dying"], tid, f"synth{i:03d}")
+                if (tid, i) == ("t", 2):
+                    assert not os.path.exists(path)
+                    continue
+                assert filecmp.cmp(path, trace_path(outs["healthy"], tid, f"synth{i:03d}"),
+                                   shallow=False), path
 
 
 class TestTrainAndTrack:
@@ -285,8 +368,10 @@ class TestTrainRun:
         chunks = tmp_path / "chunks.json"
         chunks.write_text(json.dumps(index))
         assert self.train(pipeline, tmp_path / "t", str(chunks)) == 0
+        captured = capsys.readouterr()
+        assert "held-out" not in captured.err
         lines = [
-            line for line in capsys.readouterr().out.splitlines()
+            line for line in captured.out.splitlines()
             if re.fullmatch(
                 r"update \d+: val AO \d\.\d{4}, best \d\.\d{4}, \d+\.\d upd/s", line
             )
@@ -297,6 +382,22 @@ class TestTrainRun:
         assert [int(line.split()[1][:-1]) for line in lines] == [
             e["update"] for e in validations
         ]
+
+
+    def test_warns_once_when_nothing_is_held_out(self, pipeline, tmp_path, capsys):
+        # every video of the pipeline keeps a chunk at beta 0.5
+        out = tmp_path / "t"
+        assert self.train(pipeline, out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: no held-out videos (every video has a chunk in the index): "
+            "validation, progress lines and early stopping are off; "
+            "the final parameters are saved\n"
+        )
+        ckpt = out / "student.ckpt"
+        assert captured.out == f"trained 30 updates -> {ckpt}\n"
+        assert filecmp.cmp(ckpt, os.path.join(pipeline["train"], "student.ckpt"),
+                           shallow=False)
 
 
 class TestGradcheck:

@@ -1,5 +1,6 @@
 """Teacher sessions: noisy oracles, trace replay, the external wire protocol."""
 
+import os
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from trackdistill.teachers import (
     TrajectoryTrace,
     best_teacher,
     calibrate_noise,
+    close_factories,
     load_trace,
     parse_teacher_spec,
     run_pool_on_video,
@@ -218,10 +220,16 @@ for line in sys.stdin:
 
 
 class TestExternalTeacher:
+    @pytest.fixture(autouse=True)
+    def factories(self, closing):
+        self.closing = closing
+
     def make_factory(self, tmp_path, body, **kw):
         script = tmp_path / "teacher.py"
         script.write_text(body)
-        return ExternalFactory("ext", f"{sys.executable} {script}", **kw)
+        factory = ExternalFactory("ext", f"{sys.executable} {script}", **kw)
+        self.closing.append(factory)
+        return factory
 
     def test_wire_round_trip(self, tmp_path):
         vid = generate_video(SyntheticSpec(num_frames=5, width=48, height=48, max_size=20), 1, "wire")
@@ -372,20 +380,22 @@ class TestPool:
         want += [("close_input", "a"), ("close_input", "b"), ("close", "a"), ("close", "b")]
         assert log == want
 
-    def test_members_run_in_lockstep(self, tmp_path):
+    def test_members_run_in_lockstep(self, tmp_path, closing):
         vid = self.video()
-        results = run_pool_on_video(rendezvous_pool(tmp_path), vid)
+        closing += rendezvous_pool(tmp_path)
+        results = run_pool_on_video(closing, vid)
         for (trace, error), tid in zip(results, ("a", "b")):
             assert error is None
             assert trace.teacher_id == tid
             assert trace.boxes == [vid.ground_truth[0]] * len(vid)
 
-    def test_one_member_alone_cannot_meet(self, tmp_path):
+    def test_one_member_alone_cannot_meet(self, tmp_path, closing):
         # the sequential schedule: "a" waits for a "b" that is never started
+        closing += rendezvous_pool(tmp_path)
         with pytest.raises(TeacherError, match="no marker b_1"):
-            run_teacher_on_video(rendezvous_pool(tmp_path)[0], self.video())
+            run_teacher_on_video(closing[0], self.video())
 
-    def test_member_dying_at_frame_3_keeps_3_boxes(self, tmp_path):
+    def test_member_dying_at_frame_3_keeps_3_boxes(self, tmp_path, closing):
         vid = self.video(frames=8)
         script = tmp_path / "dies.py"
         script.write_text(DIES_AT_FRAME_3)
@@ -396,6 +406,7 @@ class TestPool:
             ExternalFactory("dies", f"{sys.executable} {script}"),
             ExternalFactory("echo", f"{sys.executable} {echo}"),
         ]
+        closing += pool
         (oracle, e_o), (dead, e_d), (live, e_l) = run_pool_on_video(pool, vid)
         assert e_o is None and e_l is None
         assert isinstance(e_d, TeacherError) and e_d.teacher_id == "dies"
@@ -409,6 +420,121 @@ class TestPool:
         (ghost, error), (oracle, none) = run_pool_on_video(pool, vid)
         assert isinstance(error, TeacherError) and ghost.boxes == [vid.ground_truth[0]]
         assert none is None and len(oracle.boxes) == len(vid)
+
+
+# The echo teacher's drift, logging its pid to argv[1] at start and a line
+# per video to stderr. On video argv[2] it exits when sent frame 3; on video
+# argv[3] it hangs when sent frame 2 ("-" names no video).
+PID_TEACHER = r"""
+import json, os, sys, time
+pids, die_on, hang_on = sys.argv[1:4]
+with open(pids, "a") as fh:
+    fh.write("%d\n" % os.getpid())
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        video, t, box = msg["video"], 0, msg["box"]
+        print("init " + video, file=sys.stderr, flush=True)
+        print(json.dumps({"ok": True}), flush=True)
+        continue
+    t += 1
+    if t == 3 and video == die_on:
+        sys.exit("fatal: gave up on " + video)
+    if t == 2 and video == hang_on:
+        time.sleep(30)
+    box = [box[0] + 1.0, box[1], box[2], box[3]]
+    print(json.dumps({"box": box}), flush=True)
+"""
+
+
+def pid_teacher(tmp_path, name, die_on="-", hang_on="-"):
+    """The command of a PID_TEACHER logging to ``<name>.pids``, and that log."""
+    script = tmp_path / "pid_teacher.py"
+    script.write_text(PID_TEACHER)
+    pids = tmp_path / f"{name}.pids"
+    return f"{sys.executable} {script} {pids} {die_on} {hang_on}", pids
+
+
+def started(pids):
+    """The pids a PID_TEACHER log holds, in start order."""
+    return [int(p) for p in pids.read_text().split()] if pids.exists() else []
+
+
+def assert_exited(pids):
+    """Every pid is gone: exited and reaped, not a zombie."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+class TestChildLifetime:
+    def videos(self, n, frames=6):
+        spec = SyntheticSpec(num_frames=frames, width=48, height=48, max_size=20)
+        return [generate_video(spec, 40 + i, f"v{i}") for i in range(n)]
+
+    def drift(self, video, n):
+        g0 = video.ground_truth[0]
+        return [g0] + [Box(g0.x + t, g0.y, g0.w, g0.h) for t in range(1, n)]
+
+    def test_one_child_serves_every_video(self, tmp_path, closing):
+        command, pids = pid_teacher(tmp_path, "ext")
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        for video in self.videos(4):
+            assert run_teacher_on_video(factory, video).boxes == self.drift(video, len(video))
+        assert len(started(pids)) == 1
+        close_factories([factory])
+        assert_exited(started(pids))
+
+    def test_hung_child_is_killed_and_replaced(self, tmp_path, closing):
+        command, pids = pid_teacher(tmp_path, "ext", hang_on="v1")
+        factory = ExternalFactory("ext", command, timeout=0.5)
+        closing.append(factory)
+        v0, v1, v2 = self.videos(3)
+        run_teacher_on_video(factory, v0)
+        with pytest.raises(TeacherError, match="no reply within 0.5s"):
+            run_teacher_on_video(factory, v1)
+        assert_exited(started(pids))
+        assert run_teacher_on_video(factory, v2).boxes == self.drift(v2, len(v2))
+        assert len(started(pids)) == 2
+
+    def test_error_quotes_only_its_own_videos_stderr(self, tmp_path, closing):
+        command, pids = pid_teacher(tmp_path, "ext", die_on="v2")
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        v0, v1, v2 = self.videos(3)
+        run_teacher_on_video(factory, v0)
+        run_teacher_on_video(factory, v1)
+        with pytest.raises(TeacherError) as info:
+            run_teacher_on_video(factory, v2)
+        msg = str(info.value)
+        assert msg.endswith("stderr tail: 'init v2\\nfatal: gave up on v2'")
+        assert "init v1" not in msg
+        assert len(started(pids)) == 1
+
+    def test_pending_request_at_close_kills_the_child(self, tmp_path, closing):
+        command, pids = pid_teacher(tmp_path, "ext")
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        v0, v1 = self.videos(2)
+        session = factory.session(v0)
+        session.init(v0.frames[0], v0.ground_truth[0])
+        session.submit(v0.frames[1])
+        session.close()  # the reply to frame 1 is never read
+        assert_exited(started(pids))
+        assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, len(v1))
+        assert len(started(pids)) == 2
+
+    def test_one_session_at_a_time(self, tmp_path, closing):
+        command, _ = pid_teacher(tmp_path, "ext")
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        v0, v1 = self.videos(2)
+        with factory.session(v0):
+            with pytest.raises(ProtocolError, match="still open"):
+                factory.session(v1)
+        run_teacher_on_video(factory, v1)
 
 
 class TestTeacherSpecParsing:

@@ -240,7 +240,7 @@ class TestTrasfust:
         assert run.partial
         assert len(run.boxes) == 3
 
-    def test_extern_members_equal_trace_members(self, tmp_path):
+    def test_extern_members_equal_trace_members(self, tmp_path, closing):
         # two child processes replaying stored boxes judge exactly like
         # in-process trace sessions over the same boxes
         video = small_video(27, frames=15)
@@ -255,17 +255,17 @@ class TestTrasfust:
             extern.append(ExternalFactory(
                 trace.teacher_id, f"{sys.executable} {script} {tmp_path / trace.teacher_id}"
             ))
+        closing += extern
         g0 = video.ground_truth[0]
         want = trasfust(video, g0, self.model, params, traced)
         got = trasfust(video, g0, self.model, params, extern)
         assert not got.partial and got == want
         assert len(set(got.controllers)) == 2  # both members control some frames
 
-    def test_extern_members_run_in_lockstep(self, tmp_path):
+    def test_extern_members_run_in_lockstep(self, tmp_path, closing):
         video = small_video(28, frames=5)
-        run = trasfust(
-            video, video.ground_truth[0], self.model, self.zero, rendezvous_pool(tmp_path)
-        )
+        closing += rendezvous_pool(tmp_path)
+        run = trasfust(video, video.ground_truth[0], self.model, self.zero, closing)
         assert not run.partial, run.error
         assert len(run.boxes) == 4
 

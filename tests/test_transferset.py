@@ -1,5 +1,7 @@
 """Filtering, chunking, and reporting over teacher trajectories."""
 
+import filecmp
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,14 @@ from trackdistill.teachers import (
     run_teacher_on_video,
     save_trace,
 )
+from trackdistill import transferset
 from trackdistill.transferset import (
     build_transfer_set,
     chunk_trajectory,
     filter_trajectories,
     load_chunk_index,
     stats_row,
+    trace_ious,
     trajectory_ious,
     transfer_report,
     videos_by_id,
@@ -150,6 +154,76 @@ class TestStats:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "teacher,beta,num_traj,ao,num_chunks"
         assert len(lines) == 4
+
+
+def per_beta_report(traces, videos, betas, length=32, count=5, seed=0):
+    """The reference report: the transfer set and every kept trajectory's
+    overlaps rebuilt for each beta and each row."""
+    teacher_ids = sorted({tr.teacher_id for tr in traces})
+    rows = []
+    for beta in betas:
+        kept = [tr for tr in traces if np.all(trajectory_ious(tr, videos[tr.video_id]) > beta)]
+        kept.sort(key=lambda tr: (tr.video_id, tr.teacher_id))
+        chunks = [
+            ch for tr in kept
+            for ch in chunk_trajectory(tr, videos[tr.video_id], length, count, seed)
+        ]
+        for tid in teacher_ids:
+            mine = [trajectory_ious(tr, videos[tr.video_id]) for tr in kept if tr.teacher_id == tid]
+            rows.append({
+                "teacher": tid,
+                "beta": beta,
+                "num_traj": len(mine),
+                "ao": float(np.mean(np.concatenate(mine))) if mine else 0.0,
+                "num_chunks": sum(1 for ch in chunks if ch.teacher_id == tid),
+            })
+    return rows, chunks
+
+
+class TestOverlapsOnce:
+    def pool(self, seed=31):
+        """Three teachers over eight videos, two of them too short to chunk."""
+        rng = np.random.default_rng(seed)
+        frame = np.zeros((8, 8, 3), dtype=np.uint8)
+        videos, traces = [], []
+        for i in range(8):
+            n = 20 if i % 4 == 3 else 40
+            gt = [Box(0, 0, 10, 10)] * n
+            videos.append(Video(f"v{i}", [frame] * n, gt))
+            for k in range(3):
+                ious = rng.uniform(rng.choice([0.45, 0.55, 0.65, 0.75, 0.85, 0.92]), 1.0, n - 1)
+                traces.append(TrajectoryTrace(
+                    f"v{i}", f"t{k}", [gt[0]] + [Box(0, 0, 10, 10 * z) for z in ious]
+                ))
+        return videos_by_id(videos), traces
+
+    def test_report_and_index_bytes_equal_per_beta_path(self, tmp_path):
+        videos, traces = self.pool()
+        betas = [0.5, 0.6, 0.7, 0.8, 0.9, 0.65]
+        ref_rows, ref_chunks = per_beta_report(traces, videos, betas, seed=3)
+        assert len({r["num_chunks"] for r in ref_rows}) > 2  # counts vary
+        ious = trace_ious(traces, videos)
+        write_stats_csv(ref_rows, str(tmp_path / "ref.csv"))
+        write_stats_csv(transfer_report(traces, videos, betas, seed=3, ious=ious),
+                        str(tmp_path / "got.csv"))
+        assert filecmp.cmp(tmp_path / "ref.csv", tmp_path / "got.csv", shallow=False)
+        _, chunks = build_transfer_set(traces, videos, 0.65, seed=3, ious=ious)
+        write_chunk_index(ref_chunks, str(tmp_path / "ref.json"), 0.65, 32, 3)
+        write_chunk_index(chunks, str(tmp_path / "got.json"), 0.65, 32, 3)
+        assert filecmp.cmp(tmp_path / "ref.json", tmp_path / "got.json", shallow=False)
+
+    def test_report_computes_each_trace_once(self, monkeypatch):
+        videos, traces = self.pool()
+        calls = []
+        real = transferset.trajectory_ious
+
+        def counted(trace, video):
+            calls.append((trace.teacher_id, trace.video_id))
+            return real(trace, video)
+
+        monkeypatch.setattr(transferset, "trajectory_ious", counted)
+        transfer_report(traces, videos, [0.5, 0.6, 0.7, 0.8, 0.9])
+        assert sorted(calls) == sorted((tr.teacher_id, tr.video_id) for tr in traces)
 
 
 class TestChunkIndex:

@@ -118,40 +118,60 @@ def context_region(box: Box, context: float) -> Box:
 
 
 def crop_patch(frame: np.ndarray, region: Box, out_size: Tuple[int, int]) -> np.ndarray:
-    """Resample ``region`` of an (H, W, 3) frame to (out_h, out_w, 3) float64,
-    as one frame through :func:`crop_patches`."""
-    return crop_patches((frame,), region, out_size)[0]
-
-
-def _window_taps(i0: np.ndarray, size: int):
-    """Lay one axis's ascending taps i0 and i0 + 1 on a window buffer: frame
-    lines lo..hi sit between two zero lines that all off-frame taps read.
-    Returns (frame slice lo..hi, local i0, local i0 + 1, buffer length)."""
-    lo = max(int(i0[0]), 0)
-    hi = max(min(int(i0[-1]) + 1, size - 1), lo - 1)  # hi = lo - 1: no line on the frame
-    edge = hi - lo + 2
-    # both taps in one pass; minimum/maximum, as np.clip costs more than the taps
-    taps = np.minimum(np.maximum(np.add.outer((1 - lo, 2 - lo), i0), 0), edge)
-    return slice(lo, hi + 1), taps[0], taps[1], edge + 1
+    """Resample ``region`` of an (H, W, 3) frame to (out_h, out_w, 3) float64:
+    the one-frame, one-region call of :func:`crop_regions`."""
+    return crop_regions((frame,), (region,), out_size)[0, 0]
 
 
 def crop_patches(
     frames: Sequence[np.ndarray], region: Box, out_size: Tuple[int, int]
 ) -> np.ndarray:
     """Resample one ``region`` of n equal-shape (H, W, 3) frames to an
-    (n, out_h, out_w, 3) float64 stack.
+    (n, out_h, out_w, 3) float64 stack: the one-region call of
+    :func:`crop_regions`, with its checks."""
+    return crop_regions(frames, (region,), out_size)[0]
 
-    Bilinear sampling on pixel centers: output pixel (i, j) reads the source
-    point region.origin + ((j, i) + 0.5) * region.size / out_size - 0.5.
+
+def crop_regions(
+    frames: Sequence[np.ndarray], regions: Sequence[Box], out_size: Tuple[int, int]
+) -> np.ndarray:
+    """Resample each of R ``regions`` of n equal-shape (H, W, 3) frames to an
+    (R, n, out_h, out_w, 3) float64 stack.
+
+    Bilinear sampling on pixel centers: output pixel (i, j) of a region reads
+    the source point region.origin + ((j, i) + 0.5) * region.size / out_size - 0.5.
     Samples outside the frame are zero. Input may be uint8 or float; values
-    pass through unscaled (a uint8 frame yields a patch in [0, 255]). Only
-    the frame window the samples touch is converted to float64.
+    pass through unscaled (a uint8 frame yields a patch in [0, 255]).
+
+    Only the four taps of each output pixel are read and converted to float64,
+    never the frame window a region covers, so the cost does not grow with the
+    region. The work order:
+
+    1. every region's sample positions, floors and fractions, both axes in one
+       (R, 2, max(out_h, out_w)) pass;
+    2. the taps i0 | i0 + 1 of rows and of columns, clipped into the frame;
+    3. per frame, one ``take`` of all regions' tap pixels into an
+       (R, n, 2 * out_h, 2 * out_w, 3) float64 tap block;
+    4. zeros on the rows and columns whose tap fell off the frame;
+    5. the rows weighted by 1 - wy | wy, then the columns by 1 - wx | wx;
+    6. the four quadrants summed in the order below.
+
+    Each output value is therefore
+    (((A*(1-wy))*(1-wx) + (B*(1-wy))*wx) + (C*wy)*(1-wx)) + (D*wy)*wx with
+    A, B, C, D the taps at (i0, j0), (i0, j0+1), (i0+1, j0), (i0+1, j0+1):
+    the same operations in the same order for any R and n, so slice [r] is
+    bitwise the one-region call on regions[r].
     """
     ow, oh = int(out_size[0]), int(out_size[1])
     if ow <= 0 or oh <= 0:
         raise InvalidInputError(f"non-positive patch size {out_size!r}")
-    if region.w <= 0 or region.h <= 0:
-        raise InvalidInputError("crop region has zero or negative area")
+    if not len(regions):
+        raise InvalidInputError("no crop regions")
+    for region in regions:
+        if region.w <= 0 or region.h <= 0:
+            raise InvalidInputError("crop region has zero or negative area")
+    if not len(frames):
+        raise InvalidInputError("no frames to crop")
     shape = frames[0].shape
     for frame in frames:
         if frame.ndim != 3 or frame.shape[2] != 3:
@@ -159,24 +179,38 @@ def crop_patches(
         if frame.shape != shape:
             raise InvalidInputError(f"frame shapes differ: {frame.shape} vs {shape}")
 
-    # both axes in one pass: rows sample y and x; the shorter one ignores its surplus
-    step = np.array([[region.h / oh], [region.w / ow]])
-    pos = np.array([[region.y], [region.x]]) + (np.arange(max(oh, ow)) + 0.5) * step - 0.5
-    i0 = np.floor(pos).astype(np.int64)
+    # 1. rows sample y, columns x; the shorter axis ignores its surplus
+    R, n = len(regions), len(frames)
+    box = np.array([[r.y, r.x, r.h, r.w] for r in regions])
+    step = box[:, 2:, None] / [[oh], [ow]]
+    pos = box[:, :2, None] + (np.arange(max(oh, ow)) + 0.5) * step - 0.5
+    i0 = np.floor(pos)
     frac = pos - i0
-
-    rs, ya, yb, nr = _window_taps(i0[0, :oh], shape[0])
-    cs, xa, xb, nc = _window_taps(i0[1, :ow], shape[1])
-    win = np.zeros((len(frames), nr, nc, 3))
+    # 2. (R, axis, tap, sample); minimum/maximum, as np.clip costs more here
+    raw = i0.astype(np.int64)[:, :, None, :] + np.array([[0], [1]])
+    size = np.array([[[shape[0]]], [[shape[1]]]])
+    taps = np.minimum(np.maximum(raw, 0), size - 1)
+    off = taps != raw
+    ys, xs = taps[:, 0, :, :oh].reshape(R, 2 * oh), taps[:, 1, :, :ow].reshape(R, 2 * ow)
+    # 3. frame pixel (y, x) is row y * W + x of the (H * W, 3) view
+    pixels = (ys * shape[1])[:, :, None] + xs[:, None, :]
+    block = np.empty((R, n, 2 * oh, 2 * ow, 3))
     for k, frame in enumerate(frames):
-        win[k, 1:-1, 1:-1] = frame[rs, cs]
-    top = win.take(ya, axis=1)
-    bottom = win.take(yb, axis=1)
-    wx = frac[1, None, :ow, None]
-    wy = frac[0, :oh, None, None]
-    return (
-        top.take(xa, axis=2) * (1.0 - wy) * (1.0 - wx)
-        + top.take(xb, axis=2) * (1.0 - wy) * wx
-        + bottom.take(xa, axis=2) * wy * (1.0 - wx)
-        + bottom.take(xb, axis=2) * wy * wx
-    )
+        block[:, k] = frame.reshape(-1, 3).take(pixels, axis=0)
+    # 4. assigned, not multiplied, zeros: a negative float tap times 0 is -0.0
+    if off.any():
+        r, i = np.nonzero(off[:, 0, :, :oh].reshape(R, 2 * oh))
+        block[r, :, i] = 0.0
+        r, j = np.nonzero(off[:, 1, :, :ow].reshape(R, 2 * ow))
+        block[r, :, :, j] = 0.0
+    # 5. the column weights repeat over the channels, so each row is one
+    # contiguous run of 3 * 2 * out_w values
+    weights = np.stack((1.0 - frac, frac), axis=2)
+    lines = block.reshape(R, n, 2 * oh, 6 * ow)
+    lines *= weights[:, 0, :, :oh].reshape(R, 1, 2 * oh, 1)
+    lines *= np.repeat(weights[:, 1, :, :ow].reshape(R, 1, 1, 2 * ow), 3, axis=3)
+    # 6. top-left + top-right + bottom-left + bottom-right
+    out = block[:, :, :oh, :ow] + block[:, :, :oh, ow:]
+    out += block[:, :, oh:, :ow]
+    out += block[:, :, oh:, ow:]
+    return out

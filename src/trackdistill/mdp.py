@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, ProtocolError
-from .geometry import Box, apply_action, context_region, crop_patches, iou
+from .geometry import Box, apply_action, context_region, crop_regions, iou
 
 IOU_FAIL_LIMIT = 0.5
 QUANT_STEP = 0.05
@@ -33,6 +33,25 @@ class State:
     anchor: Box
 
 
+def make_states(
+    frame_prev: np.ndarray,
+    frame_cur: np.ndarray,
+    boxes: Sequence[Box],
+    context: float,
+    patch_size: int,
+) -> List[State]:
+    """One State per box in ``boxes``: the context regions around all boxes
+    cropped from both (equal-shape) frames in one :func:`crop_regions` call.
+    Each patch is bitwise the crop_patch of its frame and region, whatever
+    the other boxes."""
+    patches = crop_regions(
+        (frame_prev, frame_cur),
+        [context_region(box, context) for box in boxes],
+        (patch_size, patch_size),
+    )
+    return [State(patch_prev=p[0], patch_cur=p[1], anchor=box) for p, box in zip(patches, boxes)]
+
+
 def make_state(
     frame_prev: np.ndarray,
     frame_cur: np.ndarray,
@@ -40,12 +59,8 @@ def make_state(
     context: float,
     patch_size: int,
 ) -> State:
-    """Crop the context region around ``box_prev`` from both (equal-shape)
-    frames in one :func:`crop_patches` call; each patch equals its crop_patch."""
-    patches = crop_patches(
-        (frame_prev, frame_cur), context_region(box_prev, context), (patch_size, patch_size)
-    )
-    return State(patch_prev=patches[0], patch_cur=patches[1], anchor=box_prev)
+    """The State around ``box_prev``: the one-box call of :func:`make_states`."""
+    return make_states(frame_prev, frame_cur, (box_prev,), context, patch_size)[0]
 
 
 def quantized_overlap(z: float) -> float:

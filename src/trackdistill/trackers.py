@@ -6,8 +6,9 @@ of teachers and uses the value head purely as a judge, emitting the box of
 the highest-valued teacher each frame.
 
 Each value judgement is a lane with its own hidden state. trast and trasfust
-step all lanes of a frame in one ``forward_lanes`` call and crop each distinct
-anchor box once. Non-finite student output raises NumericError.
+step all lanes of a frame in one ``forward_lanes`` call, with each distinct
+anchor cropped once, in one call per frame. Non-finite student output raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError, ParseError, TeacherError
 from .geometry import Box, apply_action, iou
-from .mdp import make_state
+from .mdp import make_state, make_states
 from .model import HiddenSchedule, StudentModel
 from .teachers import TeacherFactory, close_sessions
 from .video import Video
@@ -56,10 +57,13 @@ def _step_lanes(
     protocol: str, video: Video, t: int, anchors: Sequence[Box], model, params, context, scheds
 ):
     """Advance lane k from ``anchors[k]`` on frame t under hidden schedule
-    ``scheds[k]``, cropping each distinct anchor once (equal boxes give equal
-    states). Returns (actions (K, 4), values (K,))."""
+    ``scheds[k]``. The distinct anchors, in lane order, are cropped from frames
+    t - 1 and t in one :func:`make_states` call, each once (equal boxes give
+    equal states); every patch is bitwise its one-box crop, so a lane's step
+    does not depend on the other lanes. Returns (actions (K, 4), values (K,))."""
     frames, size = (video.frames[t - 1], video.frames[t]), model.config.patch_size
-    states = {box: make_state(*frames, box, context, size) for box in dict.fromkeys(anchors)}
+    distinct = list(dict.fromkeys(anchors))
+    states = dict(zip(distinct, make_states(*frames, distinct, context, size)))
     actions, values, hiddens = model.forward_lanes(
         params, [states[box] for box in anchors], [s.before(t) for s in scheds]
     )

@@ -10,10 +10,11 @@ from trackdistill.geometry import (
     context_region,
     crop_patch,
     crop_patches,
+    crop_regions,
     infer_action,
     iou,
 )
-from trackdistill.mdp import make_state
+from trackdistill.mdp import make_state, make_states
 
 
 def raster_iou(a: Box, b: Box) -> float:
@@ -58,6 +59,48 @@ def crop_patch_slow(frame, region, out_size):
                     + pixel(y0 + 1, x0 + 1, c) * fy * fx
                 )
     return out
+
+
+def _window_taps(i0, size):
+    """One axis's taps i0 and i0 + 1 on a window buffer whose frame lines
+    lo..hi sit between two zero lines that every off-frame tap reads."""
+    lo = max(int(i0[0]), 0)
+    hi = max(min(int(i0[-1]) + 1, size - 1), lo - 1)
+    edge = hi - lo + 2
+    taps = np.minimum(np.maximum(np.add.outer((1 - lo, 2 - lo), i0), 0), edge)
+    return slice(lo, hi + 1), taps[0], taps[1], edge + 1
+
+
+def crop_window_reference(frames, region, out_size):
+    """A second, independent crop with the same operation order: the sampled
+    frame window is copied into a zero-bordered float64 buffer and the four
+    taps are read from it. crop_regions must match it bitwise."""
+    ow, oh = out_size
+    step = np.array([[region.h / oh], [region.w / ow]])
+    pos = np.array([[region.y], [region.x]]) + (np.arange(max(oh, ow)) + 0.5) * step - 0.5
+    i0 = np.floor(pos).astype(np.int64)
+    frac = pos - i0
+    rs, ya, yb, nr = _window_taps(i0[0, :oh], frames[0].shape[0])
+    cs, xa, xb, nc = _window_taps(i0[1, :ow], frames[0].shape[1])
+    win = np.zeros((len(frames), nr, nc, 3))
+    for k, frame in enumerate(frames):
+        win[k, 1:-1, 1:-1] = frame[rs, cs]
+    top = win.take(ya, axis=1)
+    bottom = win.take(yb, axis=1)
+    wx = frac[1, None, :ow, None]
+    wy = frac[0, :oh, None, None]
+    return (
+        top.take(xa, axis=2) * (1.0 - wy) * (1.0 - wx)
+        + top.take(xb, axis=2) * (1.0 - wy) * wx
+        + bottom.take(xa, axis=2) * wy * (1.0 - wx)
+        + bottom.take(xb, axis=2) * wy * wx
+    )
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestIou:
@@ -238,3 +281,122 @@ class TestCropPatches:
             crop_patches((a, b), Box(2, 2, 5, 5), (4, 4))
         with pytest.raises(InvalidInputError, match="differ"):
             make_state(a, b, Box(2, 2, 5, 5), context=1.5, patch_size=8)
+
+
+class TestCropRegions:
+    """The crop every other crop goes through, bitwise against the window-copy
+    reference and close to the scalar oracle."""
+
+    @staticmethod
+    def random_region(rng, fw, fh):
+        kind = rng.integers(7)
+        if kind == 0:  # inside
+            w, h = rng.uniform(0.5, [fw, fh])
+            return Box(*rng.uniform(0, [fw - w, fh - h]), w, h)
+        if kind == 1:  # partly off-frame
+            w, h = rng.uniform(2, [2 * fw, 2 * fh])
+            return Box(*rng.uniform([-w, -h], [fw, fh]), w, h)
+        if kind == 2:  # fully off-frame, near: left, right, above or below
+            w, h = rng.uniform(0.5, 40, 2)
+            x, y = rng.uniform([-w, -h], [fw, fh])
+            gap = rng.uniform(1, 30)
+            side = rng.integers(4)
+            if side < 2:
+                x = -w - gap if side == 0 else fw + gap
+            else:
+                y = -h - gap if side == 2 else fh + gap
+            return Box(x, y, w, h)
+        if kind == 3:  # far off-frame
+            return Box(*(rng.choice([-1, 1], 2) * 1e6 + rng.uniform(-50, 50, 2)), *rng.uniform(1, 500, 2))
+        if kind == 4:  # larger than the frame
+            w, h = rng.uniform([fw, fh], [3 * fw + 1, 3 * fh + 1])
+            return Box(*rng.uniform([-w, -h], [fw, fh]), w, h)
+        # kinds 5 and 6: large regions around the frame, up to 500 px
+        w, h = rng.uniform(1, 500, 2)
+        return Box(*rng.uniform([-w / 2, -h / 2], [fw, fh]), w, h)
+
+    @staticmethod
+    def random_frames(rng, n, fh, fw):
+        if rng.integers(2):
+            return [rng.integers(0, 256, (fh, fw, 3)).astype(np.uint8) for _ in range(n)]
+        frames = [rng.normal(0, 100, (fh, fw, 3)) for _ in range(n)]
+        for frame in frames:  # signed zeros, so that the sign bits are checked
+            frame[rng.random(frame.shape) < 0.05] = -0.0
+        return frames
+
+    def test_bitwise_reference_and_scalar_oracle(self):
+        rng = np.random.default_rng(81)
+        kinds = set()
+        for case in range(3000):
+            fh, fw = (240, 320) if case % 10 == 0 else rng.integers(3, 40, 2)
+            frames = self.random_frames(rng, rng.integers(1, 3), fh, fw)
+            regions = [self.random_region(rng, fw, fh) for _ in range(rng.integers(1, 5))]
+            out_size = tuple(int(v) for v in rng.integers(1, 9, 2))
+            got = crop_regions(frames, regions, out_size)
+            assert got.shape == (len(regions), len(frames), out_size[1], out_size[0], 3)
+            for r, region in enumerate(regions):
+                assert_bitwise(got[r], crop_window_reference(frames, region, out_size))
+                if case % 3 == 0:
+                    for k, frame in enumerate(frames):
+                        want = crop_patch_slow(frame, region, out_size)
+                        np.testing.assert_allclose(got[r, k], want, rtol=0, atol=1e-9)
+                # no sample of a region this far out comes within a pixel of the frame
+                off = (region.x >= fw + 1 or region.x + region.w <= -1
+                       or region.y >= fh + 1 or region.y + region.h <= -1)
+                kinds.add(off)
+                if off:
+                    assert not got[r].any()
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("out_size", [(32, 32), (40, 16)])
+    def test_bitwise_reference_at_patch_sizes(self, out_size):
+        rng = np.random.default_rng(82 + out_size[1])
+        pairs = [self.random_frames(rng, 2, 360, 640) for _ in range(4)]
+        assert {frames[0].dtype for frames in pairs} == {np.dtype(np.uint8), np.dtype(np.float64)}
+        for case in range(150):
+            frames = pairs[case % 4]
+            regions = [self.random_region(rng, 640, 360) for _ in range(rng.integers(1, 5))]
+            got = crop_regions(frames, regions, out_size)
+            for r, region in enumerate(regions):
+                assert_bitwise(got[r], crop_window_reference(frames, region, out_size))
+
+    def test_one_call_equals_separate_calls(self):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            frames = self.random_frames(rng, rng.integers(1, 3), 60, 80)
+            regions = [self.random_region(rng, 80, 60) for _ in range(rng.integers(2, 6))]
+            got = crop_regions(frames, regions, (12, 10))
+            for r, region in enumerate(regions):
+                assert_bitwise(got[r], crop_regions(frames, [region], (12, 10))[0])
+                assert_bitwise(got[r], crop_patches(frames, region, (12, 10)))
+                for k, frame in enumerate(frames):
+                    assert_bitwise(got[r, k], crop_patch(frame, region, (12, 10)))
+
+    def test_make_states_equal_make_state(self):
+        rng = np.random.default_rng(84)
+        fa, fb = rng.integers(0, 256, (2, 40, 50, 3)).astype(np.uint8)
+        for _ in range(30):
+            boxes = [Box(*rng.uniform(-15, 50, 2), *rng.uniform(1, 40, 2)) for _ in range(3)]
+            states = make_states(fa, fb, boxes, context=1.5, patch_size=16)
+            for box, s in zip(boxes, states):
+                one = make_state(fa, fb, box, context=1.5, patch_size=16)
+                assert s.anchor == box
+                assert_bitwise(s.patch_prev, one.patch_prev)
+                assert_bitwise(s.patch_cur, one.patch_cur)
+
+    def test_bad_input_rejected(self):
+        frame = np.zeros((20, 20, 3), dtype=np.uint8)
+        ok = Box(2, 2, 5, 5)
+        with pytest.raises(InvalidInputError, match="no crop regions"):
+            crop_regions((frame,), [], (4, 4))
+        for bad in (Box(0, 0, 0, 5), Box(0, 0, 5, -1)):
+            with pytest.raises(InvalidInputError, match="area"):
+                crop_regions((frame,), [ok, bad], (4, 4))
+        with pytest.raises(InvalidInputError, match="differ"):
+            crop_regions((frame, np.zeros((20, 21, 3), dtype=np.uint8)), [ok], (4, 4))
+        with pytest.raises(InvalidInputError, match="no frames"):
+            crop_regions((), [ok], (4, 4))
+        with pytest.raises(InvalidInputError, match="patch size"):
+            crop_regions((frame,), [ok], (0, 4))
+        with pytest.raises(InvalidInputError, match="differ"):
+            make_states(frame, np.zeros((21, 20, 3), dtype=np.uint8), [ok], 1.5, 8)

@@ -7,7 +7,7 @@ import pytest
 from trackdistill import trackers
 from trackdistill.errors import InvalidInputError, NumericError, TeacherError
 from trackdistill.geometry import Box, apply_action, iou
-from trackdistill.mdp import make_state
+from trackdistill.mdp import make_state, make_states
 from trackdistill.model import HiddenSchedule, StudentConfig, StudentModel
 from trackdistill.teachers import (
     ExternalFactory,
@@ -339,14 +339,14 @@ def reference_trasfust(video, model, params, pool):
 
 
 def count_crops(monkeypatch):
-    """Record (frame, anchor) for every make_state call the trackers make."""
+    """Record (frame, anchors) for every make_states call the trackers make."""
     calls = []
 
-    def counting(frame_prev, frame_cur, box, context, patch_size):
-        calls.append((id(frame_cur), box))
-        return make_state(frame_prev, frame_cur, box, context, patch_size)
+    def counting(frame_prev, frame_cur, boxes, context, patch_size):
+        calls.append((id(frame_cur), tuple(boxes)))
+        return make_states(frame_prev, frame_cur, boxes, context, patch_size)
 
-    monkeypatch.setattr(trackers, "make_state", counting)
+    monkeypatch.setattr(trackers, "make_states", counting)
     return calls
 
 
@@ -377,12 +377,12 @@ class TestBatchedLanes:
         chain = run_teacher_on_video(teacher, video).boxes
         outputs = [video.ground_truth[0]] + run.boxes
         want = [
-            (id(video.frames[t]), box)
+            (id(video.frames[t]), tuple(dict.fromkeys((outputs[t - 1], chain[t - 1]))))
             for t in range(1, len(video.frames))
-            for box in dict.fromkeys((outputs[t - 1], chain[t - 1]))
         ]
-        assert calls == want
-        assert len(calls) < 2 * len(run.boxes)  # the shared anchors were cropped once
+        assert calls == want  # one call per frame, each distinct anchor once, in lane order
+        cropped = sum(len(boxes) for _, boxes in calls)
+        assert cropped < 2 * len(run.boxes)  # the shared anchors were cropped once
 
     def test_trasfust_crops_each_distinct_anchor_once(self, monkeypatch):
         video = small_video(43, frames=20)
@@ -392,12 +392,12 @@ class TestBatchedLanes:
         trasfust(video, video.ground_truth[0], self.model, self.params, pool)
         chains = [run_teacher_on_video(f, video).boxes for f in pool]
         want = [
-            (id(video.frames[t]), box)
+            (id(video.frames[t]), tuple(dict.fromkeys(chain[t - 1] for chain in chains)))
             for t in range(1, len(video.frames))
-            for box in dict.fromkeys(chain[t - 1] for chain in chains)
         ]
-        assert calls == want
-        assert len(calls) < 2 * (len(video.frames) - 1)  # "b" and "c" always agree
+        assert calls == want  # one call per frame, each distinct anchor once, in lane order
+        cropped = sum(len(boxes) for _, boxes in calls)
+        assert cropped < 2 * (len(video.frames) - 1)  # "b" and "c" always agree
 
     @pytest.mark.parametrize("protocol", ["tras", "trast", "trasfust"])
     def test_nonfinite_output_names_protocol_video_and_frame(self, protocol):
@@ -453,13 +453,15 @@ class TestSerialization:
     def test_header_shape(self, tmp_path):
         path = str(tmp_path / "run.csv")
         write_trackrun(path, self.make_run())
-        first = open(path).readline().strip()
+        with open(path) as fh:
+            first = fh.readline().strip()
         assert first == "t,x,y,w,h,controller,v_student,v_t9"
 
     def test_frames_numbered_from_one(self, tmp_path):
         path = str(tmp_path / "run.csv")
         write_trackrun(path, self.make_run())
-        lines = open(path).read().strip().splitlines()
+        with open(path) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[1].split(",")[0] == "1"
         assert lines[2].split(",")[0] == "2"
 
@@ -469,7 +471,8 @@ class TestSerialization:
         run = tras(video, video.ground_truth[0], model, np.zeros(model.n_params))
         path = str(tmp_path / "tras.csv")
         write_trackrun(path, run)
-        assert open(path).readline().strip() == "t,x,y,w,h,controller,v_student"
+        with open(path) as fh:
+            assert fh.readline().strip() == "t,x,y,w,h,controller,v_student"
         back = read_trackrun(path)
         assert back.teacher_ids() == []
         assert len(back.boxes) == 4

@@ -30,7 +30,6 @@ class State:
 
     patch_prev: np.ndarray
     patch_cur: np.ndarray
-    anchor: Box
 
 
 def make_states(
@@ -49,7 +48,7 @@ def make_states(
         [context_region(box, context) for box in boxes],
         (patch_size, patch_size),
     )
-    return [State(patch_prev=p[0], patch_cur=p[1], anchor=box) for p, box in zip(patches, boxes)]
+    return [State(patch_prev=p[0], patch_cur=p[1]) for p in patches]
 
 
 def make_state(

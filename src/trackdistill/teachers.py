@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, ProtocolError, TeacherError
-from .geometry import MIN_SIDE, Box, infer_action, iou
+from .geometry import MIN_SIDE, Box
 from .video import Video, read_groundtruth, write_groundtruth, write_ppm
 
 # Relative perturbation cap: scale factors stay in [0.2, 1.8] at kappa = 1.6.
@@ -52,19 +52,6 @@ _KAPPA_MAX = 1.6
 WIRE_TIMEOUT = 5.0
 EXIT_GRACE = 1.0  # seconds an external teacher has to exit after its input closes
 STDERR_TAIL = 2048  # bytes of an external teacher's stderr quoted in its TeacherError
-
-
-def teacher_action(teacher_box: Box, prev: Box) -> np.ndarray:
-    """The clamped relative motion a teacher's box implies from the previous box."""
-    return infer_action(teacher_box, prev)
-
-
-def best_teacher(predictions: Sequence[Box], gt: Box) -> int:
-    """Index of the prediction with the highest overlap; ties go to the lowest index."""
-    if len(predictions) == 0:
-        raise InvalidInputError("best_teacher on an empty pool")
-    ious = np.array([iou(p, gt) for p in predictions])
-    return int(np.argmax(ious))
 
 
 @dataclass

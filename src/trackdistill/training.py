@@ -1,14 +1,15 @@
 """Offline trainer: imitation and reinforcement over teacher demonstrations.
 
-Workers roll episodes over transfer-set chunks. Distilling workers execute
-their own policy and regress masked L1 toward the best teacher's action;
-autonomous workers execute Gaussian samples around the policy mean (spread
-set by the distance to the ground-truth action) and optimize an advantage
-actor-critic objective. All workers send per-window gradients to one shared
-parameter store. The workers are logical: ``train`` interleaves them on the
-calling thread, one whole episode per turn in a fixed round-robin order, so a
-run is a pure function of its inputs and seed, and an error in any episode
-propagates out of ``train``.
+Episodes play transfer-set chunks: each ``TransferChunk`` holds frames,
+ground truth and the boxes of the one teacher that recorded it. Distilling
+workers execute their own policy and regress masked L1 toward that teacher's
+action; autonomous workers execute Gaussian samples around the policy mean
+(spread set by the distance to the ground-truth action) and optimize an
+advantage actor-critic objective. Every window's gradient goes to one shared
+parameter store. A worker is a (kind, rng, shuffled chunk order) triple:
+``train`` interleaves the workers on the calling thread, one whole episode per
+turn in a fixed round-robin order, so a run is a pure function of its inputs
+and seed, and an error in any episode propagates out of ``train``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NumericError
-from .geometry import Box, apply_action, infer_action
+from .geometry import apply_action, infer_action
 from .mdp import State, TrackingEpisode, reward
 from .model import HiddenState, StudentModel, save_params
-from .teachers import best_teacher, teacher_action
 from .transferset import TransferChunk
 
 DISTILLING = "distilling"
@@ -284,10 +284,10 @@ class OptimizerConfig:
 class SharedWeights:
     """The master parameter vector plus optimizer state.
 
-    Reads hand out full copies; updates are counted. Every update, rejection
-    and ``log_entry`` call is kept in ``log`` and, given ``log_file``, written
-    to it as one JSON line and flushed at once. With ``record_deltas`` every
-    applied delta is kept so a replay can reproduce the final vector bitwise.
+    Reads hand out full copies; updates are counted. Given ``log_file``, every
+    update, rejection and ``log_entry`` call is written to it as one JSON line
+    and flushed at once. With ``record_deltas`` every applied delta is kept so
+    a replay can reproduce the final vector bitwise.
 
     The optimizer works in preallocated buffers; each element goes through the
     same operations in the same order as the textbook formulas, so results are
@@ -304,7 +304,6 @@ class SharedWeights:
         opt.validate()
         self.opt = opt
         self._params = np.array(params, dtype=np.float64, copy=True)
-        self.initial = self._params.copy()
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
         self._g = np.empty_like(self._params)
@@ -314,14 +313,12 @@ class SharedWeights:
         self.update_count = 0
         self.rejected_count = 0
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
-        self.log: List[dict] = []
         self._log_file = log_file
 
     def snapshot(self) -> np.ndarray:
         return self._params.copy()
 
     def log_entry(self, entry: dict) -> None:
-        self.log.append(entry)
         if self._log_file is not None:
             self._log_file.write(json.dumps(entry) + "\n")
             self._log_file.flush()
@@ -459,32 +456,6 @@ class CurriculumStore:
 # -- episodes and workers ------------------------------------------------------
 
 
-@dataclass
-class EpisodeSource:
-    """A playable window: frames, ground truth, and per-teacher boxes."""
-
-    key: tuple
-    video_id: str
-    frames: List[np.ndarray]
-    gt: List[Box]
-    teacher_boxes: Dict[str, List[Box]]
-
-
-def chunk_sources(chunks: Sequence[TransferChunk]) -> List[EpisodeSource]:
-    out = []
-    for ch in chunks:
-        out.append(
-            EpisodeSource(
-                key=(ch.video_id, ch.teacher_id, ch.start),
-                video_id=ch.video_id,
-                frames=ch.frames,
-                gt=ch.gt,
-                teacher_boxes={ch.teacher_id: ch.teacher_boxes},
-            )
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class WorkerConfig:
     t_max: int = 5
@@ -500,42 +471,36 @@ class WorkerConfig:
             raise ConfigError("gamma must be in (0, 1]")
 
 
-def _best_teacher_step(
-    source: EpisodeSource, t: int, b_prev: Box, gt: Box
-) -> Tuple[np.ndarray, float, float]:
-    """Best pool member at frame t: its action from b_prev, the reward that
-    action earns from b_prev, and the teacher's own-chain reward."""
-    ids = sorted(source.teacher_boxes)
-    boxes = [source.teacher_boxes[tid][t] for tid in ids]
-    k = best_teacher(boxes, gt)
-    ta = teacher_action(boxes[k], b_prev)
-    r_candidate = reward(apply_action(ta, b_prev), gt)
-    r_own = reward(boxes[k], gt)
-    return ta, r_candidate, r_own
-
-
 def run_episode(
     model: StudentModel,
     theta: np.ndarray,
-    source: EpisodeSource,
+    chunk: TransferChunk,
     kind: str,
     cfg: WorkerConfig,
     shared: SharedWeights,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     horizon: Optional[int] = None,
-    meta: Optional[dict] = None,
+    worker: int = 0,
 ) -> Tuple[float, float, List[EpisodeRecord]]:
-    """Roll one episode under frozen theta, sending one gradient per window.
+    """Play one chunk under frozen theta as worker ``worker`` of kind ``kind``,
+    sending one gradient per window.
 
-    The model runs forward exactly once per env step. A window's gradient
-    backpropagates through those same steps' caches, and the step that gives
-    a cut window its bootstrap value is the next window's first step.
+    The teacher target of each step is the action from the student's current
+    box to the chunk's teacher box on the next frame. ``rng`` draws the autonomous worker's action
+    samples; a distilling worker draws none. The model runs forward exactly
+    once per env step. A window's gradient backpropagates through those same
+    steps' caches, and the step that gives a cut window its bootstrap value is
+    the next window's first step.
 
-    Returns (sum of student rewards, sum of best-teacher own rewards, records).
+    Returns (sum of student rewards, sum of teacher own rewards, records).
     """
+    if kind not in (DISTILLING, AUTONOMOUS):
+        raise ConfigError(f"unknown worker kind {kind!r}")
+    if kind == AUTONOMOUS and rng is None:
+        raise ConfigError("an autonomous worker needs an rng")
     cfg.validate()
     episode = TrackingEpisode(
-        source.frames, source.gt, cfg.context, model.config.patch_size, horizon=horizon
+        chunk.frames, chunk.gt, cfg.context, model.config.patch_size, horizon=horizon
     )
     loss_kind = "distill" if kind == DISTILLING else "rl"
 
@@ -544,7 +509,7 @@ def run_episode(
         if not (np.all(np.isfinite(out.action)) and math.isfinite(out.value)):
             raise NumericError(
                 f"non-finite model output at step {episode.t + 1} of an episode "
-                f"on {source.video_id}"
+                f"on {chunk.video_id}"
             )
         return out, hidden
 
@@ -563,17 +528,19 @@ def run_episode(
             out, hidden = pending
             t_next = episode.t + 1
             b_prev = episode.box
-            ta, r_cand, r_own = _best_teacher_step(source, t_next, b_prev, source.gt[t_next])
+            gt = chunk.gt[t_next]
+            teacher_box = chunk.teacher_boxes[t_next]
+            ta = infer_action(teacher_box, b_prev)
             if kind == DISTILLING:
                 sample = None
                 executed = out.action
             else:
-                gt_action = infer_action(source.gt[t_next], b_prev)
+                gt_action = infer_action(gt, b_prev)
                 sample = sample_action(out.action, gt_action, rng, cfg.sigma_floor)
                 executed = sample.action
             next_state, r, done = episode.step(executed)
             sum_r_student += r
-            sum_r_teacher += r_own
+            sum_r_teacher += reward(teacher_box, gt)
             steps.append(
                 StepRecord(
                     state=state,
@@ -585,7 +552,7 @@ def run_episode(
                     raw=None if sample is None else sample.raw,
                     sigma=None if sample is None else sample.sigma,
                     teacher_action=ta,
-                    mask=mask(r, r_cand),
+                    mask=mask(r, reward(apply_action(ta, b_prev), gt)),
                 )
             )
             caches.append(out.cache)
@@ -605,58 +572,14 @@ def run_episode(
             advantages(record, cfg.gamma), returns(record, cfg.gamma, cfg.returns_mode),
         )
         entry = {
-            "worker": -1,
+            "worker": worker,
             "loss": float(loss),
             "sum_reward": float(sum_r_student),
-            "video_id": source.video_id,
+            "video_id": chunk.video_id,
             "T_hat": episode.horizon,
         }
-        entry.update(meta or {})
         shared.update(grad, kind, entry)
     return sum_r_student, sum_r_teacher, records
-
-
-def run_worker(
-    kind: str,
-    sources: Iterable[EpisodeSource],
-    shared: SharedWeights,
-    model: StudentModel,
-    cfg: WorkerConfig,
-    curriculum: Optional[CurriculumStore] = None,
-    rng: Optional[np.random.Generator] = None,
-    worker_id: int = 0,
-) -> int:
-    """Consume episode sources until exhaustion; returns the episode count.
-
-    Theta is re-snapshot once per episode, never mid-episode. ``rng`` draws
-    the autonomous worker's action samples; a distilling worker draws none.
-    """
-    if kind not in (DISTILLING, AUTONOMOUS):
-        raise ConfigError(f"unknown worker kind {kind!r}")
-    if kind == AUTONOMOUS and rng is None:
-        raise ConfigError("an autonomous worker needs an rng")
-    episodes = 0
-    for source in sources:
-        max_horizon = len(source.frames) - 1
-        horizon = (
-            curriculum.horizon(source.key, max_horizon) if curriculum else max_horizon
-        )
-        theta = shared.snapshot()
-        sum_s, sum_t, _ = run_episode(
-            model,
-            theta,
-            source,
-            kind,
-            cfg,
-            shared,
-            rng,
-            horizon=horizon,
-            meta={"worker": worker_id},
-        )
-        if curriculum is not None:
-            curriculum.update(source.key, max_horizon, sum_s, sum_t)
-        episodes += 1
-    return episodes
 
 
 # -- the training orchestrator -------------------------------------------------
@@ -694,11 +617,11 @@ class TrainResult:
 
 
 def _endless_shuffle(
-    sources: List[EpisodeSource], rng: np.random.Generator
-) -> Iterable[EpisodeSource]:
+    chunks: Sequence[TransferChunk], rng: np.random.Generator
+) -> Iterator[TransferChunk]:
     while True:
-        for i in rng.permutation(len(sources)):
-            yield sources[int(i)]
+        for i in rng.permutation(len(chunks)):
+            yield chunks[int(i)]
 
 
 def train(
@@ -716,9 +639,11 @@ def train(
 
     Workers take turns in round-robin order, one whole episode each, and the
     budget is checked before every turn, so a run overshoots it by less than
-    one episode. Each worker keeps its own RNG stream and shuffled source
-    order. ``train_log.jsonl`` gets every update, rejection and validation as
-    it happens.
+    one episode. Each worker keeps its own RNG stream and shuffled chunk
+    order, and plays every episode under one snapshot of the parameters; with
+    the curriculum on, a chunk's horizon is keyed by (video, teacher, start).
+    ``train_log.jsonl`` gets every update, rejection and validation as it
+    happens.
 
     ``validate_fn`` maps a parameter vector to a held-out score (higher is
     better). It runs before the first turn and then between turns, once the
@@ -728,8 +653,7 @@ def train(
     """
     settings.validate()
     worker_cfg.validate()
-    sources = chunk_sources(chunks)
-    if not sources:
+    if not chunks:
         raise ConfigError("no training chunks; transfer set is empty")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -745,7 +669,7 @@ def train(
             DISTILLING if w < n_distill else AUTONOMOUS,
             np.random.default_rng(np.random.SeedSequence([settings.seed, 7, w])),
             _endless_shuffle(
-                sources, np.random.default_rng(np.random.SeedSequence([settings.seed, 11, w]))
+                chunks, np.random.default_rng(np.random.SeedSequence([settings.seed, 11, w]))
             ),
         )
         for w in range(settings.workers)
@@ -786,11 +710,18 @@ def train(
         for w in itertools.cycle(range(settings.workers)):
             if shared.update_count >= settings.max_updates:
                 break
-            kind, rng, worker_sources = workers[w]
+            kind, rng, order = workers[w]
             # one turn: this worker's next episode
-            run_worker(
-                kind, [next(worker_sources)], shared, model, worker_cfg, curriculum, rng, w
-            )
+            chunk = next(order)
+            key = (chunk.video_id, chunk.teacher_id, chunk.start)
+            max_horizon = len(chunk) - 1
+            horizon = curriculum.horizon(key, max_horizon) if curriculum else max_horizon
+            # [:2] drops the records now rather than holding them through the next turn
+            sum_s, sum_t = run_episode(
+                model, shared.snapshot(), chunk, kind, worker_cfg, shared, rng, horizon, w
+            )[:2]
+            if curriculum is not None:
+                curriculum.update(key, max_horizon, sum_s, sum_t)
             if validate_fn is not None and shared.update_count >= next_val:
                 bad_rounds = 0 if validate() else bad_rounds + 1
                 next_val = shared.update_count + settings.val_every
@@ -830,7 +761,6 @@ def synthetic_record(
         State(
             patch_prev=rng.uniform(0, 255, (p, p, 3)),
             patch_cur=rng.uniform(0, 255, (p, p, 3)),
-            anchor=Box(0, 0, 10, 10),
         )
         for _ in range(n_steps)
     ]

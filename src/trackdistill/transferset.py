@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ParseError
 from .geometry import Box, iou
-from .teachers import TrajectoryTrace, load_trace
+from .teachers import TrajectoryTrace, load_trace, trace_path
 from .video import Video
 
 CHUNK_LENGTH = 32
@@ -224,7 +223,8 @@ def write_chunk_index(
 
 
 def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> List[TransferChunk]:
-    """Rebuild chunks from an index file against a dataset and trace directory."""
+    """Rebuild chunks from an index file against a dataset and trace directory.
+    A trace whose length differs from its video's raises ``ParseError``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -242,7 +242,13 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
         video = videos[vid_id]
         key = (tid, vid_id)
         if key not in trace_cache:
-            trace_cache[key] = load_trace(trace_root, tid, vid_id)
+            trace = load_trace(trace_root, tid, vid_id)
+            if len(trace.boxes) != len(video):
+                raise ParseError(
+                    f"{trace_path(trace_root, tid, vid_id)}: trace has {len(trace.boxes)} "
+                    f"boxes, video {vid_id!r} has {len(video)} frames"
+                )
+            trace_cache[key] = trace
         trace = trace_cache[key]
         if start < 0 or start + length > len(video):
             raise ParseError(f"{path}: chunk start {start} out of range for {vid_id!r}")

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import sys
 
 import pytest
@@ -340,12 +341,31 @@ class TestTrainAndTrack:
 
 
 class TestTrainRun:
-    def train(self, pipeline, out, chunks=None):
+    def train(self, pipeline, out, chunks=None, traces=None):
         return main([
             "train", "--config", pipeline["ini"], "--seed", "3", "--out", str(out),
-            pipeline["data"], pipeline["traces"],
+            pipeline["data"], traces or pipeline["traces"],
             chunks or os.path.join(pipeline["filter"], "chunks.json"),
         ])
+
+    def test_short_trace_fails_at_load(self, pipeline, tmp_path, capsys):
+        # a trace cut short, as an interrupted save leaves it, is named
+        # before any training starts
+        traces = tmp_path / "traces"
+        shutil.copytree(pipeline["traces"], traces)
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            first = json.load(fh)["chunks"][0]
+        path = trace_path(str(traces), first["teacher"], first["video"])
+        with open(path) as fh:
+            rows = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(rows[:20])
+        out = tmp_path / "t"
+        assert self.train(pipeline, out, traces=str(traces)) == 2
+        err = capsys.readouterr().err
+        assert path in err
+        assert f"trace has 20 boxes, video {first['video']!r} has {len(rows)} frames" in err
+        assert not out.exists()
 
     def test_episode_error_exits_nonzero(self, pipeline, tmp_path, monkeypatch, capsys):
         real = mdp.make_state

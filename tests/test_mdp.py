@@ -83,12 +83,6 @@ class TestMakeState:
         np.testing.assert_array_equal(s.patch_prev, s.patch_cur)
         assert s.patch_prev.shape == (16, 16, 3)
 
-    def test_anchor_is_copied(self):
-        frame = np.zeros((20, 20, 3), dtype=np.uint8)
-        b = Box(2, 3, 5, 7)
-        s = make_state(frame, frame, b, 1.5, 8)
-        assert s.anchor == b
-
 
 class TestTrackingEpisode:
     @staticmethod
@@ -160,7 +154,10 @@ class TestTrackingEpisode:
     def test_custom_start_box(self):
         ep = self.static_episode()
         s = ep.reset(Box(0, 0, 5, 5))
-        assert s.anchor == Box(0, 0, 5, 5)
+        assert ep.box == Box(0, 0, 5, 5)
+        want = make_state(ep.frames[0], ep.frames[1], Box(0, 0, 5, 5), 1.5, 8)
+        np.testing.assert_array_equal(s.patch_prev, want.patch_prev)
+        np.testing.assert_array_equal(s.patch_cur, want.patch_cur)
 
     def test_mismatched_lengths_rejected(self):
         frame = np.zeros((10, 10, 3), dtype=np.uint8)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from trackdistill.errors import CheckpointError, ConfigError, NumericError, ParseError
-from trackdistill.geometry import Box
 from trackdistill.mdp import State
 from trackdistill.model import (
     GradCheckReport,
@@ -29,7 +28,6 @@ def random_state(rng, patch_size=16):
     return State(
         patch_prev=rng.uniform(0, 255, shape),
         patch_cur=rng.uniform(0, 255, shape),
-        anchor=Box(0, 0, 10, 10),
     )
 
 
@@ -81,8 +79,8 @@ class TestForward:
         b = rng.uniform(0, 255, (16, 16, 3))
         fa = model.encode_feature(params, a)
         fb = model.encode_feature(params, b)
-        sab = State(a, b, Box(0, 0, 5, 5))
-        sba = State(b, a, Box(0, 0, 5, 5))
+        sab = State(a, b)
+        sba = State(b, a)
         mus = {}
         for tag, st in (("ab", sab), ("ba", sba)):
             out, _ = model.forward(params, st, model.zero_hidden())

@@ -16,7 +16,6 @@ from trackdistill.teachers import (
     TeacherSession,
     TraceFactory,
     TrajectoryTrace,
-    best_teacher,
     calibrate_noise,
     close_factories,
     load_trace,
@@ -24,7 +23,6 @@ from trackdistill.teachers import (
     run_pool_on_video,
     run_teacher_on_video,
     save_trace,
-    teacher_action,
 )
 from trackdistill.video import SyntheticSpec, Video, generate_video
 
@@ -38,48 +36,6 @@ def gt_only_video(video_id, n, rng):
         for _ in range(n)
     ]
     return Video(video_id, [frame] * n, boxes)
-
-
-class TestBestTeacher:
-    def test_examples(self):
-        g = Box(0, 0, 10, 10)
-        pool = [Box(0, 0, 10, 3), Box(0, 0, 10, 9), Box(0, 0, 10, 7)]
-        assert best_teacher(pool, g) == 1
-        assert best_teacher([Box(0, 0, 10, 9), Box(0, 0, 10, 9)], g) == 0
-        assert best_teacher([Box(0, 0, 10, 3)], g) == 0
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(InvalidInputError):
-            best_teacher([], Box(0, 0, 10, 10))
-
-    def test_argmax_property(self):
-        rng = np.random.default_rng(61)
-        for _ in range(200):
-            g = Box(*rng.uniform(0, 30, 2), *rng.uniform(5, 20, 2))
-            pool = [
-                Box(*rng.uniform(0, 30, 2), *rng.uniform(5, 20, 2))
-                for _ in range(rng.integers(1, 8))
-            ]
-            k = best_teacher(pool, g)
-            winner = iou(pool[k], g)
-            for j, p in enumerate(pool):
-                assert winner >= iou(p, g)
-                if j < k:
-                    assert iou(p, g) < winner  # earlier index would have won a tie
-
-
-class TestTeacherAction:
-    def test_zero_when_equal(self):
-        b = Box(5, 5, 20, 10)
-        np.testing.assert_allclose(teacher_action(b, b), np.zeros(4), atol=1e-12)
-
-    def test_hand_pair(self):
-        a = teacher_action(Box(7, 13, 30, 8), Box(10, 10, 20, 10))
-        np.testing.assert_allclose(a, [0.1, 0.2, 0.5, -0.2], atol=1e-12)
-
-    def test_far_box_clamped(self):
-        a = teacher_action(Box(500, 500, 5, 5), Box(0, 0, 10, 10))
-        assert np.all(np.abs(a) <= 1.0)
 
 
 class TestOracleNoise:

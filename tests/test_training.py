@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from trackdistill import training
 from trackdistill.errors import ConfigError, InvalidInputError, NumericError
 from trackdistill.geometry import Box
 from trackdistill.mdp import State
@@ -16,7 +18,6 @@ from trackdistill.training import (
     CurriculumState,
     CurriculumStore,
     EpisodeRecord,
-    EpisodeSource,
     OptimizerConfig,
     SharedWeights,
     StepRecord,
@@ -31,12 +32,12 @@ from trackdistill.training import (
     replay_deltas,
     returns,
     run_episode,
-    run_worker,
     sample_action,
     synthetic_record,
     train,
     window_loss_fn,
 )
+from trackdistill.transferset import TransferChunk
 
 SMALL = StudentConfig(patch_size=16, conv_channels=(4, 8), fc_dim=16, hidden_dim=12)
 
@@ -495,34 +496,40 @@ class TestSharedWeights:
         npt.assert_array_equal(sw.snapshot(), np.zeros(3))
 
     def test_nonfinite_gradient_rejected_and_logged(self):
-        sw = SharedWeights(np.ones(3), OptimizerConfig(method="sgd"))
+        log = io.StringIO()
+        sw = SharedWeights(np.ones(3), OptimizerConfig(method="sgd"), log_file=log)
         bad = np.array([1.0, np.nan, 0.0])
         ok = sw.update(bad, DISTILLING, {"worker": 4})
         assert not ok
         npt.assert_array_equal(sw.snapshot(), np.ones(3))
         assert sw.update_count == 0
         assert sw.rejected_count == 1
-        assert sw.log[-1]["rejected"] is True
-        assert sw.log[-1]["worker"] == 4
+        last = logged(log)[-1]
+        assert last["rejected"] is True
+        assert last["worker"] == 4
 
     def test_update_count_strictly_increases(self):
-        sw = SharedWeights(np.zeros(2), OptimizerConfig(method="sgd", weight_decay=0.0))
+        log = io.StringIO()
+        sw = SharedWeights(
+            np.zeros(2), OptimizerConfig(method="sgd", weight_decay=0.0), log_file=log
+        )
         for i in range(5):
             sw.update(np.ones(2), DISTILLING)
             assert sw.update_count == i + 1
-            assert sw.log[-1]["update"] == i + 1
+            assert logged(log)[-1]["update"] == i + 1
 
     def test_delta_replay_is_bitwise(self):
         rng = np.random.default_rng(41)
+        initial = rng.normal(size=20)
         sw = SharedWeights(
-            rng.normal(size=20),
+            initial,
             OptimizerConfig(method="radam", lr=0.01),
             record_deltas=True,
         )
         for _ in range(60):
             kind = DISTILLING if rng.integers(2) == 0 else AUTONOMOUS
             sw.update(rng.normal(size=20), kind)
-        replayed = replay_deltas(sw.initial, sw.deltas)
+        replayed = replay_deltas(initial, sw.deltas)
         assert np.array_equal(replayed, sw.snapshot())
 
 
@@ -573,18 +580,19 @@ class TestCurriculum:
             CurriculumStore(initial_horizon=0)
 
 
-def noise_source(rng, n_frames=13, size=48, video_id="v0", teacher_offset=0.0):
-    """Frames of flat noise with a drifting ground-truth box; the lone teacher
-    reports ground truth shifted right by teacher_offset pixels."""
-    frames = [rng.integers(0, 255, (size, size, 3), dtype=np.uint8) for _ in range(n_frames)]
+def logged(log_file):
+    """The entries a SharedWeights wrote to an in-memory log file."""
+    return [json.loads(line) for line in log_file.getvalue().splitlines()]
+
+
+def make_chunk(rng, video_id="v0", n_frames=7):
+    """Frames of 48x48 noise with a drifting ground-truth box; the teacher
+    reports ground truth."""
+    frames = [rng.integers(0, 255, (48, 48, 3), dtype=np.uint8) for _ in range(n_frames)]
     gt = [Box(8.0 + 0.5 * t, 8.0, 14.0, 12.0) for t in range(n_frames)]
-    tb = [Box(b.x + teacher_offset, b.y, b.w, b.h) for b in gt]
-    return EpisodeSource(
-        key=(video_id, "t0", 0),
-        video_id=video_id,
-        frames=frames,
-        gt=gt,
-        teacher_boxes={"t0": tb},
+    return TransferChunk(
+        video_id=video_id, teacher_id="t0", start=0,
+        frames=frames, gt=gt, teacher_boxes=list(gt),
     )
 
 
@@ -596,10 +604,10 @@ class TestRunEpisode:
 
     def test_window_boundaries_5_10_12(self):
         rng = np.random.default_rng(0)
-        source = noise_source(rng)  # 13 frames -> horizon 12
+        chunk = make_chunk(rng, n_frames=13)  # horizon 12
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, DISTILLING, self.cfg, sw,
+            self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1), horizon=12,
         )
         assert [len(r.steps) for r in records] == [5, 5, 2]
@@ -608,10 +616,10 @@ class TestRunEpisode:
 
     def test_terminal_window_bootstraps_zero(self):
         rng = np.random.default_rng(0)
-        source = noise_source(rng, n_frames=4)
+        chunk = make_chunk(rng, n_frames=4)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, AUTONOMOUS, self.cfg, sw,
+            self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(1),
         )
         assert len(records) == 1
@@ -622,10 +630,10 @@ class TestRunEpisode:
         # the reference path re-runs the forward pass; the rollout's own
         # hidden chain has to land on the same numbers or gradients lie
         rng = np.random.default_rng(7)
-        source = noise_source(rng)
+        chunk = make_chunk(rng, n_frames=13)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, AUTONOMOUS, self.cfg, sw,
+            self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
         )
         for rec in records:
@@ -638,10 +646,10 @@ class TestRunEpisode:
 
     def test_distilling_worker_executes_own_policy(self):
         rng = np.random.default_rng(5)
-        source = noise_source(rng, n_frames=6)
+        chunk = make_chunk(rng, n_frames=6)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, DISTILLING, self.cfg, sw,
+            self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1),
         )
         for rec in records:
@@ -651,10 +659,10 @@ class TestRunEpisode:
 
     def test_autonomous_worker_executes_clamped_samples(self):
         rng = np.random.default_rng(5)
-        source = noise_source(rng, n_frames=6)
+        chunk = make_chunk(rng, n_frames=6)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, AUTONOMOUS, self.cfg, sw,
+            self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(1),
         )
         saw_sample = False
@@ -670,10 +678,10 @@ class TestRunEpisode:
         # the teacher reports ground truth, so its candidate reward is 1.0
         # on every step and any imperfect student step is masked in
         rng = np.random.default_rng(9)
-        source = noise_source(rng, n_frames=6, teacher_offset=0.0)
+        chunk = make_chunk(rng, n_frames=6)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         sum_s, sum_t, records = run_episode(
-            self.model, self.params, source, DISTILLING, self.cfg, sw,
+            self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1),
         )
         assert sum_t == 5.0  # perfect own-chain reward, 5 steps
@@ -684,14 +692,63 @@ class TestRunEpisode:
 
     def test_horizon_limits_steps(self):
         rng = np.random.default_rng(0)
-        source = noise_source(rng)
+        chunk = make_chunk(rng, n_frames=13)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, DISTILLING, self.cfg, sw,
+            self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1), horizon=1,
         )
         assert [len(r.steps) for r in records] == [1]
         assert records[0].terminated
+
+    def test_default_worker_config_follows_model_patch_size(self):
+        # a 16-px model under a default WorkerConfig crops 16-px patches
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        rng = np.random.default_rng(0)
+        for kind in (DISTILLING, AUTONOMOUS):
+            for i in range(2):
+                _, _, records = run_episode(
+                    self.model, sw.snapshot(), make_chunk(rng, f"v{i}", n_frames=6), kind,
+                    WorkerConfig(), sw, np.random.default_rng(0),
+                )
+                assert records[0].steps[0].state.patch_prev.shape == (16, 16, 3)
+        assert sw.update_count == 4  # 5 steps -> one window per episode
+
+    def test_autonomous_worker_needs_rng(self):
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        with pytest.raises(ConfigError, match="rng"):
+            run_episode(
+                self.model, self.params, make_chunk(np.random.default_rng(0)), AUTONOMOUS,
+                self.cfg, sw, None,
+            )
+        assert sw.update_count == 0
+
+    def test_unknown_kind(self):
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        with pytest.raises(ConfigError, match="observer"):
+            run_episode(
+                self.model, self.params, make_chunk(np.random.default_rng(0)), "observer",
+                self.cfg, sw, np.random.default_rng(0),
+            )
+        assert sw.update_count == 0
+
+    def test_autonomous_episodes_are_deterministic(self):
+        def go():
+            log = io.StringIO()
+            sw = SharedWeights(
+                self.params, OptimizerConfig(method="radam", lr=1e-3, weight_decay=0.0),
+                log_file=log,
+            )
+            chunk_rng, rng = np.random.default_rng(5), np.random.default_rng(77)
+            for i in range(3):
+                chunk = make_chunk(chunk_rng, f"v{i}", n_frames=6)
+                run_episode(self.model, sw.snapshot(), chunk, AUTONOMOUS, self.cfg, sw, rng)
+            return sw.snapshot(), [e["loss"] for e in logged(log)]
+
+        p1, l1 = go()
+        p2, l2 = go()
+        assert np.array_equal(p1, p2)
+        assert l1 == l2
 
 
 class RecordingShared(SharedWeights):
@@ -730,10 +787,10 @@ class TestRolloutGradients:
 
     @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
     def test_sent_gradient_equals_reference(self, kind):
-        source = noise_source(np.random.default_rng(7))
+        chunk = make_chunk(np.random.default_rng(7), n_frames=13)
         sw = RecordingShared(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, kind, self.cfg, sw,
+            self.model, self.params, chunk, kind, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
         )
         assert [r.terminated for r in records] == [False, False, True]
@@ -744,10 +801,10 @@ class TestRolloutGradients:
             assert entry["loss"] == loss
 
     def test_bootstrap_is_next_window_first_value(self):
-        source = noise_source(np.random.default_rng(7))
+        chunk = make_chunk(np.random.default_rng(7), n_frames=13)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            self.model, self.params, source, AUTONOMOUS, self.cfg, sw,
+            self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
         )
         for cut, following in zip(records, records[1:]):
@@ -757,7 +814,7 @@ class TestRolloutGradients:
         model = CountingModel(SMALL)
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         _, _, records = run_episode(
-            model, self.params, noise_source(np.random.default_rng(7)), DISTILLING,
+            model, self.params, make_chunk(np.random.default_rng(7), n_frames=13), DISTILLING,
             self.cfg, sw, np.random.default_rng(2), horizon=12,
         )
         assert model.forward_calls == sum(len(r.steps) for r in records) == 12
@@ -769,109 +826,10 @@ class TestRolloutGradients:
         sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
         with pytest.raises(NumericError, match="step 1 .* on v0"):
             run_episode(
-                self.model, params, noise_source(np.random.default_rng(7)), DISTILLING,
+                self.model, params, make_chunk(np.random.default_rng(7), n_frames=13), DISTILLING,
                 self.cfg, sw, np.random.default_rng(2), horizon=12,
             )
         assert sw.update_count == 0
-
-
-class CountingShared(SharedWeights):
-    def __init__(self, *a, **kw):
-        super().__init__(*a, **kw)
-        self.snapshot_calls = 0
-
-    def snapshot(self):
-        self.snapshot_calls += 1
-        return super().snapshot()
-
-
-class TestRunWorker:
-    def setup_method(self):
-        self.model = StudentModel(SMALL)
-        self.params = self.model.init_params(3)
-        self.cfg = WorkerConfig(t_max=5)
-
-    def sources(self, n, seed=0, frames=6):
-        rng = np.random.default_rng(seed)
-        return [
-            noise_source(rng, n_frames=frames, video_id=f"v{i}") for i in range(n)
-        ]
-
-    def test_exhaustion_ends_cleanly(self):
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        n = run_worker(
-            DISTILLING, self.sources(3), sw, self.model, self.cfg,
-            rng=np.random.default_rng(0),
-        )
-        assert n == 3
-        assert sw.update_count == 3  # 5 frames -> one window each
-
-    def test_snapshot_once_per_episode(self):
-        sw = CountingShared(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        run_worker(
-            DISTILLING, self.sources(4, frames=13), sw, self.model, self.cfg,
-            rng=np.random.default_rng(0),
-        )
-        assert sw.snapshot_calls == 4  # one per episode despite 3 windows each
-
-    def test_default_worker_config_follows_model_patch_size(self):
-        # a 16-px model under a default WorkerConfig crops 16-px patches
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        for kind in (DISTILLING, AUTONOMOUS):
-            n = run_worker(
-                kind, self.sources(2), sw, self.model, WorkerConfig(),
-                rng=np.random.default_rng(0),
-            )
-            assert n == 2
-        assert sw.update_count == 4
-
-    def test_autonomous_worker_needs_rng(self):
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        with pytest.raises(ConfigError, match="rng"):
-            run_worker(AUTONOMOUS, self.sources(1), sw, self.model, self.cfg)
-        assert sw.update_count == 0
-
-    def test_curriculum_shortens_early_episodes(self):
-        store = CurriculumStore(initial_horizon=1)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
-        src = self.sources(1, frames=13)
-        run_worker(
-            DISTILLING, src, sw, self.model, self.cfg, curriculum=store,
-            rng=np.random.default_rng(0),
-        )
-        assert sw.log[-1]["T_hat"] == 1
-
-    def test_single_worker_is_deterministic(self):
-        def go():
-            sw = SharedWeights(
-                self.params, OptimizerConfig(method="radam", lr=1e-3, weight_decay=0.0)
-            )
-            run_worker(
-                AUTONOMOUS, self.sources(3, seed=5), sw, self.model, self.cfg,
-                rng=np.random.default_rng(77),
-            )
-            return sw.snapshot(), [e["loss"] for e in sw.log]
-
-        p1, l1 = go()
-        p2, l2 = go()
-        assert np.array_equal(p1, p2)
-        assert l1 == l2
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            run_worker("observer", [], SharedWeights(self.params, OptimizerConfig()),
-                       self.model, self.cfg)
-
-
-def make_chunk(rng, video_id, n_frames=7):
-    from trackdistill.transferset import TransferChunk
-
-    frames = [rng.integers(0, 255, (48, 48, 3), dtype=np.uint8) for _ in range(n_frames)]
-    gt = [Box(8.0 + 0.5 * t, 8.0, 14.0, 12.0) for t in range(n_frames)]
-    return TransferChunk(
-        video_id=video_id, teacher_id="t0", start=0,
-        frames=frames, gt=gt, teacher_boxes=[b for b in gt],
-    )
 
 
 class TestTrain:
@@ -1019,6 +977,58 @@ class TestTrain:
         assert first == run(tmp_path / "b")
         workers = {json.loads(line).get("worker") for line in first[1].splitlines()}
         assert workers - {None} == set(range(8))
+
+    def test_snapshot_once_per_episode(self, tmp_path, monkeypatch):
+        # one snapshot per turn, taken before the episode and never inside
+        # it, although each 13-frame chunk plays as 3 windows
+        calls = []
+        snapshot, episode = SharedWeights.snapshot, training.run_episode
+
+        def counted_snapshot(shared):
+            calls.append("snapshot")
+            return snapshot(shared)
+
+        def counted_episode(*args, **kwargs):
+            calls.append("episode")
+            result = episode(*args, **kwargs)
+            assert len(result[2]) == 3
+            return result
+
+        monkeypatch.setattr(SharedWeights, "snapshot", counted_snapshot)
+        monkeypatch.setattr(training, "run_episode", counted_episode)
+        rng = np.random.default_rng(0)
+        res = train(
+            StudentModel(SMALL), [make_chunk(rng, f"v{i}", n_frames=13) for i in range(2)],
+            TrainSettings(workers=2, max_updates=12, seed=0, curriculum=False),
+            WorkerConfig(t_max=5),
+            OptimizerConfig(method="sgd", lr=1e-4),
+            str(tmp_path),
+        )
+        assert res.updates == 12
+        # the last snapshot is the checkpoint's
+        assert calls == ["snapshot", "episode"] * 4 + ["snapshot"]
+
+    def test_curriculum_shortens_early_episodes(self, tmp_path):
+        # with the curriculum on, a new chunk starts at the initial horizon;
+        # without it, every episode plays the whole 13-frame chunk
+        def first_horizon(curriculum):
+            res = train(
+                StudentModel(SMALL), [make_chunk(np.random.default_rng(0), n_frames=13)],
+                TrainSettings(
+                    workers=2, max_updates=1, seed=0, curriculum=curriculum,
+                    initial_horizon=2,
+                ),
+                WorkerConfig(t_max=5),
+                OptimizerConfig(method="sgd", lr=1e-4),
+                str(tmp_path / str(curriculum)),
+            )
+            with open(res.log_path) as fh:
+                first = json.loads(fh.readline())
+            assert first["worker"] == 0
+            return first["T_hat"]
+
+        assert first_horizon(True) == 2
+        assert first_horizon(False) == 12
 
     def test_log_is_written_as_it_happens(self, tmp_path):
         model = StudentModel(SMALL)

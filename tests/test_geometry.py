@@ -189,6 +189,11 @@ class TestMotionMaps:
         a = infer_action(Box(1000, 1000, 5, 5), Box(0, 0, 5, 5))
         assert np.all(a <= 1.0) and np.all(a >= -1.0)
 
+    def test_infer_far_box_clamped(self):
+        # a teacher box far off and smaller than the previous box
+        a = infer_action(Box(500, 500, 5, 5), Box(0, 0, 10, 10))
+        assert np.all(np.abs(a) <= 1.0)
+
     def test_min_side_floor(self):
         out = apply_action([0.0, 0.0, -1.0, -1.0], Box(0, 0, 10, 10))
         assert out.w == 1.0 and out.h == 1.0

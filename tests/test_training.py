@@ -917,6 +917,32 @@ class TestTrain:
         params = load_params(res.checkpoint_path, SMALL)
         np.testing.assert_array_equal(params, best_seen)
 
+    def test_finite_transfer_set_cycles_to_budget(self, tmp_path):
+        # two short chunks cannot fill the budget in one pass: each worker
+        # reshuffles and goes round again, and the run ends at the budget
+        import json as _json
+
+        from trackdistill.training import TrainSettings, train
+
+        model = StudentModel(SMALL)
+        rng = np.random.default_rng(0)
+        chunks = [make_chunk(rng, f"v{i}", n_frames=6) for i in range(2)]
+        res = train(
+            model, chunks, TrainSettings(workers=2, max_updates=8, seed=4),
+            WorkerConfig(t_max=5),
+            OptimizerConfig(method="sgd", lr=1e-5),
+            str(tmp_path),
+        )
+        assert res.updates == 8  # 5 frames -> one window per episode
+        entries = [
+            _json.loads(line) for line in open(res.log_path) if line.strip()
+        ]
+        applied = [e for e in entries if "update" in e and not e.get("validation")]
+        for w in range(2):
+            seen = [e["video_id"] for e in applied if e["worker"] == w]
+            assert len(seen) == 4
+            assert sorted(seen[:2]) == sorted(seen[2:]) == ["v0", "v1"]
+
     def test_worker_floor(self, tmp_path):
         from trackdistill.training import TrainSettings, train
 

@@ -65,19 +65,17 @@ def _parse_pool(text: str, seed: int) -> List[TeacherFactory]:
     specs = [p.strip() for p in text.split(",") if p.strip()]
     if not specs:
         raise InvalidInputError("empty teacher pool")
-    return [parse_teacher_spec(s, default_seed=seed) for s in specs]
+    pool = [parse_teacher_spec(s, default_seed=seed) for s in specs]
+    for k, factory in enumerate(pool):
+        if factory.teacher_id in [f.teacher_id for f in pool[:k]]:
+            raise InvalidInputError(f"teacher pool names {factory.teacher_id!r} twice")
+    return pool
 
 
 def _failed_dir(out_dir: str) -> str:
     path = os.path.join(out_dir, ".failed")
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _load_checkpoint(args, config: cfgmod.Config):
-    model = StudentModel(cfgmod.build(config, StudentConfig))
-    params = load_params(args.checkpoint, model.config)
-    return model, params
 
 
 def cmd_gen_data(args) -> int:
@@ -215,75 +213,46 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_runs(runs, out_dir: str) -> int:
+def cmd_track(args) -> int:
+    """``track`` (``--mode`` tras or trast) and ``fuse`` (whose parser sets the
+    mode to trasfust): one protocol over every video of the dataset."""
+    config = _load_config(args)
+    model = StudentModel(cfgmod.build(config, StudentConfig))
+    params = load_params(args.checkpoint, model.config)
+    videos = load_dataset(args.dataset)
+    if not videos:
+        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    context, evaluator = config["env.context"], config["eval.evaluator"]
+    pool: List[TeacherFactory] = []
+    if args.mode == "tras":
+        track = lambda v: tras(v, v.ground_truth[0], model, params, context)
+    elif args.mode == "trast":
+        spec = args.teacher or config["teachers.pool"].split(",")[0].strip()
+        pool = [parse_teacher_spec(spec, default_seed=args.seed)]
+        track = lambda v: trast(v, v.ground_truth[0], model, params, pool[0], context, evaluator)
+    else:
+        pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
+        track = lambda v: trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
+    os.makedirs(args.out, exist_ok=True)
+    cfgmod.echo_config(config, args.out)
+    try:
+        runs = [track(video) for video in videos]
+    finally:
+        close_factories(pool)
     ok = 0
     for run in runs:
         if run.partial:
-            path = os.path.join(_failed_dir(out_dir), f"{run.video_id}.csv")
-            write_trackrun(path, run)
+            write_trackrun(os.path.join(_failed_dir(args.out), f"{run.video_id}.csv"), run)
             print(
                 f"warning: {run.tracker} aborted on {run.video_id}: {run.error}; "
                 f"quarantined",
                 file=sys.stderr,
             )
         else:
-            write_trackrun(os.path.join(out_dir, f"{run.video_id}.csv"), run)
+            write_trackrun(os.path.join(args.out, f"{run.video_id}.csv"), run)
             ok += 1
-    return ok
-
-
-def cmd_track(args) -> int:
-    config = _load_config(args)
-    model, params = _load_checkpoint(args, config)
-    videos = load_dataset(args.dataset)
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
-    context = config["env.context"]
-    evaluator = config["eval.evaluator"]
-    os.makedirs(args.out, exist_ok=True)
-    cfgmod.echo_config(config, args.out)
-    runs = []
-    if args.mode == "tras":
-        for video in videos:
-            runs.append(tras(video, video.ground_truth[0], model, params, context))
-    else:
-        spec = args.teacher or config["teachers.pool"].split(",")[0].strip()
-        teacher = parse_teacher_spec(spec, default_seed=args.seed)
-        try:
-            for video in videos:
-                runs.append(
-                    trast(
-                        video, video.ground_truth[0], model, params, teacher,
-                        context, evaluator,
-                    )
-                )
-        finally:
-            close_factories([teacher])
-    ok = _write_runs(runs, args.out)
-    print(f"{args.mode}: {ok}/{len(videos)} videos tracked into {args.out}")
-    return 0
-
-
-def cmd_fuse(args) -> int:
-    config = _load_config(args)
-    model, params = _load_checkpoint(args, config)
-    videos = load_dataset(args.dataset)
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
-    pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
-    context = config["env.context"]
-    evaluator = config["eval.evaluator"]
-    os.makedirs(args.out, exist_ok=True)
-    cfgmod.echo_config(config, args.out)
-    try:
-        runs = [
-            trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
-            for v in videos
-        ]
-    finally:
-        close_factories(pool)
-    ok = _write_runs(runs, args.out)
-    print(f"trasfust: {ok}/{len(videos)} videos fused into {args.out}")
+    verb = "fused" if args.mode == "trasfust" else "tracked"
+    print(f"{args.mode}: {ok}/{len(videos)} videos {verb} into {args.out}")
     return 0
 
 
@@ -406,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", help="comma-separated teacher specs")
     p.add_argument("checkpoint", help="student checkpoint")
     p.add_argument("dataset", help="dataset directory")
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=cmd_track, mode="trasfust")
 
     p = sub.add_parser("eval", help="score stored track runs against a dataset")
     common(p)

@@ -8,7 +8,7 @@ deterministically across passes.
 Every step has two phases: ``submit`` hands the session its input and
 ``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
 A pool's sessions for one video are in flight together: ``run_pool_on_video``
-and ``trasfust`` submit to every member before they collect from any.
+and the trackers submit to every member before they collect from any.
 
 An external teacher is a child process, one per teacher per command: its
 factory starts it for the first video and sends every later video to the

@@ -5,9 +5,11 @@ to whichever the value head trusts more, frame by frame. trasfust runs a pool
 of teachers and uses the value head purely as a judge, emitting the box of
 the highest-valued teacher each frame.
 
-Each value judgement is a lane with its own hidden state. trast and trasfust
-step all lanes of a frame in one ``forward_lanes`` call, with each distinct
-anchor cropped once, in one call per frame. Non-finite student output raises
+All three are one loop: trast is the one-member pool plus a student lane,
+tras the empty pool plus a student lane, trasfust the pool alone. Each value
+judgement is a lane with its own hidden state, and every protocol steps all
+lanes of a frame in one ``forward_lanes`` call, with each distinct anchor
+cropped once, in one call per frame. Non-finite student output raises
 NumericError.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError, ParseError, TeacherError
 from .geometry import Box, apply_action, iou
-from .mdp import make_state, make_states
+from .mdp import make_states
 from .model import HiddenSchedule, StudentModel
 from .teachers import TeacherFactory, close_sessions
 from .video import Video
@@ -48,11 +50,6 @@ class TrackRun:
         return list(self.v_teachers)
 
 
-def _check_finite(protocol: str, video: Video, t: int, actions, values) -> None:
-    if not (np.isfinite(actions).all() and np.isfinite(values).all()):
-        raise NumericError(f"{protocol}: non-finite output on {video.video_id!r} at frame {t}")
-
-
 def _step_lanes(
     protocol: str, video: Video, t: int, anchors: Sequence[Box], model, params, context, scheds
 ):
@@ -69,132 +66,42 @@ def _step_lanes(
     )
     for sched, hidden in zip(scheds, hiddens):
         sched.after(t, hidden)
-    _check_finite(protocol, video, t, actions, values)
+    if not (np.isfinite(actions).all() and np.isfinite(values).all()):
+        raise NumericError(f"{protocol}: non-finite output on {video.video_id!r} at frame {t}")
     return actions, values
 
 
-def _check_evaluator(evaluator: str, video: Video) -> None:
+def _track(
+    protocol: str, video: Video, g0: Box, model: StudentModel, params: np.ndarray,
+    pool: Sequence[TeacherFactory], context: float, evaluator: str, student: bool,
+) -> TrackRun:
+    """Track ``video`` from ``g0`` with the student (if ``student``) and ``pool``.
+
+    Frame t is submitted to every member before any box is collected, so
+    external members work side by side. One ``_step_lanes`` call then runs
+    the student's lane, anchored on the output box, and under the value
+    evaluator one judge lane per member, anchored on that member's box at
+    t - 1. The candidates are the student's box, then the members' boxes in
+    pool order; the highest-valued wins and a tie goes to the first, so the
+    student takes ties and otherwise the lowest pool index does. The oracle
+    evaluator values each candidate by its overlap with ground truth. A
+    member's TeacherError ends the run as partial.
+    """
     if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
     if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
         raise InvalidInputError("oracle evaluator needs ground truth on every frame")
-
-
-def tras(
-    video: Video,
-    g0: Box,
-    model: StudentModel,
-    params: np.ndarray,
-    context: float = 1.5,
-) -> TrackRun:
-    """Pure student: the mean action drives the box chain deterministically."""
-    sched = HiddenSchedule(model)
-    box = g0
-    run = TrackRun(video.video_id, "tras", boxes=[], controllers=[])
-    for t in range(1, len(video.frames)):
-        state = make_state(
-            video.frames[t - 1], video.frames[t], box, context, model.config.patch_size
-        )
-        out, hidden = model.forward(params, state, sched.before(t))
-        sched.after(t, hidden)
-        _check_finite("tras", video, t, out.action, out.value)
-        box = apply_action(out.action, box)
-        run.boxes.append(box)
-        run.controllers.append(STUDENT)
-        run.v_student.append(out.value)
-    return run
-
-
-def trast(
-    video: Video,
-    g0: Box,
-    model: StudentModel,
-    params: np.ndarray,
-    teacher: TeacherFactory,
-    context: float = 1.5,
-    evaluator: str = VALUE_EVALUATOR,
-) -> TrackRun:
-    """Student-teacher duo: per frame the higher-valued candidate wins, the
-    student taking ties. A teacher hand-off rebases the student's next crop.
-
-    The oracle evaluator replaces both value estimates with the candidates'
-    true overlap against ground truth (testing hook; needs full annotation).
-    """
-    _check_evaluator(evaluator, video)
-    oracle = evaluator == ORACLE_EVALUATOR
-    scheds = [HiddenSchedule(model) for _ in range(1 if oracle else 2)]
-    tid = teacher.teacher_id
-    run = TrackRun(
-        video.video_id, "trast", boxes=[], controllers=[], v_teachers={tid: []}
-    )
-    box = g0
-    teacher_box = g0
-    try:
-        with teacher.session(video) as session:
-            session.init(video.frames[0], g0)
-            for t in range(1, len(video.frames)):
-                prev_teacher_box = teacher_box
-                try:
-                    teacher_box = session.predict(video.frames[t])
-                except TeacherError as exc:
-                    run.partial = True
-                    run.error = str(exc)
-                    return run
-                anchors = [box] if oracle else [box, prev_teacher_box]
-                actions, values = _step_lanes(
-                    "trast", video, t, anchors, model, params, context, scheds
-                )
-                student_box = apply_action(actions[0], box)
-                if oracle:
-                    gt = video.ground_truth[t]
-                    v_s = iou(student_box, gt)
-                    v_t = iou(teacher_box, gt)
-                else:
-                    v_s, v_t = values.tolist()
-                if v_s >= v_t:
-                    box = student_box
-                    run.controllers.append(STUDENT)
-                else:
-                    box = teacher_box
-                    run.controllers.append(tid)
-                run.boxes.append(box)
-                run.v_student.append(v_s)
-                run.v_teachers[tid].append(v_t)
-    except TeacherError as exc:
-        run.partial = True
-        run.error = str(exc)
-    return run
-
-
-def trasfust(
-    video: Video,
-    g0: Box,
-    model: StudentModel,
-    params: np.ndarray,
-    pool: Sequence[TeacherFactory],
-    context: float = 1.5,
-    evaluator: str = VALUE_EVALUATOR,
-) -> TrackRun:
-    """Teacher fusion: every pool member tracks its own chain; each frame the
-    student's value head picks the box of the highest-valued teacher. Ties go
-    to the lowest pool index. The student predicts no boxes of its own. Frame
-    t is submitted to every member before any box is collected, so external
-    members work side by side; then one batched step judges all K lanes,
-    lane k anchored on member k's box at t - 1."""
-    if not pool:
-        raise InvalidInputError("teacher pool must be non-empty")
-    _check_evaluator(evaluator, video)
     ids = [f.teacher_id for f in pool]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("teacher pool has duplicate ids")
+    judge = evaluator == VALUE_EVALUATOR
+    lead = 1 if student else 0  # lanes and candidates of the student, which come first
+    names = [STUDENT] * lead + ids
     run = TrackRun(
-        video.video_id,
-        "trasfust",
-        boxes=[],
-        controllers=[],
-        v_teachers={tid: [] for tid in ids},
+        video.video_id, protocol, boxes=[], controllers=[], v_teachers={tid: [] for tid in ids}
     )
-    scheds = [HiddenSchedule(model) for _ in pool]
+    scheds = [HiddenSchedule(model) for _ in range(lead + (len(pool) if judge else 0))]
+    box, prev_boxes = g0, [g0 for _ in pool]
     sessions = []
     try:
         for factory in pool:
@@ -203,29 +110,66 @@ def trasfust(
             session.submit_init(video.frames[0], g0)
         for session in sessions:
             session.collect()
-        prev_boxes = [g0 for _ in pool]
         for t in range(1, len(video.frames)):
             for session in sessions:
                 session.submit(video.frames[t])
-            cur_boxes = [session.collect() for session in sessions]
-            if evaluator == ORACLE_EVALUATOR:
-                values = [iou(b, video.ground_truth[t]) for b in cur_boxes]
-            else:
-                _, values = _step_lanes(
-                    "trasfust", video, t, prev_boxes, model, params, context, scheds
+            boxes = [session.collect() for session in sessions]
+            anchors = ([box] if student else []) + (prev_boxes if judge else [])
+            if anchors:
+                actions, values = _step_lanes(
+                    protocol, video, t, anchors, model, params, context, scheds
                 )
+            candidates = ([apply_action(actions[0], box)] if student else []) + boxes
+            if judge:
+                values = values.tolist()
+            else:
+                values = [iou(c, video.ground_truth[t]) for c in candidates]
             best = int(np.argmax(values))  # argmax takes the first maximum
-            run.boxes.append(cur_boxes[best])
-            run.controllers.append(ids[best])
-            for k, tid in enumerate(ids):
-                run.v_teachers[tid].append(float(values[k]))
-            prev_boxes = cur_boxes
+            box = candidates[best]
+            run.boxes.append(box)
+            run.controllers.append(names[best])
+            run.v_student += values[:lead]
+            for tid, value in zip(ids, values[lead:]):
+                run.v_teachers[tid].append(value)
+            prev_boxes = boxes
     except TeacherError as exc:
         run.partial = True
         run.error = str(exc)
     finally:
         close_sessions(sessions)
     return run
+
+
+def tras(
+    video: Video, g0: Box, model: StudentModel, params: np.ndarray, context: float = 1.5
+) -> TrackRun:
+    """Pure student: the mean action drives the box chain deterministically."""
+    return _track("tras", video, g0, model, params, [], context, VALUE_EVALUATOR, True)
+
+
+def trast(
+    video: Video, g0: Box, model: StudentModel, params: np.ndarray, teacher: TeacherFactory,
+    context: float = 1.5, evaluator: str = VALUE_EVALUATOR,
+) -> TrackRun:
+    """Student-teacher duo: per frame the higher-valued candidate wins, the
+    student taking ties. A teacher hand-off rebases the student's next crop.
+
+    The oracle evaluator replaces both value estimates with the candidates'
+    true overlap against ground truth (testing hook; needs full annotation).
+    """
+    return _track("trast", video, g0, model, params, [teacher], context, evaluator, True)
+
+
+def trasfust(
+    video: Video, g0: Box, model: StudentModel, params: np.ndarray,
+    pool: Sequence[TeacherFactory], context: float = 1.5, evaluator: str = VALUE_EVALUATOR,
+) -> TrackRun:
+    """Teacher fusion: every pool member tracks its own chain; each frame the
+    student's value head picks the box of the highest-valued teacher. Ties go
+    to the lowest pool index. The student predicts no boxes of its own."""
+    if not pool:
+        raise InvalidInputError("teacher pool must be non-empty")
+    return _track("trasfust", video, g0, model, params, pool, context, evaluator, False)
 
 
 # -- serialization -------------------------------------------------------------

@@ -224,7 +224,10 @@ def write_chunk_index(
 
 def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> List[TransferChunk]:
     """Rebuild chunks from an index file against a dataset and trace directory.
-    A trace whose length differs from its video's raises ``ParseError``."""
+    A malformed index (``length`` not a positive integer, ``chunks`` not a
+    list, an entry that is not an object or lacks a string ``video`` and
+    ``teacher`` or an integer ``start``) and a trace whose length differs from
+    its video's raise ``ParseError`` naming the path."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -232,11 +235,22 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
         raise ParseError(f"{path}: {e}")
     if not isinstance(payload, dict) or "chunks" not in payload:
         raise ParseError(f"{path}: not a chunk index")
-    length = int(payload.get("length", CHUNK_LENGTH))
+    length = payload.get("length", CHUNK_LENGTH)
+    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+        raise ParseError(f"{path}: chunk length {length!r} is not a positive integer")
+    if not isinstance(payload["chunks"], list):
+        raise ParseError(f"{path}: \"chunks\" is not a list")
     out = []
     trace_cache: Dict[tuple, TrajectoryTrace] = {}
-    for entry in payload["chunks"]:
-        vid_id, tid, start = entry["video"], entry["teacher"], int(entry["start"])
+    for i, entry in enumerate(payload["chunks"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: chunk entry {i} is not an object")
+        for key, kind in (("video", str), ("teacher", str), ("start", int)):
+            if key not in entry:
+                raise ParseError(f"{path}: chunk entry {i} has no {key!r}")
+            if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+                raise ParseError(f"{path}: chunk entry {i} has a bad {key!r}: {entry[key]!r}")
+        vid_id, tid, start = entry["video"], entry["teacher"], entry["start"]
         if vid_id not in videos:
             raise ParseError(f"{path}: unknown video {vid_id!r}")
         video = videos[vid_id]

@@ -110,6 +110,18 @@ class TestDataErrors:
                      "--out", str(tmp_path / "d")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run-teachers", "filter"])
+    def test_duplicate_pool_ids(self, tmp_path, pipeline, capsys, command):
+        # both specs make a member with the id "oracle0.9"; its traces would
+        # share one directory
+        out = tmp_path / "out"
+        inputs = [pipeline["data"]] + ([pipeline["traces"]] if command == "filter" else [])
+        code = main([command, "--config", pipeline["ini"], "--pool", "oracle:0.9,oracle:0.9:5",
+                     "--out", str(out), *inputs])
+        assert code == 2
+        assert "'oracle0.9'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_without_runs(self, tmp_path, pipeline):
         empty = tmp_path / "noruns"
         empty.mkdir()
@@ -365,6 +377,17 @@ class TestTrainRun:
         err = capsys.readouterr().err
         assert path in err
         assert f"trace has 20 boxes, video {first['video']!r} has {len(rows)} frames" in err
+        assert not out.exists()
+
+    def test_chunk_entry_without_start_fails_at_load(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            index = json.load(fh)
+        del index["chunks"][1]["start"]
+        chunks = tmp_path / "chunks.json"
+        chunks.write_text(json.dumps(index))
+        out = tmp_path / "t"
+        assert self.train(pipeline, out, str(chunks)) == 2
+        assert f"{chunks}: chunk entry 1 has no 'start'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_episode_error_exits_nonzero(self, pipeline, tmp_path, monkeypatch, capsys):

@@ -182,13 +182,14 @@ class TestLoadAndEcho:
         assert back.effective() == c.effective()
 
     def test_default_echo_text(self, tmp_path):
-        assert open(echo_config(default_config(), str(tmp_path))).read() == DEFAULT_INI
+        with open(echo_config(default_config(), str(tmp_path))) as fh:
+            assert fh.read() == DEFAULT_INI
 
     def test_echo_is_deterministic(self, tmp_path):
         c = default_config()
-        a = open(echo_config(c, str(tmp_path / "a"))).read()
-        b = open(echo_config(c, str(tmp_path / "b"))).read()
-        assert a == b
+        with open(echo_config(c, str(tmp_path / "a"))) as fa:
+            with open(echo_config(c, str(tmp_path / "b"))) as fb:
+                assert fa.read() == fb.read()
 
 
 def _other(value):

@@ -491,7 +491,8 @@ class TestCheckpoints:
         model = StudentModel(SMALL)
         p = str(tmp_path / "m.ckpt")
         save_params(p, SMALL, model.init_params(seed=1))
-        blob = open(p, "rb").read()
+        with open(p, "rb") as fh:
+            blob = fh.read()
         with open(p, "wb") as fh:
             fh.write(blob[:-16])
         with pytest.raises(ParseError):

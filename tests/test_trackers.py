@@ -303,6 +303,19 @@ class RefLane:
         return out
 
 
+def reference_tras(video, model, params):
+    lane = RefLane(model, params)
+    run = TrackRun(video.video_id, "tras", [], [])
+    box = video.ground_truth[0]
+    for t in range(1, len(video.frames)):
+        out = lane.step(video, t, box)
+        box = apply_action(out.action, box)
+        run.boxes.append(box)
+        run.controllers.append(STUDENT)
+        run.v_student.append(out.value)
+    return run
+
+
 def reference_trast(video, model, params, teacher):
     student, judge = RefLane(model, params), RefLane(model, params)
     chain = run_teacher_on_video(teacher, video).boxes
@@ -355,6 +368,12 @@ class TestBatchedLanes:
         self.model = StudentModel(SMALL)
         self.params = self.model.init_params(31)
 
+    def test_tras_equals_per_lane_reference(self):
+        video = small_video(46, frames=40)  # crosses the hidden reset at frame 33
+        run = tras(video, video.ground_truth[0], self.model, self.params)
+        assert run == reference_tras(video, self.model, self.params)
+        assert len(set(run.boxes)) > 1  # the student moves the box
+
     def test_trast_equals_per_lane_reference(self):
         video = small_video(40, frames=40)  # crosses the hidden reset at frame 33
         teacher = OracleNoiseFactory("t8", 0.8, seed=7)
@@ -368,6 +387,15 @@ class TestBatchedLanes:
         run = trasfust(video, video.ground_truth[0], self.model, self.params, pool)
         assert run == reference_trasfust(video, self.model, self.params, pool)
         assert len(set(run.controllers)) > 1
+
+    def test_tras_crops_its_one_anchor_once_per_frame(self, monkeypatch):
+        video = small_video(47, frames=12)
+        calls = count_crops(monkeypatch)
+        run = tras(video, video.ground_truth[0], self.model, self.params)
+        outputs = [video.ground_truth[0]] + run.boxes
+        assert calls == [
+            (id(video.frames[t]), (outputs[t - 1],)) for t in range(1, len(video.frames))
+        ]
 
     def test_trast_crops_each_distinct_anchor_once(self, monkeypatch):
         video = small_video(42, frames=30)

@@ -854,9 +854,8 @@ class TestTrain:
         assert res.updates >= 12
         params = load_params(res.checkpoint_path, SMALL)
         assert params.shape == (model.n_params,)
-        entries = [
-            _json.loads(line) for line in open(res.log_path) if line.strip()
-        ]
+        with open(res.log_path) as fh:
+            entries = [_json.loads(line) for line in fh if line.strip()]
         applied = [e for e in entries if "update" in e and not e.get("validation")]
         assert len(applied) == res.updates
         kinds = {e["kind"] for e in applied}
@@ -934,9 +933,8 @@ class TestTrain:
             str(tmp_path),
         )
         assert res.updates == 8  # 5 frames -> one window per episode
-        entries = [
-            _json.loads(line) for line in open(res.log_path) if line.strip()
-        ]
+        with open(res.log_path) as fh:
+            entries = [_json.loads(line) for line in fh if line.strip()]
         applied = [e for e in entries if "update" in e and not e.get("validation")]
         for w in range(2):
             seen = [e["video_id"] for e in applied if e["worker"] == w]

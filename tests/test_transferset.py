@@ -1,11 +1,13 @@
 """Filtering, chunking, and reporting over teacher trajectories."""
 
 import filecmp
+import json
+import re
 
 import numpy as np
 import pytest
 
-from trackdistill.errors import InvalidInputError
+from trackdistill.errors import InvalidInputError, ParseError
 from trackdistill.geometry import Box
 from trackdistill.teachers import (
     OracleNoiseFactory,
@@ -247,3 +249,35 @@ class TestChunkIndex:
             np.testing.assert_allclose(
                 a.teacher_boxes[5].as_array(), b.teacher_boxes[5].as_array(), atol=1e-5
             )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"length": "32x"}, "chunk length '32x' is not a positive integer"),
+            ({"length": "32"}, "chunk length '32' is not a positive integer"),
+            ({"length": 0}, "chunk length 0 is not a positive integer"),
+            ({"length": 2.5}, "chunk length 2.5 is not a positive integer"),
+            ({"chunks": {"0": {"video": "v", "teacher": "t", "start": 0}}},
+             '"chunks" is not a list'),
+            ({"chunks": [["v", "t", 0]]}, "chunk entry 0 is not an object"),
+            ({"chunks": [{"teacher": "t", "start": 0}]}, "chunk entry 0 has no 'video'"),
+            ({"chunks": [{"video": "v", "start": 0}]}, "chunk entry 0 has no 'teacher'"),
+            ({"chunks": [{"video": "v", "teacher": "t"}]}, "chunk entry 0 has no 'start'"),
+            ({"chunks": [{"video": ["v"], "teacher": "t", "start": 0}]},
+             "chunk entry 0 has a bad 'video'"),
+            ({"chunks": [{"video": "v", "teacher": 7, "start": 0}]},
+             "chunk entry 0 has a bad 'teacher'"),
+            ({"chunks": [{"video": "v", "teacher": "t", "start": "3"}]},
+             "chunk entry 0 has a bad 'start'"),
+            ({"chunks": [{"video": "v", "teacher": "t", "start": 3.5}]},
+             "chunk entry 0 has a bad 'start'"),
+            ({"chunks": [{"video": "v", "teacher": "t", "start": True}]},
+             "chunk entry 0 has a bad 'start'"),
+        ],
+    )
+    def test_malformed_index_named(self, tmp_path, fields, message):
+        idx = tmp_path / "chunks.json"
+        payload = {"beta": 0.5, "length": 32, "seed": 0, "chunks": [], **fields}
+        idx.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="^" + re.escape(f"{idx}: {message}")):
+            load_chunk_index(str(idx), {}, str(tmp_path))

@@ -30,7 +30,7 @@ from .metrics import EvalResult, ope_run, report, run_metrics
 from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
-    close_factories,
+    close_all,
     load_trace,
     parse_teacher_spec,
     run_pool_on_video,
@@ -115,7 +115,7 @@ def cmd_run_teachers(args) -> int:
                         file=sys.stderr,
                     )
     finally:
-        close_factories(pool)
+        close_all(pool)
     print(
         f"traced {len(pool)} teachers over {len(videos)} videos"
         + (f" ({failures} failures quarantined)" if failures else "")
@@ -238,7 +238,7 @@ def cmd_track(args) -> int:
     try:
         runs = [track(video) for video in videos]
     finally:
-        close_factories(pool)
+        close_all(pool)
     ok = 0
     for run in runs:
         if run.partial:

@@ -7,6 +7,7 @@ exactly. Everything here is pure and float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -30,7 +31,7 @@ class Box:
     def __post_init__(self):
         for name in ("x", "y", "w", "h"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise InvalidInputError(f"box field {name} is not finite: {v!r}")
             object.__setattr__(self, name, v)
 
@@ -115,21 +116,6 @@ def context_region(box: Box, context: float) -> Box:
         raise InvalidInputError("context region of a degenerate box")
     side = context * float(np.sqrt(box.w * box.h))
     return Box(box.cx - side / 2.0, box.cy - side / 2.0, side, side)
-
-
-def crop_patch(frame: np.ndarray, region: Box, out_size: Tuple[int, int]) -> np.ndarray:
-    """Resample ``region`` of an (H, W, 3) frame to (out_h, out_w, 3) float64:
-    the one-frame, one-region call of :func:`crop_regions`."""
-    return crop_regions((frame,), (region,), out_size)[0, 0]
-
-
-def crop_patches(
-    frames: Sequence[np.ndarray], region: Box, out_size: Tuple[int, int]
-) -> np.ndarray:
-    """Resample one ``region`` of n equal-shape (H, W, 3) frames to an
-    (n, out_h, out_w, 3) float64 stack: the one-region call of
-    :func:`crop_regions`, with its checks."""
-    return crop_regions(frames, (region,), out_size)[0]
 
 
 def crop_regions(

@@ -41,8 +41,8 @@ def make_states(
 ) -> List[State]:
     """One State per box in ``boxes``: the context regions around all boxes
     cropped from both (equal-shape) frames in one :func:`crop_regions` call.
-    Each patch is bitwise the crop_patch of its frame and region, whatever
-    the other boxes."""
+    Each patch is bitwise the one-region crop of its frame and region,
+    whatever the other boxes."""
     patches = crop_regions(
         (frame_prev, frame_cur),
         [context_region(box, context) for box in boxes],

@@ -248,11 +248,6 @@ class StudentModel:
         g["enc.fc.W"] += dpre.T @ flat
         g["enc.fc.b"] += dpre.sum(axis=0)
 
-    def encode_feature(self, params: np.ndarray, patch: np.ndarray) -> np.ndarray:
-        """The shared-branch feature for one patch (both branches use this)."""
-        feats, _ = self._encode(self._param_views(params), patch[None])
-        return feats[0]
-
     # -- forward --------------------------------------------------------------
 
     def _check_state(self, state: State) -> None:

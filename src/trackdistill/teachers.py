@@ -7,8 +7,9 @@ deterministically across passes.
 
 Every step has two phases: ``submit`` hands the session its input and
 ``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
-A pool's sessions for one video are in flight together: ``run_pool_on_video``
-and the trackers submit to every member before they collect from any.
+Only ``run_pool_on_video`` opens and steps sessions. Every pool, those of
+``track`` and ``fuse`` included, runs through it, each member submitted to
+before any is collected from; the trackers then read the traces.
 
 An external teacher is a child process, one per teacher per command: its
 factory starts it for the first video and sends every later video to the
@@ -21,7 +22,7 @@ same child. It speaks one JSON object per line on its stdin and stdout:
 
 Each video starts with an ``init``, also on a child that served the video
 before. End of file on its stdin comes when the command ends (``close`` on
-the factory; ``close_factories`` ends a pool's children side by side) and
+the factory; ``close_all`` ends a pool's children side by side) and
 ends the child. A session that fails kills its child, and the factory's next
 video starts a fresh one. Frames are PPM file paths.
 """
@@ -140,16 +141,6 @@ class TeacherSession:
         self.close()
 
 
-def close_sessions(sessions: Sequence[TeacherSession]) -> None:
-    """Close every session's input before waiting for any to end, so that
-    the children of failed external sessions are all killed before any is
-    waited for."""
-    for session in sessions:
-        session.close_input()
-    for session in sessions:
-        session.close()
-
-
 class TeacherFactory:
     """Builds one session per video; subclasses define the teacher behavior.
     A factory may hold resources across its sessions (an external teacher's
@@ -170,13 +161,13 @@ class TeacherFactory:
         pass
 
 
-def close_factories(factories: Sequence[TeacherFactory]) -> None:
-    """Close every factory's input before waiting for any, so external
-    children exit side by side."""
-    for factory in factories:
-        factory.close_input()
-    for factory in factories:
-        factory.close()
+def close_all(closables: Sequence) -> None:
+    """Close the input of every session or factory before waiting for any to
+    end, so that external children are killed or exit side by side."""
+    for closable in closables:
+        closable.close_input()
+    for closable in closables:
+        closable.close()
 
 
 def _video_seed(base_seed: int, video_id: str) -> np.random.Generator:
@@ -536,15 +527,21 @@ def parse_teacher_spec(spec: str, default_seed: int = 0) -> TeacherFactory:
 def run_pool_on_video(
     pool: Sequence[TeacherFactory], video: Video
 ) -> List[Tuple[TrajectoryTrace, Optional[TeacherError]]]:
-    """Run every pool member over ``video`` side by side.
+    """Run every pool member over ``video`` side by side, from the video's
+    first ground-truth box.
 
     One session per member is opened first, which starts together every
     external child not yet running. Then, for the init and for each frame,
     every live member is submitted to before any is collected from. A member that
     raises TeacherError is dropped and keeps the boxes it gave so far; the
     others go on. Returns, in pool order, each member's trace (boxes[0] is
-    the ground-truth start) and its error, or None.
+    the ground-truth start) and its error, or None: a member that failed at
+    frame t has boxes up to t - 1. Two members with one id, whose traces
+    would share a path, raise InvalidInputError.
     """
+    ids = [f.teacher_id for f in pool]
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError("teacher pool has duplicate ids")
     g0 = video.ground_truth[0]
     traces = [TrajectoryTrace(video.video_id, f.teacher_id, [g0]) for f in pool]
     errors: List[Optional[TeacherError]] = [None] * len(pool)
@@ -574,7 +571,7 @@ def run_pool_on_video(
             each_live(lambda k, s: s.submit(frame))
             each_live(lambda k, s: traces[k].boxes.append(s.collect()))
     finally:
-        close_sessions(opened)
+        close_all(opened)
     return list(zip(traces, errors))
 
 

@@ -6,7 +6,9 @@ of teachers and uses the value head purely as a judge, emitting the box of
 the highest-valued teacher each frame.
 
 All three are one loop: trast is the one-member pool plus a student lane,
-tras the empty pool plus a student lane, trasfust the pool alone. Each value
+tras the empty pool plus a student lane, trasfust the pool alone. A teacher
+never sees the student's box, so the pool runs first, through
+``teachers.run_pool_on_video``, and the loop reads its traces. Each value
 judgement is a lane with its own hidden state, and every protocol steps all
 lanes of a frame in one ``forward_lanes`` call, with each distinct anchor
 cropped once, in one call per frame. Non-finite student output raises
@@ -21,11 +23,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, ParseError, TeacherError
+from .errors import InvalidInputError, NumericError, ParseError
 from .geometry import Box, apply_action, iou
 from .mdp import make_states
 from .model import HiddenSchedule, StudentModel
-from .teachers import TeacherFactory, close_sessions
+from .teachers import TeacherFactory, run_pool_on_video
 from .video import Video
 
 STUDENT = "student"
@@ -77,66 +79,55 @@ def _track(
 ) -> TrackRun:
     """Track ``video`` from ``g0`` with the student (if ``student``) and ``pool``.
 
-    Frame t is submitted to every member before any box is collected, so
-    external members work side by side. One ``_step_lanes`` call then runs
-    the student's lane, anchored on the output box, and under the value
-    evaluator one judge lane per member, anchored on that member's box at
-    t - 1. The candidates are the student's box, then the members' boxes in
-    pool order; the highest-valued wins and a tie goes to the first, so the
-    student takes ties and otherwise the lowest pool index does. The oracle
-    evaluator values each candidate by its overlap with ground truth. A
-    member's TeacherError ends the run as partial.
+    The pool runs first, through ``run_pool_on_video`` from the video's first
+    ground-truth box; no member sees the student's box. Per frame t, one
+    ``_step_lanes`` call then runs the student's lane, anchored on the output
+    box, and under the value evaluator one judge lane per member, anchored
+    on that member's box at t - 1. The candidates are the student's box, then
+    the members' boxes at t in pool order; the highest-valued wins and a tie
+    goes to the first, so the student takes ties and otherwise the lowest
+    pool index does. The oracle evaluator values each candidate by its
+    overlap with ground truth. The run ends, as partial, at the first frame
+    that a failed member could not give, with the error of the member whose
+    trace ends first (the lowest pool index on a tie).
     """
     if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
     if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
         raise InvalidInputError("oracle evaluator needs ground truth on every frame")
-    ids = [f.teacher_id for f in pool]
-    if len(set(ids)) != len(ids):
-        raise InvalidInputError("teacher pool has duplicate ids")
+    results = run_pool_on_video(pool, video)
+    tracks = [trace.boxes for trace, _ in results]
+    ids = [trace.teacher_id for trace, _ in results]
     judge = evaluator == VALUE_EVALUATOR
     lead = 1 if student else 0  # lanes and candidates of the student, which come first
     names = [STUDENT] * lead + ids
     run = TrackRun(
         video.video_id, protocol, boxes=[], controllers=[], v_teachers={tid: [] for tid in ids}
     )
+    ends = [len(boxes) for boxes in tracks]
+    end = min(ends, default=len(video.frames))
+    if end < len(video.frames):
+        run.partial, run.error = True, str(results[ends.index(end)][1])
     scheds = [HiddenSchedule(model) for _ in range(lead + (len(pool) if judge else 0))]
-    box, prev_boxes = g0, [g0 for _ in pool]
-    sessions = []
-    try:
-        for factory in pool:
-            sessions.append(factory.session(video))
-        for session in sessions:
-            session.submit_init(video.frames[0], g0)
-        for session in sessions:
-            session.collect()
-        for t in range(1, len(video.frames)):
-            for session in sessions:
-                session.submit(video.frames[t])
-            boxes = [session.collect() for session in sessions]
-            anchors = ([box] if student else []) + (prev_boxes if judge else [])
-            if anchors:
-                actions, values = _step_lanes(
-                    protocol, video, t, anchors, model, params, context, scheds
-                )
-            candidates = ([apply_action(actions[0], box)] if student else []) + boxes
-            if judge:
-                values = values.tolist()
-            else:
-                values = [iou(c, video.ground_truth[t]) for c in candidates]
-            best = int(np.argmax(values))  # argmax takes the first maximum
-            box = candidates[best]
-            run.boxes.append(box)
-            run.controllers.append(names[best])
-            run.v_student += values[:lead]
-            for tid, value in zip(ids, values[lead:]):
-                run.v_teachers[tid].append(value)
-            prev_boxes = boxes
-    except TeacherError as exc:
-        run.partial = True
-        run.error = str(exc)
-    finally:
-        close_sessions(sessions)
+    box = g0
+    for t in range(1, end):
+        anchors = ([box] if student else []) + ([b[t - 1] for b in tracks] if judge else [])
+        if anchors:
+            actions, values = _step_lanes(
+                protocol, video, t, anchors, model, params, context, scheds
+            )
+        candidates = ([apply_action(actions[0], box)] if student else []) + [b[t] for b in tracks]
+        if judge:
+            values = values.tolist()
+        else:
+            values = [iou(c, video.ground_truth[t]) for c in candidates]
+        best = int(np.argmax(values))  # argmax takes the first maximum
+        box = candidates[best]
+        run.boxes.append(box)
+        run.controllers.append(names[best])
+        run.v_student += values[:lead]
+        for tid, value in zip(ids, values[lead:]):
+            run.v_teachers[tid].append(value)
     return run
 
 

@@ -145,20 +145,6 @@ def build_transfer_set(
     return kept, chunks
 
 
-def stats_row(
-    teacher_id: str,
-    beta: float,
-    kept: Sequence[TrajectoryTrace],
-    videos: Dict[str, Video],
-    num_chunks: int,
-) -> dict:
-    """One report row; AO pools every prediction frame of the kept trajectories."""
-    mine = [
-        trajectory_ious(tr, videos[tr.video_id]) for tr in kept if tr.teacher_id == teacher_id
-    ]
-    return _row(teacher_id, beta, mine, num_chunks)
-
-
 def _row(teacher_id: str, beta: float, ious: Sequence[np.ndarray], num_chunks: int) -> dict:
     return {
         "teacher": teacher_id,

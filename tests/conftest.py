@@ -1,6 +1,6 @@
 import pytest
 
-from trackdistill.teachers import close_factories
+from trackdistill.teachers import close_all
 
 
 @pytest.fixture
@@ -8,4 +8,4 @@ def closing():
     """A list for the test's teacher factories; each is closed when the test ends."""
     factories = []
     yield factories
-    close_factories(factories)
+    close_all(factories)

@@ -8,8 +8,6 @@ from trackdistill.geometry import (
     Box,
     apply_action,
     context_region,
-    crop_patch,
-    crop_patches,
     crop_regions,
     infer_action,
     iou,
@@ -101,6 +99,15 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBox:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    def test_nonfinite_field_rejected(self, field, value):
+        fields = {"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0, field: value}
+        with pytest.raises(InvalidInputError, match=f"box field {field} is not finite"):
+            Box(**fields)
 
 
 class TestIou:
@@ -216,12 +223,14 @@ class TestContextRegion:
 
 
 class TestCropPatch:
+    """The one-frame, one-region crop_regions call."""
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(21)
         frame = rng.integers(0, 256, (9, 8, 3)).astype(np.uint8)
         for _ in range(25):
             region = Box(*rng.uniform(-4, 8, 2), *rng.uniform(0.5, 10, 2))
-            got = crop_patch(frame, region, (5, 4))
+            got = crop_regions((frame,), [region], (5, 4))[0, 0]
             want = crop_patch_slow(frame, region, (5, 4))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -229,33 +238,34 @@ class TestCropPatch:
         """Whole-frame region at native resolution reproduces the frame."""
         rng = np.random.default_rng(22)
         frame = rng.integers(0, 256, (6, 7, 3)).astype(np.uint8)
-        out = crop_patch(frame, Box(0, 0, 7, 6), (7, 6))
+        out = crop_regions((frame,), [Box(0, 0, 7, 6)], (7, 6))[0, 0]
         np.testing.assert_allclose(out, frame.astype(np.float64), atol=1e-12)
 
     def test_outside_is_zero(self):
         frame = np.full((5, 5, 3), 200, dtype=np.uint8)
-        out = crop_patch(frame, Box(100, 100, 10, 10), (4, 4))
+        out = crop_regions((frame,), [Box(100, 100, 10, 10)], (4, 4))[0, 0]
         assert np.all(out == 0.0)
 
     def test_constant_interior(self):
         frame = np.full((20, 20, 3), 37, dtype=np.uint8)
-        out = crop_patch(frame, Box(4, 4, 10, 10), (8, 8))
+        out = crop_regions((frame,), [Box(4, 4, 10, 10)], (8, 8))[0, 0]
         np.testing.assert_allclose(out, 37.0, atol=1e-12)
 
     def test_zero_area_region_rejected(self):
         frame = np.zeros((5, 5, 3), dtype=np.uint8)
         with pytest.raises(InvalidInputError):
-            crop_patch(frame, Box(0, 0, 0, 5), (4, 4))
+            crop_regions((frame,), [Box(0, 0, 0, 5)], (4, 4))
 
     def test_shape_and_dtype(self):
         frame = np.zeros((5, 5, 3), dtype=np.uint8)
-        out = crop_patch(frame, Box(1, 1, 3, 3), (6, 4))
+        out = crop_regions((frame,), [Box(1, 1, 3, 3)], (6, 4))[0, 0]
         assert out.shape == (4, 6, 3)
         assert out.dtype == np.float64
 
 
 class TestCropPatches:
-    """The stacked crop that make_state uses, against the scalar oracle."""
+    """The one-region crop of a frame pair, as make_state uses it, against
+    the scalar oracle."""
 
     @staticmethod
     def regions(rng, fw, fh):
@@ -271,7 +281,7 @@ class TestCropPatches:
         rng = np.random.default_rng(fw)
         frames = rng.integers(0, 256, (2, fh, fw, 3)).astype(np.uint8)
         for region in self.regions(rng, fw, fh):
-            got = crop_patches((frames[0], frames[1]), region, (5, 4))
+            got = crop_regions((frames[0], frames[1]), [region], (5, 4))[0]
             assert got.shape == (2, 4, 5, 3)
             for k in range(2):
                 want = crop_patch_slow(frames[k], region, (5, 4))
@@ -284,14 +294,15 @@ class TestCropPatches:
             box = Box(*rng.uniform(-15, 50, 2), *rng.uniform(1, 40, 2))
             s = make_state(fa, fb, box, context=1.5, patch_size=16)
             region = context_region(box, 1.5)
-            np.testing.assert_array_equal(s.patch_prev, crop_patch(fa, region, (16, 16)))
-            np.testing.assert_array_equal(s.patch_cur, crop_patch(fb, region, (16, 16)))
+            prev, cur = (crop_regions((f,), [region], (16, 16))[0, 0] for f in (fa, fb))
+            np.testing.assert_array_equal(s.patch_prev, prev)
+            np.testing.assert_array_equal(s.patch_cur, cur)
 
     def test_frames_of_different_shapes_rejected(self):
         a = np.zeros((20, 20, 3), dtype=np.uint8)
         b = np.zeros((20, 21, 3), dtype=np.uint8)
         with pytest.raises(InvalidInputError, match="differ"):
-            crop_patches((a, b), Box(2, 2, 5, 5), (4, 4))
+            crop_regions((a, b), [Box(2, 2, 5, 5)], (4, 4))
         with pytest.raises(InvalidInputError, match="differ"):
             make_state(a, b, Box(2, 2, 5, 5), context=1.5, patch_size=8)
 
@@ -381,9 +392,8 @@ class TestCropRegions:
             got = crop_regions(frames, regions, (12, 10))
             for r, region in enumerate(regions):
                 assert_bitwise(got[r], crop_regions(frames, [region], (12, 10))[0])
-                assert_bitwise(got[r], crop_patches(frames, region, (12, 10)))
                 for k, frame in enumerate(frames):
-                    assert_bitwise(got[r, k], crop_patch(frame, region, (12, 10)))
+                    assert_bitwise(got[r, k], crop_regions((frame,), [region], (12, 10))[0, 0])
 
     def test_make_states_equal_make_state(self):
         rng = np.random.default_rng(84)

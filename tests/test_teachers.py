@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from trackdistill import trackers
 from trackdistill.errors import InvalidInputError, ProtocolError, TeacherError
 from trackdistill.geometry import Box, iou
+from trackdistill.model import StudentConfig, StudentModel
 from trackdistill.teachers import (
     STDERR_TAIL,
     ExternalFactory,
@@ -17,7 +19,7 @@ from trackdistill.teachers import (
     TraceFactory,
     TrajectoryTrace,
     calibrate_noise,
-    close_factories,
+    close_all,
     load_trace,
     parse_teacher_spec,
     run_pool_on_video,
@@ -325,16 +327,34 @@ class TestPool:
         spec = SyntheticSpec(num_frames=frames, width=48, height=48, max_size=20)
         return generate_video(spec, seed, "pool")
 
-    def test_schedule_submits_all_before_collecting_any(self):
+    @pytest.mark.parametrize("runner", ["run_pool_on_video", "trast", "trasfust"])
+    def test_schedule_submits_all_before_collecting_any(self, runner):
+        # the trackers drive their pool through run_pool_on_video, so every
+        # runner gives the same log for the members it runs
         vid = self.video(frames=3)
         log = []
-        run_pool_on_video([Recorder("a", log), Recorder("b", log)], vid)
+        pool = [Recorder("a", log)] + ([] if runner == "trast" else [Recorder("b", log)])
+        if runner == "run_pool_on_video":
+            run_pool_on_video(pool, vid)
+        else:
+            config = StudentConfig(patch_size=16, conv_channels=(4, 8), fc_dim=16, hidden_dim=12)
+            model = StudentModel(config)
+            member = pool[0] if runner == "trast" else pool
+            getattr(trackers, runner)(
+                vid, vid.ground_truth[0], model, np.zeros(model.n_params), member
+            )
+        ids = [f.teacher_id for f in pool]
         want = []
         for t in range(3):
-            want += [("submit", "a", t), ("submit", "b", t)]
-            want += [("collect", "a", t), ("collect", "b", t)]
-        want += [("close_input", "a"), ("close_input", "b"), ("close", "a"), ("close", "b")]
+            want += [("submit", tid, t) for tid in ids] + [("collect", tid, t) for tid in ids]
+        want += [("close_input", tid) for tid in ids] + [("close", tid) for tid in ids]
         assert log == want
+
+    def test_duplicate_ids_rejected(self):
+        pool = [parse_teacher_spec("oracle:0.9"), parse_teacher_spec("oracle:0.9:5")]
+        assert pool[0].teacher_id == pool[1].teacher_id == "oracle0.9"
+        with pytest.raises(InvalidInputError, match="duplicate ids"):
+            run_pool_on_video(pool, self.video())
 
     def test_members_run_in_lockstep(self, tmp_path, closing):
         vid = self.video()
@@ -440,7 +460,7 @@ class TestChildLifetime:
         for video in self.videos(4):
             assert run_teacher_on_video(factory, video).boxes == self.drift(video, len(video))
         assert len(started(pids)) == 1
-        close_factories([factory])
+        close_all([factory])
         assert_exited(started(pids))
 
     def test_hung_child_is_killed_and_replaced(self, tmp_path, closing):

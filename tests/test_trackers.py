@@ -30,7 +30,7 @@ from trackdistill.trackers import (
 )
 from trackdistill.video import SyntheticSpec, generate_video
 
-from test_teachers import rendezvous_pool
+from test_teachers import pid_teacher, rendezvous_pool, started
 
 SMALL = StudentConfig(patch_size=16, conv_channels=(4, 8), fc_dim=16, hidden_dim=12)
 
@@ -239,6 +239,35 @@ class TestTrasfust:
         run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
         assert run.partial
         assert len(run.boxes) == 3
+
+    def test_unopenable_member_gives_no_boxes(self, tmp_path):
+        video = small_video(26, frames=10)
+        pool = [OracleNoiseFactory("ok", 0.9, seed=1), TraceFactory("ghost", str(tmp_path))]
+        run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
+        assert run.partial and "ghost" in run.error
+        assert run.boxes == [] and run.v_teachers == {"ok": [], "ghost": []}
+
+    def test_first_failure_ends_the_run(self):
+        video = small_video(26, frames=10)
+        pool = [OracleNoiseFactory("ok", 0.9, seed=1), FailAfter("six", 6), FailAfter("three", 3)]
+        run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
+        assert run.partial and "'three'" in run.error
+        assert len(run.boxes) == 3
+        tie = [FailAfter("first", 3), FailAfter("second", 3)]
+        run = trasfust(video, video.ground_truth[0], self.model, self.zero, tie)
+        assert "'first'" in run.error and len(run.boxes) == 3
+
+    def test_healthy_extern_member_outlives_a_failed_one(self, tmp_path, closing):
+        # the failing member does not cut its co-member's session short, so
+        # the extern child serves both videos
+        command, pids = pid_teacher(tmp_path, "ext")
+        closing.append(ExternalFactory("ext", command))
+        pool = [FailAfter("flaky", 2), closing[0]]
+        for seed in (29, 30):
+            video = small_video(seed, frames=6)
+            run = trasfust(video, video.ground_truth[0], self.model, self.zero, pool)
+            assert run.partial and "flaky" in run.error and len(run.boxes) == 2
+        assert len(started(pids)) == 1
 
     def test_extern_members_equal_trace_members(self, tmp_path, closing):
         # two child processes replaying stored boxes judge exactly like

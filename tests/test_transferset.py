@@ -21,7 +21,6 @@ from trackdistill.transferset import (
     chunk_trajectory,
     filter_trajectories,
     load_chunk_index,
-    stats_row,
     trace_ious,
     trajectory_ious,
     transfer_report,
@@ -120,12 +119,13 @@ class TestChunking:
 
 class TestStats:
     def test_empty_row_shape(self):
-        row = stats_row("t", 0.9, [], {}, 0)
+        vid, tr = video_with_ious("a", [0.8] * 40)  # not above 0.9: none kept
+        [row] = transfer_report([tr], videos_by_id([vid]), betas=[0.9])
         assert (row["num_traj"], row["ao"], row["num_chunks"]) == (0, 0.0, 0)
 
     def test_constant_iou_ao(self):
         vid, tr = video_with_ious("a", [0.8] * 40)
-        row = stats_row("t", 0.5, [tr], videos_by_id([vid]), 5)
+        [row] = transfer_report([tr], videos_by_id([vid]), betas=[0.5])
         np.testing.assert_allclose(row["ao"], 0.8, atol=1e-12)
 
     def test_chunk_count_five_per_trajectory(self):

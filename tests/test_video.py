@@ -72,6 +72,14 @@ class TestGroundTruth:
         with pytest.raises(ParseError, match=r"gt\.csv:2"):
             read_groundtruth(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_row_names_location(self, tmp_path, cell):
+        p = str(tmp_path / "gt.csv")
+        with open(p, "w") as fh:
+            fh.write(f"1,2,3,4\n1,{cell},3,4\n")
+        with pytest.raises(ParseError, match=r"gt\.csv:2: box field y is not finite"):
+            read_groundtruth(p)
+
     def test_non_numeric_rejected(self, tmp_path):
         p = str(tmp_path / "gt.csv")
         with open(p, "w") as fh:

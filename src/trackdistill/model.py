@@ -97,6 +97,18 @@ def _matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (W @ X[:, :, None])[:, :, 0]
 
 
+def _gather_index(side: int, cin: int) -> np.ndarray:
+    """Flat indices into one (side + 2, side + 2, cin) padded map that lay out its
+    stride-2 3x3 im2col as (half², cin·9) rows, in the (cin, ky, kx) order of the
+    conv weights: kernel tap (ky, kx) of output (i, j) reads padded pixel
+    (2i + ky, 2j + kx)."""
+    half, k = side // 2, np.arange(3)
+    y = (2 * np.arange(half))[:, None, None, None, None] + k[:, None]
+    x = (2 * np.arange(half))[None, :, None, None, None] + k
+    c = np.arange(cin)[:, None, None]
+    return ((y * (side + 2) + x) * cin + c).reshape(half * half, cin * 9).astype(np.intp)
+
+
 class StudentModel:
     """Stateless computation over flat parameter vectors for one architecture."""
 
@@ -113,12 +125,14 @@ class StudentModel:
 
         p = config.patch_size
         self._conv_stages: List[Tuple[int, int]] = []  # (side, channels) into each stage
+        self._gathers: List[np.ndarray] = []  # each stage's im2col index into one padded map
         if config.encoder == "conv":
             side, cin = p, 3
             for k, cout in enumerate(config.conv_channels):
                 add(f"enc.conv{k}.W", (cout, cin, 3, 3))
                 add(f"enc.conv{k}.b", (cout,))
                 self._conv_stages.append((side, cin))
+                self._gathers.append(_gather_index(side, cin))
                 side //= 2
                 cin = cout
             self.feature_dim = side * side * cin
@@ -147,6 +161,7 @@ class StudentModel:
         }
         self._views_of: Optional[np.ndarray] = None  # the vector _views were built on
         self._views: Dict[str, np.ndarray] = {}
+        self._arena_bufs = self._workspace(0)
 
     # -- parameter vector plumbing -------------------------------------------
 
@@ -192,28 +207,73 @@ class StudentModel:
 
     # -- encoder --------------------------------------------------------------
 
-    def _encode(self, v: Dict[str, np.ndarray], patches: np.ndarray):
-        """(n, feature_dim) features of an (n, p, p, 3) patch stack, and their cache."""
-        n = patches.shape[0]
-        x = patches / 255.0 - 0.5
+    def _workspace(self, n: int) -> List[np.ndarray]:
+        """Fresh encoder buffers for n patches: the (n, p, p, 3) normalised patches,
+        then for the conv encoder, per stage, its padded input (the border zero),
+        its (n, half², cin·9) columns and its (n, half², cout) pre-activations,
+        and last the (n, feature_dim) features."""
+        p = self.config.patch_size
+        bufs = [np.empty((n, p, p, 3))]
+        if self.config.encoder == "pool":
+            return bufs
+        for (side, cin), cout in zip(self._conv_stages, self.config.conv_channels):
+            half = side // 2
+            bufs += [
+                np.zeros((n, side + 2, side + 2, cin)),
+                np.empty((n, half * half, cin * 9)),
+                np.empty((n, half * half, cout)),
+            ]
+        return bufs + [np.empty((n, self.feature_dim))]
+
+    def _arena(self, n: int) -> List[np.ndarray]:
+        """The leading n rows of the model's own encoder buffers, for callers that
+        drop the cache before the next call. They grow to the largest n asked
+        for and are otherwise reused; no call writes a padded border, so it
+        stays zero."""
+        if len(self._arena_bufs[0]) < n:
+            self._arena_bufs = self._workspace(n)
+        return [b[:n] for b in self._arena_bufs]
+
+    def _encode(
+        self,
+        v: Dict[str, np.ndarray],
+        patches: Sequence[np.ndarray],
+        workspace: Callable[[int], List[np.ndarray]],
+    ):
+        """(n, feature_dim) features of n (p, p, 3) patches, and their cache.
+
+        ``workspace(n)`` supplies the buffers (``_workspace`` or ``_arena``), and
+        the features and the cache are views of them: the caller decides who
+        owns them. Each stage's im2col is one ``take`` of a precomputed index,
+        and each stage's ReLU writes into the next stage's padded input; the
+        arithmetic is the nine-copy encoder's, so every value is bitwise its.
+        """
+        n = len(patches)
+        bufs = workspace(n)
+        # normalised in a contiguous buffer: a ufunc writing a strided view is slower
+        x = bufs[0]
+        for j, patch in enumerate(patches):
+            np.divide(patch, 255.0, out=x[j])
+        x -= 0.5
         if self.config.encoder == "conv":
+            bufs[1][:, 1:-1, 1:-1] = x
             stage_caches = []
-            for k, (side, cin) in enumerate(self._conv_stages):
+            last = len(self._gathers) - 1
+            for k, ((side, cin), idx) in enumerate(zip(self._conv_stages, self._gathers)):
+                # nxt: the next stage's padded input, after the last stage the features
+                xpad, cols, pre, nxt = bufs[3 * k + 1 : 3 * k + 5]
                 W = v[f"enc.conv{k}.W"]
-                half = side // 2
-                xpad = np.zeros((n, side + 2, side + 2, cin))
-                xpad[:, 1:-1, 1:-1] = x
-                # im2col: kernel tap (ky, kx) reads every other padded pixel from (ky, kx)
-                cols = np.empty((n, half, half, cin, 3, 3))
-                for ky in range(3):
-                    for kx in range(3):
-                        cols[..., ky, kx] = xpad[:, ky : ky + side : 2, kx : kx + side : 2]
+                cout, half = W.shape[0], side // 2
+                # mode="clip" writes straight into cols; "raise" would buffer it
+                np.take(xpad.reshape(n, -1), idx, axis=1, out=cols, mode="clip")
                 # a matmul per patch, so rows round as in a one-patch call
-                cols = cols.reshape(n, half * half, cin * 9)
-                pre = cols @ W.reshape(W.shape[0], -1).T + v[f"enc.conv{k}.b"]
-                stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, W.shape[0])))
-                x = np.maximum(pre, 0.0).reshape(n, half, half, W.shape[0])
-            return x.reshape(n, -1), stage_caches
+                np.matmul(cols, W.reshape(cout, -1).T, out=pre)
+                pre += v[f"enc.conv{k}.b"]
+                stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, cout)))
+                act = pre.reshape(n, half, half, cout)
+                out = nxt[:, 1:-1, 1:-1] if k < last else nxt.reshape(act.shape)
+                np.maximum(act, 0.0, out=out)
+            return bufs[-1], stage_caches
         side = self.config.patch_size // self.config.pool_factor
         f = self.config.pool_factor
         pooled = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4))
@@ -259,13 +319,17 @@ class StudentModel:
                 f"do not match configured {want}"
             )
 
-    def _step(self, v: Dict[str, np.ndarray], states: Sequence[State], h_prev, c_prev):
+    def _step(
+        self, v: Dict[str, np.ndarray], states: Sequence[State], h_prev, c_prev, workspace
+    ):
         """Advance K lanes: lane k reads states[k] and row k of the (K, hidden) h_prev
         and c_prev; lanes given one State object share its encoding. Each lane's rows are
-        bitwise a one-lane step's. Returns (mu, value, h, c, encoder cache, (K, ...) rows)."""
+        bitwise a one-lane step's. Returns (mu, value, h, c, encoder cache, (K, ...) rows).
+        The encoder cache and the ``z`` rows are views of the buffers ``workspace``
+        supplies (see ``_encode``); every other array is fresh."""
         distinct = list({id(s): s for s in states}.values())
         feats, enc_cache = self._encode(
-            v, np.stack([p for s in distinct for p in (s.patch_prev, s.patch_cur)])
+            v, [p for s in distinct for p in (s.patch_prev, s.patch_cur)], workspace
         )
         z = feats.reshape(len(distinct), -1)
         pre1 = _matvecs(v["fuse1.W"], z) + v["fuse1.b"]
@@ -291,10 +355,12 @@ class StudentModel:
         return mu, value, h, c, enc_cache, rows
 
     def forward(self, params: np.ndarray, state: State, hidden: HiddenState):
-        """One prediction, with its backward cache; purely functional in (params, state, hidden)."""
+        """One prediction, with its backward cache; purely functional in (params, state, hidden).
+        The encoder writes into fresh buffers that only the returned cache holds, so no
+        later call overwrites a cache before ``backward_window`` reads it."""
         self._check_state(state)
         mu, value, h, c, enc_cache, rows = self._step(
-            self._param_views(params), (state,), hidden.h[None], hidden.c[None]
+            self._param_views(params), (state,), hidden.h[None], hidden.c[None], self._workspace
         )
         cache = (enc_cache,) + tuple(r[0] for r in rows)
         return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
@@ -304,11 +370,13 @@ class StudentModel:
     ):
         """One batched prediction for K lanes, lane k reading states[k] with hiddens[k]; lanes
         passing one State object share its encoding. Row k is bitwise ``forward(params,
-        states[k], hiddens[k])``. Returns (actions (K, 4), values (K,), [HiddenState] * K)."""
+        states[k], hiddens[k])``. Returns (actions (K, 4), values (K,), [HiddenState] * K).
+        The cache is dropped, so the encoder reuses the model's own buffers (``_arena``):
+        the call must not overlap another ``forward_lanes`` on the same model."""
         for state in states:
             self._check_state(state)
         hs, cs = np.stack([x.h for x in hiddens]), np.stack([x.c for x in hiddens])
-        mu, value, h, c, _, _ = self._step(self._param_views(params), states, hs, cs)
+        mu, value, h, c, _, _ = self._step(self._param_views(params), states, hs, cs, self._arena)
         return mu, value, [HiddenState(h[k], c[k]) for k in range(len(states))]
 
     def forward_window(

@@ -93,8 +93,6 @@ def _track(
     """
     if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
-    if evaluator == ORACLE_EVALUATOR and len(video.ground_truth) != len(video.frames):
-        raise InvalidInputError("oracle evaluator needs ground truth on every frame")
     results = run_pool_on_video(pool, video)
     tracks = [trace.boxes for trace, _ in results]
     ids = [trace.teacher_id for trace, _ in results]

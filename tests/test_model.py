@@ -78,7 +78,7 @@ class TestForward:
         a = rng.uniform(0, 255, (16, 16, 3))
         b = rng.uniform(0, 255, (16, 16, 3))
         v = model.views(params)
-        fa, fb = (model._encode(v, patch[None])[0][0] for patch in (a, b))
+        fa, fb = (model._encode(v, patch[None], model._workspace)[0][0] for patch in (a, b))
         sab = State(a, b)
         sba = State(b, a)
         mus = {}
@@ -144,7 +144,7 @@ class TestParamViewCache:
         states = [random_state(rng) for _ in range(3)]
         _, _, _, caches = model.forward_window(params, states, model.zero_hidden())
         model.forward_lanes(params, states[:2], [model.zero_hidden()] * 2)
-        model._encode(model._param_views(params), states[0].patch_cur[None])
+        model._encode(model._param_views(params), states[0].patch_cur[None], model._workspace)
         assert [c is params for c in calls] == [True]
         # backward reads the cached views; its fresh gradient's views are not kept
         model.backward_window(params, caches, np.ones((3, 4)), np.ones(3))
@@ -199,30 +199,50 @@ class TestSigmoid:
         assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan]))))
 
 
+def random_hiddens(rng, config, k):
+    hdim = config.hidden_dim
+    return [HiddenState(rng.normal(size=hdim), rng.normal(size=hdim)) for _ in range(k)]
+
+
+def assert_lanes_equal_forward(model, params, states, hiddens):
+    k = len(states)
+    actions, values, new_hiddens = model.forward_lanes(params, states, hiddens)
+    assert actions.shape == (k, 4) and values.shape == (k,) and len(new_hiddens) == k
+    for lane in range(k):  # bitwise: batching and sharing must not change the rounding
+        out, hidden = model.forward(params, states[lane], hiddens[lane])
+        np.testing.assert_array_equal(actions[lane], out.action)
+        assert values[lane] == out.value
+        np.testing.assert_array_equal(new_hiddens[lane].h, hidden.h)
+        np.testing.assert_array_equal(new_hiddens[lane].c, hidden.c)
+
+
 class TestForwardLanes:
     @pytest.mark.parametrize(
         "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
     )
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
     def test_rows_equal_per_lane_forward(self, config, k):
         rng = np.random.default_rng(140 + k)
         model = StudentModel(config)
         params = model.init_params(seed=13) * 2.0
-        hdim = config.hidden_dim
         distinct = [random_state(rng, config.patch_size) for _ in range(2)]
+        extra = [random_state(rng, config.patch_size) for _ in range(max(1, k - 3))]
         # lanes 0 and 2 share one State object; every lane has its own hidden state
-        states = [distinct[0], distinct[1], distinct[0], random_state(rng, config.patch_size)][:k]
-        hiddens = [
-            HiddenState(rng.normal(size=hdim), rng.normal(size=hdim)) for _ in range(k)
-        ]
-        actions, values, new_hiddens = model.forward_lanes(params, states, hiddens)
-        assert actions.shape == (k, 4) and values.shape == (k,) and len(new_hiddens) == k
-        for lane in range(k):  # bitwise: batching and sharing must not change the rounding
-            out, hidden = model.forward(params, states[lane], hiddens[lane])
-            np.testing.assert_array_equal(actions[lane], out.action)
-            assert values[lane] == out.value
-            np.testing.assert_array_equal(new_hiddens[lane].h, hidden.h)
-            np.testing.assert_array_equal(new_hiddens[lane].c, hidden.c)
+        states = ([distinct[0], distinct[1], distinct[0]] + extra)[:k]
+        assert_lanes_equal_forward(model, params, states, random_hiddens(rng, config, k))
+
+    @pytest.mark.parametrize(
+        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
+    )
+    def test_rows_stay_bitwise_as_lane_counts_change(self, config):
+        """One model through growing and shrinking stacks: a dirty border or a
+        stale row in the reused encoder buffers would change some lane's row."""
+        rng = np.random.default_rng(152)
+        model = StudentModel(config)
+        params = model.init_params(seed=15) * 2.0
+        for k in (8, 1, 3, 8, 2):
+            states = [random_state(rng, config.patch_size) for _ in range(k)]
+            assert_lanes_equal_forward(model, params, states, random_hiddens(rng, config, k))
 
     def test_shared_state_encoded_once(self, monkeypatch):
         rng = np.random.default_rng(150)
@@ -232,7 +252,9 @@ class TestForwardLanes:
         encoded = []
         encode = model._encode
         monkeypatch.setattr(
-            model, "_encode", lambda v, patches: encoded.append(len(patches)) or encode(v, patches)
+            model,
+            "_encode",
+            lambda v, patches, *rest: encoded.append(len(patches)) or encode(v, patches, *rest),
         )
         model.forward_lanes(params, [a, b, a, a], [model.zero_hidden()] * 4)
         assert encoded == [4]  # two distinct states, two patches each, one call
@@ -332,6 +354,98 @@ def conv_reference(x, W, b):
     return np.maximum(out, 0.0)
 
 
+def nine_copy_encode(model, v, patches):
+    """The im2col encoder with nine strided copies per conv stage into fresh
+    buffers: the bitwise reference for ``StudentModel._encode``."""
+    config = model.config
+    n = patches.shape[0]
+    x = patches / 255.0 - 0.5
+    if config.encoder == "conv":
+        stage_caches = []
+        for k, (side, cin) in enumerate(model._conv_stages):
+            W = v[f"enc.conv{k}.W"]
+            half = side // 2
+            xpad = np.zeros((n, side + 2, side + 2, cin))
+            xpad[:, 1:-1, 1:-1] = x
+            cols = np.empty((n, half, half, cin, 3, 3))
+            for ky in range(3):
+                for kx in range(3):
+                    cols[..., ky, kx] = xpad[:, ky : ky + side : 2, kx : kx + side : 2]
+            cols = cols.reshape(n, half * half, cin * 9)
+            pre = cols @ W.reshape(W.shape[0], -1).T + v[f"enc.conv{k}.b"]
+            stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, W.shape[0])))
+            x = np.maximum(pre, 0.0).reshape(n, half, half, W.shape[0])
+        return x.reshape(n, -1), stage_caches
+    side = config.patch_size // config.pool_factor
+    f = config.pool_factor
+    flat = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4)).reshape(n, -1)
+    pre = (v["enc.fc.W"] @ flat[:, :, None])[:, :, 0] + v["enc.fc.b"]
+    return np.maximum(pre, 0.0), (flat, pre)
+
+
+def arrays_in(tree):
+    """Every array of a nested tuple/list, in order."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    return [a for item in tree for a in arrays_in(item)]
+
+
+def assert_trees_bitwise(got, want):
+    got, want = arrays_in(got), arrays_in(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestGatherEncoder:
+    @pytest.mark.parametrize(
+        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
+    )
+    def test_bitwise_nine_copy_reference(self, config):
+        """Fresh and reused buffers, through growing and shrinking stacks on one model."""
+        rng = np.random.default_rng(160)
+        model = StudentModel(config)
+        params = model.init_params(seed=16) * 2.0
+        v = model.views(params)
+        p = config.patch_size
+        for n in (8, 1, 16, 3, 2, 6):
+            patches = rng.uniform(0, 255, (n, p, p, 3))
+            want = nine_copy_encode(model, v, patches)
+            for workspace in (model._workspace, model._arena):
+                assert_trees_bitwise(model._encode(v, list(patches), workspace), want)
+
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
+    def test_forward_caches_outlive_lane_calls(self, config):
+        """A ``forward`` cache owns its buffers: ``forward_lanes`` and later
+        ``forward`` calls leave its bytes and its gradient as they were."""
+        rng = np.random.default_rng(161)
+        model, fresh = StudentModel(config), StudentModel(config)
+        params = model.init_params(seed=17)
+        p, h0 = config.patch_size, model.zero_hidden()
+
+        def lanes():
+            return [random_state(rng, p) for _ in range(8)], random_hiddens(rng, config, 8)
+
+        model.forward_lanes(params, *lanes())  # the reused buffers are at full size
+        states = [random_state(rng, p) for _ in range(3)]
+        out, _ = model.forward(params, states[0], h0)
+        _, _, _, caches = model.forward_window(params, states, h0)
+        kept = [a.copy() for a in arrays_in([out.cache, caches])]
+        dmus, dvalues = rng.normal(size=(3, 4)), rng.normal(size=3)
+        grad = model.backward_window(params, caches, dmus, dvalues)
+        grad_one = model.backward_window(params, [out.cache], dmus[:1], dvalues[:1])
+
+        model.forward_lanes(params, *lanes())
+        model.forward(params, random_state(rng, p), h0)
+        assert_trees_bitwise([out.cache, caches], kept)
+        assert model.backward_window(params, caches, dmus, dvalues).tobytes() == grad.tobytes()
+        assert model.backward_window(params, [out.cache], dmus[:1], dvalues[:1]).tobytes() == (
+            grad_one.tobytes()
+        )
+        _, _, _, own = fresh.forward_window(params, states, h0)
+        assert fresh.backward_window(params, own, dmus, dvalues).tobytes() == grad.tobytes()
+
+
 class TestBatchedEncoder:
     @pytest.mark.parametrize(
         "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
@@ -342,10 +456,10 @@ class TestBatchedEncoder:
         params = model.init_params(seed=11)
         p = config.patch_size
         patches = rng.uniform(0, 255, (4, p, p, 3))
-        feats, _ = model._encode(model.views(params), patches)
+        feats, _ = model._encode(model.views(params), patches, model._workspace)
         assert feats.shape == (4, model.feature_dim)
         for k in range(4):  # bitwise: batching must not change the rounding
-            one, _ = model._encode(model.views(params), patches[k : k + 1])
+            one, _ = model._encode(model.views(params), patches[k : k + 1], model._workspace)
             np.testing.assert_array_equal(feats[k], one[0])
 
     def test_conv_features_match_direct_convolution(self):
@@ -357,7 +471,7 @@ class TestBatchedEncoder:
         x = patch / 255.0 - 0.5
         for k in range(len(SMALL.conv_channels)):
             x = conv_reference(x, v[f"enc.conv{k}.W"], v[f"enc.conv{k}.b"])
-        feats, _ = model._encode(v, patch[None])
+        feats, _ = model._encode(v, patch[None], model._workspace)
         np.testing.assert_allclose(feats[0], x.reshape(-1), atol=1e-12)
 
     def test_every_conv_coordinate_fd(self):

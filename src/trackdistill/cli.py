@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ProtocolError,
     TeacherError,
 )
-from .metrics import EvalResult, ope_run, report, run_metrics
+from .metrics import ope_run, report
 from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
@@ -36,7 +37,7 @@ from .teachers import (
     run_pool_on_video,
     save_trace,
 )
-from .trackers import read_trackrun, tras, trasfust, trast, write_trackrun
+from .trackers import TrackRun, read_trackrun, tras, trasfust, trast, write_trackrun
 from .training import OptimizerConfig, TrainSettings, WorkerConfig
 from .training import synthetic_record, train, window_loss_fn
 from .transferset import (
@@ -49,7 +50,7 @@ from .transferset import (
     write_chunk_index,
     write_stats_csv,
 )
-from .video import SyntheticSpec, generate_video, load_dataset, write_video
+from .video import SyntheticSpec, Video, generate_video, load_dataset, write_video
 
 GRADCHECK_TOLERANCE = 1e-4
 STATS_BETAS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -59,6 +60,13 @@ def _load_config(args) -> cfgmod.Config:
     if getattr(args, "config", None):
         return cfgmod.load_config(args.config)
     return cfgmod.default_config()
+
+
+def _load_videos(args) -> List[Video]:
+    videos = load_dataset(args.dataset)
+    if not videos:
+        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    return videos
 
 
 def _parse_pool(text: str, seed: int) -> List[TeacherFactory]:
@@ -82,7 +90,6 @@ def cmd_gen_data(args) -> int:
     config = _load_config(args)
     spec = cfgmod.build(config, SyntheticSpec)
     spec.validate()
-    os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     count = config["env.num_videos"]
     for i in range(count):
@@ -95,11 +102,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run_teachers(args) -> int:
     config = _load_config(args)
-    videos = load_dataset(args.dataset)
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    videos = _load_videos(args)
     pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
-    os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     failures = 0
     try:
@@ -126,15 +130,12 @@ def cmd_run_teachers(args) -> int:
 def cmd_filter(args) -> int:
     config = _load_config(args)
     beta = args.beta if args.beta is not None else config["eval.beta"]
-    videos = videos_by_id(load_dataset(args.dataset))
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    videos = videos_by_id(_load_videos(args))
     pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
     traces = []
     for factory in pool:
         for vid in sorted(videos):
             traces.append(load_trace(args.traces, factory.teacher_id, vid))
-    os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     ious = trace_ious(traces, videos)
     kept, chunks = build_transfer_set(traces, videos, beta, seed=args.seed, ious=ious)
@@ -160,7 +161,6 @@ def cmd_train(args) -> int:
     if not chunks:
         raise InvalidInputError(f"chunk index {args.chunks!r} is empty")
     model = StudentModel(cfgmod.build(config, StudentConfig))
-    os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
 
     covered = {c.video_id for c in chunks}
@@ -219,9 +219,7 @@ def cmd_track(args) -> int:
     config = _load_config(args)
     model = StudentModel(cfgmod.build(config, StudentConfig))
     params = load_params(args.checkpoint, model.config)
-    videos = load_dataset(args.dataset)
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    videos = _load_videos(args)
     context, evaluator = config["env.context"], config["eval.evaluator"]
     pool: List[TeacherFactory] = []
     if args.mode == "tras":
@@ -233,7 +231,6 @@ def cmd_track(args) -> int:
     else:
         pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
         track = lambda v: trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
-    os.makedirs(args.out, exist_ok=True)
     cfgmod.echo_config(config, args.out)
     try:
         runs = [track(video) for video in videos]
@@ -258,29 +255,23 @@ def cmd_track(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    videos = videos_by_id(load_dataset(args.dataset))
-    if not videos:
-        raise InvalidInputError(f"no videos found under {args.dataset!r}")
+    videos = _load_videos(args)
     dataset_id = config["eval.dataset_id"]
     results = []
-    for runs_dir in args.runs:
-        tracker_id = os.path.basename(os.path.normpath(runs_dir))
-        result = EvalResult(tracker=tracker_id, dataset=dataset_id, per_video={})
-        for vid in sorted(videos):
-            path = os.path.join(runs_dir, f"{vid}.csv")
-            if not os.path.isfile(path):
-                print(
-                    f"warning: {tracker_id}: no run for {vid}; excluded",
-                    file=sys.stderr,
-                )
-                result.excluded.append(vid)
-                continue
-            run = read_trackrun(path, vid, tracker_id)
-            result.per_video[vid] = run_metrics(run, videos[vid])
-        if not result.per_video:
-            raise InvalidInputError(f"{runs_dir!r} holds no usable runs")
-        results.append(result)
-    os.makedirs(args.out, exist_ok=True)
+    with warnings.catch_warnings():  # ope_run's warnings as warning: lines
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        for runs_dir in args.runs:
+            tracker_id = os.path.basename(os.path.normpath(runs_dir))
+
+            def stored(video: Video) -> TrackRun:
+                path = os.path.join(runs_dir, f"{video.video_id}.csv")
+                if not os.path.isfile(path):
+                    return TrackRun(video.video_id, tracker_id, [], [], partial=True,
+                                    error="no run file")
+                return read_trackrun(path, video.video_id, tracker_id)
+
+            results.append(ope_run(stored, videos, tracker_id, dataset_id))
     cfgmod.echo_config(config, args.out)
     report(results, args.out)
     for r in results:

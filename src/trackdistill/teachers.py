@@ -1,11 +1,12 @@
 """Teacher trackers: noisy oracles, trace replay, external processes.
 
-A teacher session is bound to one video, primed with the first frame and
-ground-truth box, then fed frames in temporal order, producing one box per
-frame. Factories build fresh sessions per video so pools can be replayed
+A teacher session is bound to one video, primed with the first ground-truth
+box, then stepped by frame index in temporal order, producing one box per
+frame. In-process teachers read no pixels; an external one reads frame files.
+Factories build fresh sessions per video so pools can be replayed
 deterministically across passes.
 
-Every step has two phases: ``submit`` hands the session its input and
+Every step has two phases: ``submit`` starts work on the next frame index and
 ``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
 Only ``run_pool_on_video`` opens and steps sessions. Every pool, those of
 ``track`` and ``fuse`` included, runs through it, each member submitted to
@@ -65,8 +66,8 @@ class TrajectoryTrace:
 
 
 class TeacherSession:
-    """Base session: init once, then predict per frame, in order, each step
-    split into submit and collect."""
+    """Base session: init once from the first box, then predict by frame index,
+    in order, each step split into submit and collect."""
 
     def __init__(self, teacher_id: str, video_id: str):
         self.teacher_id = teacher_id
@@ -75,38 +76,33 @@ class TeacherSession:
         self._initialized = False
         self._t = 0
         self._pending = False  # a step was submitted and not yet collected
-        self._frame = None
 
-    def init(self, frame0: np.ndarray, g0: Box) -> None:
-        self.submit_init(frame0, g0)
+    def init(self, g0: Box) -> None:
+        self.submit_init(g0)
         self.collect()
 
-    def predict(self, frame: np.ndarray) -> Box:
-        self.submit(frame)
+    def predict(self) -> Box:
+        self.submit()
         return self.collect()
 
-    def submit_init(self, frame0: np.ndarray, g0: Box) -> None:
-        """First phase of ``init``: hand over the first frame and its box."""
+    def submit_init(self, g0: Box) -> None:
+        """First phase of ``init``: hand over the first frame's box."""
         if self._initialized:
             raise ProtocolError(f"teacher {self.teacher_id!r}: double init")
         self._initialized = True
-        self._t = 0
         self.box = g0
-        self._start(frame0)
+        self._pending = True
+        self._submit(0)
 
-    def submit(self, frame: np.ndarray) -> None:
-        """First phase of ``predict``: hand over the next frame."""
+    def submit(self) -> None:
+        """First phase of ``predict``: start on the next frame."""
         if not self._initialized:
             raise ProtocolError(f"teacher {self.teacher_id!r}: predict before init")
         if self._pending:
             raise ProtocolError(f"teacher {self.teacher_id!r}: submit before collect")
         self._t += 1
-        self._start(frame)
-
-    def _start(self, frame: np.ndarray) -> None:
         self._pending = True
-        self._frame = frame
-        self._submit(frame, self._t)
+        self._submit(self._t)
 
     def collect(self) -> Box:
         """Second phase: the box of the frame last submitted (the start box after init)."""
@@ -116,7 +112,7 @@ class TeacherSession:
         if self._t == 0:
             self._collect_init()
         else:
-            self.box = self._predict(self._frame, self._t)
+            self.box = self._predict(self._t)
         return self.box
 
     def close_input(self) -> None:
@@ -125,13 +121,13 @@ class TeacherSession:
     def close(self) -> None:
         pass
 
-    def _submit(self, frame: np.ndarray, t: int) -> None:
+    def _submit(self, t: int) -> None:
         """Start work on frame t (0 is the init); in-process teachers do it in ``_predict``."""
 
     def _collect_init(self) -> None:
         pass
 
-    def _predict(self, frame: np.ndarray, t: int) -> Box:
+    def _predict(self, t: int) -> Box:
         raise NotImplementedError
 
     def __enter__(self):
@@ -209,54 +205,41 @@ def calibrate_noise(target_iou: float, seed: int, samples: int = 4000) -> float:
     return 0.5 * (lo + hi)
 
 
-class OracleNoiseSession(TeacherSession):
+class OracleNoiseFactory(TeacherFactory):
     """Ground truth with calibrated relative jitter; quality dialed by target overlap."""
 
-    def __init__(self, teacher_id: str, video: Video, kappa: float, rng: np.random.Generator):
-        super().__init__(teacher_id, video.video_id)
-        self._gt = video.ground_truth
-        self._kappa = kappa
-        self._rng = rng
-
-    def _predict(self, frame: np.ndarray, t: int) -> Box:
-        if t >= len(self._gt):
-            raise ProtocolError(f"teacher {self.teacher_id!r}: video exhausted at step {t}")
-        g = self._gt[t]
-        if self._kappa == 0.0:
-            return g
-        e = self._rng.uniform(-1.0, 1.0, 4)
-        cx = g.cx + e[0] * self._kappa * g.w
-        cy = g.cy + e[1] * self._kappa * g.h
-        w = max(g.w * max(_SCALE_FLOOR, 1.0 + e[2] * self._kappa * 0.5), MIN_SIDE)
-        h = max(g.h * max(_SCALE_FLOOR, 1.0 + e[3] * self._kappa * 0.5), MIN_SIDE)
-        return Box(cx - w / 2, cy - h / 2, w, h)
-
-
-class OracleNoiseFactory(TeacherFactory):
     def __init__(self, teacher_id: str, target_iou: float, seed: int = 0):
         super().__init__(teacher_id)
         self.target_iou = float(target_iou)
         self.seed = int(seed)
         self.kappa = calibrate_noise(self.target_iou, self.seed)
 
-    def session(self, video: Video) -> OracleNoiseSession:
-        return OracleNoiseSession(
-            self.teacher_id, video, self.kappa, _video_seed(self.seed, video.video_id)
-        )
+    def session(self, video: Video) -> TraceSession:
+        """The replay of the video's jittered track, drawn whole here in frame
+        order from the video's own generator."""
+        boxes = list(video.ground_truth)
+        if self.kappa != 0.0:
+            rng, k = _video_seed(self.seed, video.video_id), self.kappa
+            for t, g in enumerate(video.ground_truth[1:], start=1):
+                e = rng.uniform(-1.0, 1.0, 4)
+                cx = g.cx + e[0] * k * g.w
+                cy = g.cy + e[1] * k * g.h
+                w = max(g.w * max(_SCALE_FLOOR, 1.0 + e[2] * k * 0.5), MIN_SIDE)
+                h = max(g.h * max(_SCALE_FLOOR, 1.0 + e[3] * k * 0.5), MIN_SIDE)
+                boxes[t] = Box(cx - w / 2, cy - h / 2, w, h)
+        return TraceSession(self.teacher_id, video.video_id, boxes)
 
 
 class TraceSession(TeacherSession):
-    """Replays a stored trajectory verbatim."""
+    """Replays a box list verbatim: a stored trace or an oracle's drawn track."""
 
     def __init__(self, teacher_id: str, video_id: str, boxes: List[Box]):
         super().__init__(teacher_id, video_id)
         self._boxes = boxes
 
-    def _predict(self, frame: np.ndarray, t: int) -> Box:
+    def _predict(self, t: int) -> Box:
         if t >= len(self._boxes):
-            raise ProtocolError(
-                f"teacher {self.teacher_id!r}: trace exhausted at step {t}"
-            )
+            raise ProtocolError(f"teacher {self.teacher_id!r}: trace exhausted at step {t}")
         return self._boxes[t]
 
 
@@ -397,7 +380,7 @@ class ExternalSession(TeacherSession):
             write_ppm(path, self._video.frames[t])
         return path
 
-    def _submit(self, frame: np.ndarray, t: int) -> None:
+    def _submit(self, t: int) -> None:
         if t == 0:
             self._stderr_start = self._child.stderr_size()
             g0 = self.box
@@ -435,7 +418,7 @@ class ExternalSession(TeacherSession):
         if reply.get("ok") is not True:
             raise self._error(f"init not acknowledged: {reply!r}")
 
-    def _predict(self, frame: np.ndarray, t: int) -> Box:
+    def _predict(self, t: int) -> Box:
         reply = self._reply()
         box = reply.get("box")
         if not (isinstance(box, list) and len(box) == 4):
@@ -564,11 +547,10 @@ def run_pool_on_video(
                 errors[k] = e
             else:
                 live[k] = opened[-1]
-        each_live(lambda k, s: s.submit_init(video.frames[0], g0))
+        each_live(lambda k, s: s.submit_init(g0))
         each_live(lambda k, s: s.collect())
-        for t in range(1, len(video)):
-            frame = video.frames[t]
-            each_live(lambda k, s: s.submit(frame))
+        for _ in range(1, len(video)):
+            each_live(lambda k, s: s.submit())
             each_live(lambda k, s: traces[k].boxes.append(s.collect()))
     finally:
         close_all(opened)

@@ -113,17 +113,19 @@ def chunk_trajectory(
         )
     )
     starts = rng.integers(0, n - length + 1, size=count)
-    return [
-        TransferChunk(
-            video_id=trace.video_id,
-            teacher_id=trace.teacher_id,
-            start=int(s),
-            frames=list(video.frames[s : s + length]),
-            gt=list(video.ground_truth[s : s + length]),
-            teacher_boxes=list(trace.boxes[s : s + length]),
-        )
-        for s in starts
-    ]
+    return [_chunk(video, trace, int(s), length) for s in starts]
+
+
+def _chunk(video: Video, trace: TrajectoryTrace, start: int, length: int) -> TransferChunk:
+    """The window [start, start + length) of ``trace`` over ``video``."""
+    return TransferChunk(
+        video_id=trace.video_id,
+        teacher_id=trace.teacher_id,
+        start=start,
+        frames=list(video.frames[start : start + length]),
+        gt=list(video.ground_truth[start : start + length]),
+        teacher_boxes=list(trace.boxes[start : start + length]),
+    )
 
 
 def build_transfer_set(
@@ -166,18 +168,20 @@ def transfer_report(
 ) -> List[dict]:
     """Rows for every (teacher, beta), teachers sorted, betas in given order.
     Each trace's overlaps are computed once (or taken from ``ious``, its
-    ``trace_ious``) and serve every beta."""
+    ``trace_ious``) and serve every beta. Chunks are counted, not built: each
+    kept trace of a video of ``length`` frames or more gives ``count``, at any ``seed``."""
     if ious is None:
         ious = trace_ious(traces, videos)
     overlaps = {id(tr): z for tr, z in zip(traces, ious)}
     teacher_ids = sorted({tr.teacher_id for tr in traces})
     rows = []
     for beta in betas:
-        kept, chunks = build_transfer_set(traces, videos, beta, length, count, seed, ious)
+        kept = filter_trajectories(traces, videos, beta, ious)
         for tid in teacher_ids:
-            n_chunks = sum(1 for ch in chunks if ch.teacher_id == tid)
-            mine = [overlaps[id(tr)] for tr in kept if tr.teacher_id == tid]
-            rows.append(_row(tid, beta, mine, n_chunks))
+            # build_transfer_set's order: the concatenated overlaps' mean depends on it
+            mine = sorted((tr for tr in kept if tr.teacher_id == tid), key=lambda tr: tr.video_id)
+            n_chunks = count * sum(1 for tr in mine if len(videos[tr.video_id]) >= length)
+            rows.append(_row(tid, beta, [overlaps[id(tr)] for tr in mine], n_chunks))
     return rows
 
 
@@ -252,14 +256,5 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
         trace = trace_cache[key]
         if start < 0 or start + length > len(video):
             raise ParseError(f"{path}: chunk start {start} out of range for {vid_id!r}")
-        out.append(
-            TransferChunk(
-                video_id=vid_id,
-                teacher_id=tid,
-                start=start,
-                frames=list(video.frames[start : start + length]),
-                gt=list(video.ground_truth[start : start + length]),
-                teacher_boxes=list(trace.boxes[start : start + length]),
-            )
-        )
+        out.append(_chunk(video, trace, start, length))
     return out

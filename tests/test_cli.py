@@ -345,6 +345,27 @@ class TestTrainAndTrack:
         assert fields[0] == "tras"
         assert 0.0 <= float(fields[2]) <= 1.0
 
+    def test_eval_excludes_a_video_without_run_file(self, pipeline, tmp_path, capsys):
+        runs = tmp_path / "tras"
+        shutil.copytree(pipeline["tras"], runs)
+        os.remove(runs / "synth001.csv")
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert main(["eval", "--config", pipeline["ini"], "--out", str(out),
+                     pipeline["data"], str(runs)]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: tras ") and "'synth001'" in line
+        [name] = [n for n in os.listdir(pipeline["eval"]) if n.endswith("_videos.json")]
+        with open(os.path.join(pipeline["eval"], name)) as f:
+            every = json.load(f)["videos"]
+        with open(out / name) as f:
+            scored = json.load(f)
+        assert scored["excluded"] == ["synth001"]
+        assert sorted(scored["videos"]) == ["synth000", "synth002", "synth003"]
+        ao = sum(every[vid]["ao"] for vid in scored["videos"]) / 3
+        with open(out / "summary.csv") as f:
+            assert f.read().splitlines()[1].split(",")[2] == f"{ao:.6f}"
+
     def test_eval_plot_files(self, pipeline):
         names = os.listdir(pipeline["eval"])
         assert any(n.endswith("_success.csv") for n in names)

@@ -2,21 +2,24 @@
 
 import os
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 from trackdistill import trackers
 from trackdistill.errors import InvalidInputError, ProtocolError, TeacherError
-from trackdistill.geometry import Box, iou
+from trackdistill.geometry import MIN_SIDE, Box, iou
 from trackdistill.model import StudentConfig, StudentModel
 from trackdistill.teachers import (
+    _SCALE_FLOOR,
     STDERR_TAIL,
     ExternalFactory,
     OracleNoiseFactory,
     TeacherFactory,
     TeacherSession,
     TraceFactory,
+    TraceSession,
     TrajectoryTrace,
     calibrate_noise,
     close_all,
@@ -26,7 +29,7 @@ from trackdistill.teachers import (
     run_teacher_on_video,
     save_trace,
 )
-from trackdistill.video import SyntheticSpec, Video, generate_video
+from trackdistill.video import SyntheticSpec, Video, generate_video, load_video, write_video
 
 
 def gt_only_video(video_id, n, rng):
@@ -40,15 +43,52 @@ def gt_only_video(video_id, n, rng):
     return Video(video_id, [frame] * n, boxes)
 
 
+def reference_oracle_boxes(factory, video):
+    """The oracle's boxes as a per-frame session once gave them: at each
+    predicted frame in turn, four uniforms from the video's generator and the
+    jitter of that frame's ground truth."""
+    seeds = [factory.seed, zlib.crc32(video.video_id.encode("utf-8"))]
+    rng, kappa = np.random.default_rng(np.random.SeedSequence(seeds)), factory.kappa
+    boxes = [video.ground_truth[0]]
+    for g in video.ground_truth[1:]:
+        if kappa == 0.0:
+            boxes.append(g)
+            continue
+        e = rng.uniform(-1.0, 1.0, 4)
+        cx = g.cx + e[0] * kappa * g.w
+        cy = g.cy + e[1] * kappa * g.h
+        w = max(g.w * max(_SCALE_FLOOR, 1.0 + e[2] * kappa * 0.5), MIN_SIDE)
+        h = max(g.h * max(_SCALE_FLOOR, 1.0 + e[3] * kappa * 0.5), MIN_SIDE)
+        boxes.append(Box(cx - w / 2, cy - h / 2, w, h))
+    return boxes
+
+
 class TestOracleNoise:
+    @pytest.mark.parametrize("target", [1.0, 0.9, 0.6, 0.3])
+    def test_session_replays_the_per_frame_draws(self, target):
+        rng = np.random.default_rng(70)
+        boxes = [Box(float(rng.uniform(0, 60)), float(rng.uniform(0, 60)),
+                     float(rng.uniform(1, 50)), float(rng.uniform(1, 50))) for _ in range(300)]
+        vid = Video("vref", [np.zeros((8, 8, 3), dtype=np.uint8)] * len(boxes), boxes)
+        factory = OracleNoiseFactory("o", target_iou=target, seed=13)
+        sess = factory.session(vid)
+        assert isinstance(sess, TraceSession)  # the track is drawn when the session opens
+        sess.init(vid.ground_truth[0])
+        got = [vid.ground_truth[0]] + [sess.predict() for _ in range(1, len(vid))]
+        want = reference_oracle_boxes(factory, vid)
+        as_bytes = lambda bs: np.array([b.as_array() for b in bs]).tobytes()
+        assert as_bytes(got) == as_bytes(want)
+        if target == 0.3:  # boxes of a few pixels shrink to the floor
+            assert any(MIN_SIDE in (b.w, b.h) for b in got[1:])
+
     def test_zero_noise_returns_ground_truth(self):
         rng = np.random.default_rng(71)
         vid = gt_only_video("v0", 20, rng)
         factory = OracleNoiseFactory("perfect", target_iou=1.0, seed=3)
         sess = factory.session(vid)
-        sess.init(vid.frames[0], vid.ground_truth[0])
+        sess.init(vid.ground_truth[0])
         for t in range(1, 20):
-            assert sess.predict(vid.frames[t]) == vid.ground_truth[t]
+            assert sess.predict() == vid.ground_truth[t]
 
     @pytest.mark.parametrize("target", [0.6, 0.8, 0.9])
     def test_calibrated_mean_overlap(self, target):
@@ -56,9 +96,9 @@ class TestOracleNoise:
         vid = gt_only_video("vcal", 1001, rng)
         factory = OracleNoiseFactory("noisy", target_iou=target, seed=5)
         sess = factory.session(vid)
-        sess.init(vid.frames[0], vid.ground_truth[0])
+        sess.init(vid.ground_truth[0])
         vals = [
-            iou(sess.predict(vid.frames[t]), vid.ground_truth[t]) for t in range(1, 1001)
+            iou(sess.predict(), vid.ground_truth[t]) for t in range(1, 1001)
         ]
         assert target - 0.05 <= float(np.mean(vals)) <= target + 0.05
 
@@ -135,16 +175,16 @@ class TestSessionProtocol:
         rng = np.random.default_rng(91)
         vid = gt_only_video("v", 4, rng)
         sess = OracleNoiseFactory("o", 0.9, 1).session(vid)
-        sess.init(vid.frames[0], vid.ground_truth[0])
+        sess.init(vid.ground_truth[0])
         with pytest.raises(ProtocolError):
-            sess.init(vid.frames[0], vid.ground_truth[0])
+            sess.init(vid.ground_truth[0])
 
     def test_predict_before_init(self):
         rng = np.random.default_rng(92)
         vid = gt_only_video("v", 4, rng)
         sess = OracleNoiseFactory("o", 0.9, 1).session(vid)
         with pytest.raises(ProtocolError):
-            sess.predict(vid.frames[1])
+            sess.predict()
 
     def test_submit_and_collect_alternate(self):
         rng = np.random.default_rng(93)
@@ -152,14 +192,14 @@ class TestSessionProtocol:
         sess = OracleNoiseFactory("o", 0.9, 1).session(vid)
         with pytest.raises(ProtocolError, match="collect without submit"):
             sess.collect()
-        sess.submit_init(vid.frames[0], vid.ground_truth[0])
+        sess.submit_init(vid.ground_truth[0])
         assert sess.collect() == vid.ground_truth[0]
-        sess.submit(vid.frames[1])
+        sess.submit()
         with pytest.raises(ProtocolError, match="submit before collect"):
-            sess.submit(vid.frames[2])
+            sess.submit()
         ref = OracleNoiseFactory("o", 0.9, 1).session(vid)
-        ref.init(vid.frames[0], vid.ground_truth[0])
-        assert sess.collect() == ref.predict(vid.frames[1])
+        ref.init(vid.ground_truth[0])
+        assert sess.collect() == ref.predict()
 
 
 ECHO_TEACHER = r"""
@@ -303,13 +343,13 @@ class Recorder(TeacherFactory):
         log, tid = self.log, self.teacher_id
 
         class _S(TeacherSession):
-            def _submit(self, frame, t):
+            def _submit(self, t):
                 log.append(("submit", tid, t))
 
             def _collect_init(self):
                 log.append(("collect", tid, 0))
 
-            def _predict(self, frame, t):
+            def _predict(self, t):
                 log.append(("collect", tid, t))
                 return video.ground_truth[t]
 
@@ -320,6 +360,19 @@ class Recorder(TeacherFactory):
                 log.append(("close", tid))
 
         return _S(tid, video.video_id)
+
+
+class NoPixels:
+    """The frame list of a video whose frames must not be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, t):
+        raise AssertionError(f"frame {t} was read")
 
 
 class TestPool:
@@ -349,6 +402,24 @@ class TestPool:
             want += [("submit", tid, t) for tid in ids] + [("collect", tid, t) for tid in ids]
         want += [("close_input", tid) for tid in ids] + [("close", tid) for tid in ids]
         assert log == want
+
+    def test_pool_reads_no_pixels(self, tmp_path, closing):
+        # the oracle and the trace replay read boxes; the child reads frame files
+        vid = load_video(write_video(self.video(), str(tmp_path / "data")))
+        blind = Video(vid.video_id, NoPixels(len(vid)), vid.ground_truth, vid.frame_paths)
+        traces = str(tmp_path / "traces")
+        save_trace(traces, TrajectoryTrace(vid.video_id, "t", vid.ground_truth[::-1]))
+        echo = tmp_path / "echo.py"
+        echo.write_text(ECHO_TEACHER)
+        closing += [
+            OracleNoiseFactory("o", 0.8, 3),
+            TraceFactory("t", traces),
+            ExternalFactory("ext", f"{sys.executable} {echo}"),
+        ]
+        want = run_pool_on_video(closing, vid)
+        got = run_pool_on_video(closing, blind)
+        assert [error for _, error in got] == [None] * 3
+        assert [trace.boxes for trace, _ in got] == [trace.boxes for trace, _ in want]
 
     def test_duplicate_ids_rejected(self):
         pool = [parse_teacher_spec("oracle:0.9"), parse_teacher_spec("oracle:0.9:5")]
@@ -495,8 +566,8 @@ class TestChildLifetime:
         closing.append(factory)
         v0, v1 = self.videos(2)
         session = factory.session(v0)
-        session.init(v0.frames[0], v0.ground_truth[0])
-        session.submit(v0.frames[1])
+        session.init(v0.ground_truth[0])
+        session.submit()
         session.close()  # the reply to frame 1 is never read
         assert_exited(started(pids))
         assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, len(v1))

@@ -58,7 +58,7 @@ class FailAfter(TeacherFactory):
         outer = self
 
         class _S(TeacherSession):
-            def _predict(self, frame, t):
+            def _predict(self, t):
                 if t > outer.n:
                     raise TeacherError(self.teacher_id, "synthetic failure")
                 return video.ground_truth[t]

@@ -27,7 +27,7 @@ from .errors import (
     ProtocolError,
     TeacherError,
 )
-from .metrics import ope_run, report
+from .metrics import SUMMARY_COLUMNS, ope_run, report
 from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
@@ -275,10 +275,9 @@ def cmd_eval(args) -> int:
     cfgmod.echo_config(config, args.out)
     report(results, args.out)
     for r in results:
-        print(
-            f"{r.tracker}/{r.dataset}: AO {r.ao:.4f} SR50 {r.sr50:.4f} "
-            f"SR75 {r.sr75:.4f} SS {r.ss:.4f} PS {r.ps:.4f}"
-        )
+        aggregate = r.aggregate
+        scores = " ".join(f"{k.upper()} {aggregate[k]:.4f}" for k in SUMMARY_COLUMNS)
+        print(f"{r.tracker}/{r.dataset}: {scores}")
     return 0
 
 

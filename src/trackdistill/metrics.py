@@ -23,7 +23,8 @@ from .video import Video
 
 SUCCESS_GRID = np.arange(101) / 100.0
 PRECISION_GRID = np.arange(51).astype(float)
-SUMMARY_HEADER = "tracker,dataset,ao,sr50,sr75,ss,ps"
+SUMMARY_COLUMNS = ("ao", "sr50", "sr75", "ss", "ps")  # aggregate keys in summary.csv
+SUMMARY_HEADER = ",".join(("tracker", "dataset") + SUMMARY_COLUMNS)
 
 
 def _checked(values: Sequence[float], what: str) -> np.ndarray:
@@ -93,32 +94,17 @@ class EvalResult:
     per_video: Dict[str, VideoMetrics]
     excluded: List[str] = field(default_factory=list)
 
-    def _avg(self, fn: Callable[[VideoMetrics], float]) -> float:
-        return float(np.mean([fn(v) for v in self.per_video.values()]))
+    @property
+    def aggregate(self) -> Dict[str, float]:
+        """Dataset scores: each score of the per-video ``summary`` (all but the
+        frame count) averaged over the videos."""
+        summaries = [m.summary for m in self.per_video.values()]
+        keys = [k for k in summaries[0] if k != "frames"]
+        return {k: float(np.mean([s[k] for s in summaries])) for k in keys}
 
     @property
     def ao(self) -> float:
-        return self._avg(lambda v: ao(v.ious))
-
-    @property
-    def sr50(self) -> float:
-        return self._avg(lambda v: sr(v.ious, 0.50))
-
-    @property
-    def sr75(self) -> float:
-        return self._avg(lambda v: sr(v.ious, 0.75))
-
-    @property
-    def ss(self) -> float:
-        return self._avg(lambda v: success_auc(v.ious))
-
-    @property
-    def ps(self) -> float:
-        return self._avg(lambda v: precision_auc(v.center_errors))
-
-    @property
-    def precision20(self) -> float:
-        return self._avg(lambda v: precision_at(v.center_errors))
+        return self.aggregate["ao"]
 
     def success_curve(self) -> np.ndarray:
         return np.mean([success_curve(v.ious) for v in self.per_video.values()], axis=0)
@@ -180,26 +166,16 @@ def report(results: Sequence[EvalResult], out_dir: str) -> None:
     51 for precision.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for r in results:
-            fh.write(
-                f"{r.tracker},{r.dataset},{r.ao:.6f},{r.sr50:.6f},"
-                f"{r.sr75:.6f},{r.ss:.6f},{r.ps:.6f}\n"
-            )
+    rows = [SUMMARY_HEADER]
     for r in results:
+        aggregate = r.aggregate
+        scores = [f"{aggregate[k]:.6f}" for k in SUMMARY_COLUMNS]
+        rows.append(",".join([r.tracker, r.dataset] + scores))
         stem = f"{r.tracker}_{r.dataset}"
         payload = {
             "tracker": r.tracker,
             "dataset": r.dataset,
-            "aggregate": {
-                "ao": r.ao,
-                "sr50": r.sr50,
-                "sr75": r.sr75,
-                "ss": r.ss,
-                "ps": r.ps,
-                "precision20": r.precision20,
-            },
+            "aggregate": aggregate,
             "excluded": list(r.excluded),
             "videos": {vid: m.summary for vid, m in sorted(r.per_video.items())},
         }
@@ -214,3 +190,5 @@ def report(results: Sequence[EvalResult], out_dir: str) -> None:
         with open(os.path.join(out_dir, f"{stem}_precision.csv"), "w") as fh:
             for t, v in zip(PRECISION_GRID, p_curve):
                 fh.write(f"{t:.0f},{v:.6f}\n")
+    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")

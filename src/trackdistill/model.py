@@ -365,19 +365,18 @@ class StudentModel:
         cache = (enc_cache,) + tuple(r[0] for r in rows)
         return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
 
-    def forward_lanes(
-        self, params: np.ndarray, states: Sequence[State], hiddens: Sequence[HiddenState]
-    ):
-        """One batched prediction for K lanes, lane k reading states[k] with hiddens[k]; lanes
-        passing one State object share its encoding. Row k is bitwise ``forward(params,
-        states[k], hiddens[k])``. Returns (actions (K, 4), values (K,), [HiddenState] * K).
-        The cache is dropped, so the encoder reuses the model's own buffers (``_arena``):
-        the call must not overlap another ``forward_lanes`` on the same model."""
+    def forward_lanes(self, params: np.ndarray, states: Sequence[State], hidden: HiddenState):
+        """One batched prediction for K lanes: lane k reads states[k] and row k of ``hidden``,
+        whose h and c are (K, hidden); a one-row state, such as ``zero_hidden()``, starts every
+        lane from that row. Lanes passing one State object share its encoding. Row k is bitwise
+        ``forward`` from lane k's row. Returns (actions (K, 4), values (K,), one HiddenState of
+        (K, hidden) rows). The cache is dropped, so the encoder reuses the model's own buffers
+        (``_arena``): the call must not overlap another ``forward_lanes`` on the same model."""
         for state in states:
             self._check_state(state)
-        hs, cs = np.stack([x.h for x in hiddens]), np.stack([x.c for x in hiddens])
-        mu, value, h, c, _, _ = self._step(self._param_views(params), states, hs, cs, self._arena)
-        return mu, value, [HiddenState(h[k], c[k]) for k in range(len(states))]
+        h, c = np.atleast_2d(hidden.h), np.atleast_2d(hidden.c)
+        mu, value, h, c, _, _ = self._step(self._param_views(params), states, h, c, self._arena)
+        return mu, value, HiddenState(h, c)
 
     def forward_window(
         self, params: np.ndarray, states: Sequence[State], hidden: HiddenState
@@ -466,7 +465,8 @@ class StudentModel:
 
 class HiddenSchedule:
     """The inference-time reset rule: every ``period`` frames the hidden state
-    returns to the snapshot taken after the first prediction.
+    returns to the snapshot taken after the first prediction. A state may hold
+    K lanes' (K, hidden) rows, as ``forward_lanes`` takes and returns them.
 
     Use ``before(t)`` to fetch the state for 1-based prediction step t and
     ``after(t, hidden)`` to record the advanced state.

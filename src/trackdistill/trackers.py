@@ -9,9 +9,10 @@ All three are one loop: trast is the one-member pool plus a student lane,
 tras the empty pool plus a student lane, trasfust the pool alone. A teacher
 never sees the student's box, so the pool runs first, through
 ``teachers.run_pool_on_video``, and the loop reads its traces. Each value
-judgement is a lane with its own hidden state, and every protocol steps all
-lanes of a frame in one ``forward_lanes`` call, with each distinct anchor
-cropped once, in one call per frame. Non-finite student output raises
+judgement is a lane, and a lane is one row of a single hidden state: every
+protocol steps all lanes of a frame in one ``forward_lanes`` call, with each
+distinct anchor cropped once, in one call per frame, and all lanes reset
+together under one ``HiddenSchedule``. Non-finite student output raises
 NumericError.
 """
 
@@ -33,6 +34,7 @@ from .video import Video
 STUDENT = "student"
 VALUE_EVALUATOR = "value"
 ORACLE_EVALUATOR = "oracle"
+TRACK_COLUMNS = ("t", "x", "y", "w", "h", "controller", "v_student")  # then v_<id> per teacher
 
 
 @dataclass
@@ -52,27 +54,6 @@ class TrackRun:
         return list(self.v_teachers)
 
 
-def _step_lanes(
-    protocol: str, video: Video, t: int, anchors: Sequence[Box], model, params, context, scheds
-):
-    """Advance lane k from ``anchors[k]`` on frame t under hidden schedule
-    ``scheds[k]``. The distinct anchors, in lane order, are cropped from frames
-    t - 1 and t in one :func:`make_states` call, each once (equal boxes give
-    equal states); every patch is bitwise its one-box crop, so a lane's step
-    does not depend on the other lanes. Returns (actions (K, 4), values (K,))."""
-    frames, size = (video.frames[t - 1], video.frames[t]), model.config.patch_size
-    distinct = list(dict.fromkeys(anchors))
-    states = dict(zip(distinct, make_states(*frames, distinct, context, size)))
-    actions, values, hiddens = model.forward_lanes(
-        params, [states[box] for box in anchors], [s.before(t) for s in scheds]
-    )
-    for sched, hidden in zip(scheds, hiddens):
-        sched.after(t, hidden)
-    if not (np.isfinite(actions).all() and np.isfinite(values).all()):
-        raise NumericError(f"{protocol}: non-finite output on {video.video_id!r} at frame {t}")
-    return actions, values
-
-
 def _track(
     protocol: str, video: Video, g0: Box, model: StudentModel, params: np.ndarray,
     pool: Sequence[TeacherFactory], context: float, evaluator: str, student: bool,
@@ -81,15 +62,20 @@ def _track(
 
     The pool runs first, through ``run_pool_on_video`` from the video's first
     ground-truth box; no member sees the student's box. Per frame t, one
-    ``_step_lanes`` call then runs the student's lane, anchored on the output
-    box, and under the value evaluator one judge lane per member, anchored
-    on that member's box at t - 1. The candidates are the student's box, then
-    the members' boxes at t in pool order; the highest-valued wins and a tie
-    goes to the first, so the student takes ties and otherwise the lowest
-    pool index does. The oracle evaluator values each candidate by its
-    overlap with ground truth. The run ends, as partial, at the first frame
-    that a failed member could not give, with the error of the member whose
-    trace ends first (the lowest pool index on a tie).
+    ``forward_lanes`` call steps the student's lane, anchored on the output
+    box, and under the value evaluator one judge lane per member, anchored on
+    that member's box at t - 1. The lanes are the rows of one hidden state
+    under one reset schedule, as every lane steps on every frame. The distinct
+    anchors, in lane order, are cropped from frames t - 1 and t in one
+    ``make_states`` call, and lanes on equal anchors share one State, which is
+    encoded once. The candidates are the student's box, then the members'
+    boxes at t in pool order; the highest-valued wins and a tie goes to the
+    first, so the student takes ties and otherwise the lowest pool index
+    does. The oracle evaluator values each candidate by its overlap with
+    ground truth. ``v_student`` holds None on every frame of a run without a
+    student. The run ends, as partial, at the first frame that a failed
+    member could not give, with the error of the member whose trace ends
+    first (the lowest pool index on a tie).
     """
     if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
@@ -106,14 +92,22 @@ def _track(
     end = min(ends, default=len(video.frames))
     if end < len(video.frames):
         run.partial, run.error = True, str(results[ends.index(end)][1])
-    scheds = [HiddenSchedule(model) for _ in range(lead + (len(pool) if judge else 0))]
+    sched, size = HiddenSchedule(model), model.config.patch_size
     box = g0
     for t in range(1, end):
         anchors = ([box] if student else []) + ([b[t - 1] for b in tracks] if judge else [])
         if anchors:
-            actions, values = _step_lanes(
-                protocol, video, t, anchors, model, params, context, scheds
+            distinct = list(dict.fromkeys(anchors))
+            crops = make_states(video.frames[t - 1], video.frames[t], distinct, context, size)
+            states = dict(zip(distinct, crops))
+            actions, values, hidden = model.forward_lanes(
+                params, [states[a] for a in anchors], sched.before(t)
             )
+            sched.after(t, hidden)
+            if not (np.isfinite(actions).all() and np.isfinite(values).all()):
+                raise NumericError(
+                    f"{protocol}: non-finite output on {video.video_id!r} at frame {t}"
+                )
         candidates = ([apply_action(actions[0], box)] if student else []) + [b[t] for b in tracks]
         if judge:
             values = values.tolist()
@@ -123,7 +117,7 @@ def _track(
         box = candidates[best]
         run.boxes.append(box)
         run.controllers.append(names[best])
-        run.v_student += values[:lead]
+        run.v_student.append(values[0] if student else None)
         for tid, value in zip(ids, values[lead:]):
             run.v_teachers[tid].append(value)
     return run
@@ -165,58 +159,50 @@ def trasfust(
 
 
 def write_trackrun(path: str, run: TrackRun) -> None:
-    """CSV with one row per predicted frame; value columns empty where a
-    value was never computed."""
+    """CSV with one row per predicted frame: ``TRACK_COLUMNS``, then one
+    ``v_<id>`` column per teacher; value cells are empty where a value was
+    never computed."""
     tids = run.teacher_ids()
-    header = ["t", "x", "y", "w", "h", "controller", "v_student"]
-    header += [f"v_{tid}" for tid in tids]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(list(TRACK_COLUMNS) + [f"v_{tid}" for tid in tids])
         for i, box in enumerate(run.boxes):
-            row = [
-                str(i + 1),
-                f"{box.x:.6f}",
-                f"{box.y:.6f}",
-                f"{box.w:.6f}",
-                f"{box.h:.6f}",
-                run.controllers[i],
-            ]
-            v = run.v_student[i] if i < len(run.v_student) else None
-            row.append("" if v is None else f"{v:.6f}")
-            for tid in tids:
-                tv = run.v_teachers[tid][i]
-                row.append("" if tv is None else f"{tv:.6f}")
+            values = [run.v_student[i]] + [run.v_teachers[tid][i] for tid in tids]
+            row = [str(i + 1)] + [f"{c:.6f}" for c in (box.x, box.y, box.w, box.h)]
+            row += [run.controllers[i]] + ["" if v is None else f"{v:.6f}" for v in values]
             writer.writerow(row)
 
 
 def read_trackrun(path: str, video_id: str = "", tracker: str = "") -> TrackRun:
+    """The run ``write_trackrun`` stored; malformed input raises ParseError
+    naming ``path:line``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty track file")
-        if header[:7] != ["t", "x", "y", "w", "h", "controller", "v_student"]:
-            raise ParseError(f"{path}: unrecognized track header {header!r}")
-        tids = [h[2:] for h in header[7:]]
-        run = TrackRun(
-            video_id,
-            tracker,
-            boxes=[],
-            controllers=[],
-            v_teachers={tid: [] for tid in tids},
-        )
+        fixed = len(TRACK_COLUMNS)
+        named = all(h.startswith("v_") and len(h) > 2 for h in header[fixed:])
+        if tuple(header[:fixed]) != TRACK_COLUMNS or not named:
+            raise ParseError(f"{path}:1: unrecognized track header {header!r}")
+        if len(set(header)) < len(header):
+            raise ParseError(f"{path}:1: duplicate column in track header {header!r}")
+        tids = [h[2:] for h in header[fixed:]]
+        run = TrackRun(video_id, tracker, [], [], v_teachers={tid: [] for tid in tids})
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                x, y, w, h = (float(v) for v in row[1:5])
+                box = Box(*(float(v) for v in row[1:5]))
+                values = [float(cell) if cell else None for cell in row[6:]]
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad box values")
-            run.boxes.append(Box(x, y, w, h))
+                raise ParseError(f"{path}:{lineno}: non-numeric field in {row!r}")
+            except InvalidInputError as e:
+                raise ParseError(f"{path}:{lineno}: {e}")
+            run.boxes.append(box)
             run.controllers.append(row[5])
-            run.v_student.append(float(row[6]) if row[6] else None)
-            for tid, cell in zip(tids, row[7:]):
-                run.v_teachers[tid].append(float(cell) if cell else None)
+            run.v_student.append(values[0])
+            for tid, value in zip(tids, values[1:]):
+                run.v_teachers[tid].append(value)
     return run

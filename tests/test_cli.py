@@ -366,6 +366,62 @@ class TestTrainAndTrack:
         with open(out / "summary.csv") as f:
             assert f.read().splitlines()[1].split(",")[2] == f"{ao:.6f}"
 
+    def test_eval_stdout_matches_summary_csv(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert main(["eval", "--config", pipeline["ini"], "--out", str(out),
+                     pipeline["data"], pipeline["tras"]]) == 0
+        [line] = capsys.readouterr().out.splitlines()
+        with open(out / "summary.csv") as f:
+            header, row = f.read().splitlines()
+        name, scores = line.split(": ")
+        tracker, dataset = row.split(",")[:2]
+        assert name == f"{tracker}/{dataset}"
+        with open(out / f"{tracker}_{dataset}_videos.json") as f:
+            aggregate = json.load(f)["aggregate"]
+        words = scores.split()
+        columns = header.split(",")[2:]
+        assert words[0::2] == [c.upper() for c in columns]
+        for column, printed, stored in zip(columns, words[1::2], row.split(",")[2:]):
+            # both round the one aggregate: stdout to 4 decimals, the CSV to 6
+            assert printed == f"{aggregate[column]:.4f}"
+            assert stored == f"{aggregate[column]:.6f}"
+            assert abs(float(printed) - float(stored)) <= 0.5e-4 + 0.5e-6
+
+    def eval_edited_run(self, pipeline, tmp_path, capsys, edit):
+        """Exit code and stderr of eval over the tras runs, with synth002's
+        rows (lists of cells, the header first) passed through ``edit``."""
+        runs = tmp_path / "tras"
+        shutil.copytree(pipeline["tras"], runs)
+        path = runs / "synth002.csv"
+        rows = edit([line.split(",") for line in path.read_text().splitlines()])
+        path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+        capsys.readouterr()
+        code = main(["eval", "--config", pipeline["ini"], "--out", str(tmp_path / "eval"),
+                     pipeline["data"], str(runs)])
+        return code, capsys.readouterr().err, path
+
+    @pytest.mark.parametrize("line,column,text", [
+        (2, 6, "abc"),  # a value cell that is not a number
+        (3, 1, "inf"),  # a box field that is not finite
+    ], ids=["value", "box"])
+    def test_eval_names_the_bad_cell(self, pipeline, tmp_path, capsys, line, column, text):
+        def edit(rows):
+            rows[line - 1][column] = text
+            return rows
+
+        code, err, path = self.eval_edited_run(pipeline, tmp_path, capsys, edit)
+        assert code == 2 and err.startswith(f"error: {path}:{line}: "), err
+
+    @pytest.mark.parametrize("columns", [["v_a", "v_a"], ["a"]], ids=["duplicate", "unnamed"])
+    def test_eval_names_the_bad_header(self, pipeline, tmp_path, capsys, columns):
+        # every row carries a value for each added column, so only the header is wrong
+        def edit(rows):
+            return [rows[0] + columns] + [row + ["0.5"] * len(columns) for row in rows[1:]]
+
+        code, err, path = self.eval_edited_run(pipeline, tmp_path, capsys, edit)
+        assert code == 2 and err.startswith(f"error: {path}:1: "), err
+
     def test_eval_plot_files(self, pipeline):
         names = os.listdir(pipeline["eval"])
         assert any(n.endswith("_success.csv") for n in names)

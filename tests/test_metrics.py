@@ -143,9 +143,9 @@ class TestOpeRun:
         dataset = [tiny_video(s) for s in range(3)]
         res = ope_run(echo_tracker, dataset, "echo", "toy")
         assert res.ao == 1.0
-        assert res.ss == 1.0
-        assert res.ps == 1.0
-        assert res.sr50 == 1.0 and res.sr75 == 1.0
+        assert res.aggregate["ss"] == 1.0
+        assert res.aggregate["ps"] == 1.0
+        assert res.aggregate["sr50"] == 1.0 and res.aggregate["sr75"] == 1.0
 
     def test_static_tracker_matches_direct_iou(self):
         dataset = [tiny_video(s, frames=8) for s in range(2)]
@@ -227,6 +227,19 @@ class TestOpeRun:
 
         res = ope_run(tracker, [v0, v1], "mix", "toy")
         npt.assert_allclose(res.ao, (1.0 + 0.5) / 2.0, atol=1e-12)
+        per_video = {
+            "ao": lambda m: ao(m.ious),
+            "sr50": lambda m: sr(m.ious, 0.50),
+            "sr75": lambda m: sr(m.ious, 0.75),
+            "ss": lambda m: success_auc(m.ious),
+            "ps": lambda m: precision_auc(m.center_errors),
+            "precision20": lambda m: precision_at(m.center_errors),
+        }
+        assert list(res.aggregate) == list(per_video)
+        for key, score in per_video.items():  # bitwise the mean of the per-video scores
+            want = float(np.mean([score(m) for m in res.per_video.values()]))
+            assert res.aggregate[key] == want, key
+        assert res.ao == res.aggregate["ao"]
 
 
 class TestReport:
@@ -289,7 +302,7 @@ class TestReport:
         )
         npt.assert_allclose(curve, want, atol=1e-12)
         # area under the written curve equals the SS aggregate
-        npt.assert_allclose(float(np.mean(curve)), res.ss, atol=1e-12)
+        npt.assert_allclose(float(np.mean(curve)), res.aggregate["ss"], atol=1e-12)
 
 
 class TestRunMetrics:

@@ -143,7 +143,7 @@ class TestParamViewCache:
         params = model.init_params(seed=1)
         states = [random_state(rng) for _ in range(3)]
         _, _, _, caches = model.forward_window(params, states, model.zero_hidden())
-        model.forward_lanes(params, states[:2], [model.zero_hidden()] * 2)
+        model.forward_lanes(params, states[:2], model.zero_hidden())
         model._encode(model._param_views(params), states[0].patch_cur[None], model._workspace)
         assert [c is params for c in calls] == [True]
         # backward reads the cached views; its fresh gradient's views are not kept
@@ -200,20 +200,25 @@ class TestSigmoid:
 
 
 def random_hiddens(rng, config, k):
+    """One HiddenState whose (k, hidden) rows are k lanes' states."""
     hdim = config.hidden_dim
-    return [HiddenState(rng.normal(size=hdim), rng.normal(size=hdim)) for _ in range(k)]
+    return HiddenState(rng.normal(size=(k, hdim)), rng.normal(size=(k, hdim)))
 
 
-def assert_lanes_equal_forward(model, params, states, hiddens):
+def assert_lanes_equal_forward(model, params, states, hidden):
+    """``forward_lanes`` rows against per-lane ``forward``; a one-row (1-D)
+    ``hidden`` starts every lane from that row."""
     k = len(states)
-    actions, values, new_hiddens = model.forward_lanes(params, states, hiddens)
-    assert actions.shape == (k, 4) and values.shape == (k,) and len(new_hiddens) == k
+    actions, values, new_hidden = model.forward_lanes(params, states, hidden)
+    assert actions.shape == (k, 4) and values.shape == (k,)
+    assert new_hidden.h.shape == new_hidden.c.shape == (k, model.config.hidden_dim)
+    hs, cs = (np.broadcast_to(x, (k, model.config.hidden_dim)) for x in (hidden.h, hidden.c))
     for lane in range(k):  # bitwise: batching and sharing must not change the rounding
-        out, hidden = model.forward(params, states[lane], hiddens[lane])
+        out, h = model.forward(params, states[lane], HiddenState(hs[lane], cs[lane]))
         np.testing.assert_array_equal(actions[lane], out.action)
         assert values[lane] == out.value
-        np.testing.assert_array_equal(new_hiddens[lane].h, hidden.h)
-        np.testing.assert_array_equal(new_hiddens[lane].c, hidden.c)
+        np.testing.assert_array_equal(new_hidden.h[lane], h.h)
+        np.testing.assert_array_equal(new_hidden.c[lane], h.c)
 
 
 class TestForwardLanes:
@@ -230,6 +235,26 @@ class TestForwardLanes:
         # lanes 0 and 2 share one State object; every lane has its own hidden state
         states = ([distinct[0], distinct[1], distinct[0]] + extra)[:k]
         assert_lanes_equal_forward(model, params, states, random_hiddens(rng, config, k))
+
+    @pytest.mark.parametrize(
+        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
+    )
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_one_row_state_starts_every_lane(self, config, k):
+        """A one-row state is broadcast to every lane: each row is bitwise a
+        one-lane ``forward`` from that row, as it is from K stacked copies."""
+        rng = np.random.default_rng(170 + k)
+        model = StudentModel(config)
+        params = model.init_params(seed=18) * 2.0
+        states = [random_state(rng, config.patch_size) for _ in range(k)]
+        row = random_hiddens(rng, config, 1)
+        one = HiddenState(row.h[0], row.c[0])
+        assert_lanes_equal_forward(model, params, states, one)
+        stacked = HiddenState(np.repeat(row.h, k, axis=0), np.repeat(row.c, k, axis=0))
+        (mu1, v1, h1), (mu, v, h) = (
+            model.forward_lanes(params, states, x) for x in (one, stacked)
+        )
+        assert_trees_bitwise([mu1, v1, h1.h, h1.c], [mu, v, h.h, h.c])
 
     @pytest.mark.parametrize(
         "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
@@ -256,7 +281,7 @@ class TestForwardLanes:
             "_encode",
             lambda v, patches, *rest: encoded.append(len(patches)) or encode(v, patches, *rest),
         )
-        model.forward_lanes(params, [a, b, a, a], [model.zero_hidden()] * 4)
+        model.forward_lanes(params, [a, b, a, a], model.zero_hidden())
         assert encoded == [4]  # two distinct states, two patches each, one call
 
     def test_shape_mismatch_rejected(self):
@@ -265,7 +290,7 @@ class TestForwardLanes:
         params = model.init_params(seed=1)
         states = [random_state(rng), random_state(rng, patch_size=8)]
         with pytest.raises(ConfigError):
-            model.forward_lanes(params, states, [model.zero_hidden()] * 2)
+            model.forward_lanes(params, states, model.zero_hidden())
 
 
 def window_sum_loss(model, states, h0, cmu, cv):

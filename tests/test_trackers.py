@@ -375,6 +375,7 @@ def reference_trasfust(video, model, params, pool):
         best = int(np.argmax(values))
         run.boxes.append(chains[best][t])
         run.controllers.append(ids[best])
+        run.v_student.append(None)  # no student lane
         for tid, value in zip(ids, values):
             run.v_teachers[tid].append(value)
     return run
@@ -411,11 +412,12 @@ class TestBatchedLanes:
         assert {STUDENT, "t8"} <= set(run.controllers)  # both candidates win somewhere
 
     def test_trasfust_equals_per_lane_reference(self):
-        video = small_video(41, frames=40)
         pool = [OracleNoiseFactory(f"o{k}", q, seed=k) for k, q in enumerate((0.5, 0.7, 0.9, 1.0))]
-        run = trasfust(video, video.ground_truth[0], self.model, self.params, pool)
-        assert run == reference_trasfust(video, self.model, self.params, pool)
-        assert len(set(run.controllers)) > 1
+        for frames in (40, 70):  # 70 crosses the resets at frames 33 and 65
+            video = small_video(41, frames=frames)
+            run = trasfust(video, video.ground_truth[0], self.model, self.params, pool)
+            assert run == reference_trasfust(video, self.model, self.params, pool)
+            assert len(set(run.controllers)) > 1
 
     def test_tras_crops_its_one_anchor_once_per_frame(self, monkeypatch):
         video = small_video(47, frames=12)
@@ -484,7 +486,36 @@ class TestBatchedLanes:
         assert run.v_teachers == {tid: v[:5] for tid, v in full.v_teachers.items()}
 
 
+def as_stored(run):
+    """``run`` as its CSV stores it: every number rounded to 6 decimals."""
+    r6 = lambda v: None if v is None else float(f"{v:.6f}")
+    return TrackRun(
+        run.video_id, run.tracker,
+        boxes=[Box(*(r6(c) for c in (b.x, b.y, b.w, b.h))) for b in run.boxes],
+        controllers=list(run.controllers),
+        v_student=[r6(v) for v in run.v_student],
+        v_teachers={tid: [r6(v) for v in vs] for tid, vs in run.v_teachers.items()},
+    )
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("protocol", ["tras", "trast", "trasfust"])
+    def test_every_protocol_equals_its_round_trip(self, tmp_path, protocol):
+        model = StudentModel(SMALL)
+        params = model.init_params(4)
+        video = small_video(31, frames=10)
+        g0, pool = video.ground_truth[0], [OracleNoiseFactory(f"o{k}", 0.8, seed=k) for k in (1, 2)]
+        run = {
+            "tras": lambda: tras(video, g0, model, params),
+            "trast": lambda: trast(video, g0, model, params, pool[0]),
+            "trasfust": lambda: trasfust(video, g0, model, params, pool),
+        }[protocol]()
+        path = str(tmp_path / "run.csv")
+        write_trackrun(path, run)
+        back = read_trackrun(path, run.video_id, run.tracker)
+        assert len(back.v_student) == len(back.boxes) == 9
+        assert back == as_stored(run)
+
     def make_run(self):
         return TrackRun(
             video_id="v1",

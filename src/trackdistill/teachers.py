@@ -22,14 +22,20 @@ same child. It speaks one JSON object per line on its stdin and stdout:
     <- {"box": [x, y, w, h]}
 
 Each video starts with an ``init``, also on a child that served the video
-before. End of file on its stdin comes when the command ends (``close`` on
-the factory; ``close_all`` ends a pool's children side by side) and
-ends the child. A session that fails kills its child, and the factory's next
-video starts a fresh one. Frames are PPM file paths.
+before. A teacher never sees the student's box, so no request depends on a
+reply: at the ``init`` the child is sent every request of its video at once
+(a writer thread feeds the pipe), and its replies are then read in order.
+End of file on its stdin comes when the command ends (``close`` on the
+factory; ``close_all`` ends a pool's children side by side) and ends the
+child. A session that fails, or closes with a request unanswered, kills its
+child, and the factory's next video starts a fresh one. Frames are PPM file
+paths; a child reads the files itself, so the frames of a video loaded from
+disk are never decoded for it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import queue
@@ -185,10 +191,15 @@ def _unit_mean_iou(kappa: float, noise: np.ndarray) -> float:
     return float(np.mean(inter / (1.0 + w * h - inter)))
 
 
-def calibrate_noise(target_iou: float, seed: int, samples: int = 4000) -> float:
-    """Perturbation magnitude whose mean overlap hits ``target_iou``, by bisection."""
+def _check_target(target_iou: float) -> float:
     if not (0.3 <= target_iou <= 1.0):
         raise InvalidInputError(f"target overlap {target_iou} outside [0.3, 1.0]")
+    return target_iou
+
+
+def calibrate_noise(target_iou: float, seed: int, samples: int = 4000) -> float:
+    """Perturbation magnitude whose mean overlap hits ``target_iou``, by bisection."""
+    _check_target(target_iou)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xCA11B]))
     noise = rng.uniform(-1.0, 1.0, (samples, 4))
     if target_iou >= 1.0:
@@ -210,9 +221,14 @@ class OracleNoiseFactory(TeacherFactory):
 
     def __init__(self, teacher_id: str, target_iou: float, seed: int = 0):
         super().__init__(teacher_id)
-        self.target_iou = float(target_iou)
+        self.target_iou = _check_target(float(target_iou))
         self.seed = int(seed)
-        self.kappa = calibrate_noise(self.target_iou, self.seed)
+
+    @functools.cached_property
+    def kappa(self) -> float:
+        """The calibrated jitter, found on first use: a factory that opens no
+        session (``filter`` names its pool only for the ids) skips the bisection."""
+        return calibrate_noise(self.target_iou, self.seed)
 
     def session(self, video: Video) -> TraceSession:
         """The replay of the video's jittered track, drawn whole here in frame
@@ -262,7 +278,8 @@ class TraceFactory(TeacherFactory):
 class _Child:
     """One running external teacher: its pipes, a reader thread that queues
     its reply lines as they arrive, and its stderr in an unnamed temporary
-    file (no reader, no full pipe). It serves one session at a time."""
+    file (no reader, no full pipe). It serves one session at a time; each
+    session starts a writer thread that sends its video's requests."""
 
     def __init__(self, teacher_id: str, command: str):
         self.stderr = tempfile.TemporaryFile()
@@ -272,8 +289,6 @@ class _Child:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=self.stderr,
-                text=True,
-                bufsize=1,
             )
         except OSError as e:
             self.stderr.close()
@@ -329,26 +344,41 @@ class _Child:
 
 
 def _pump(stream, replies: "queue.Queue[Optional[str]]") -> None:
+    # A line that is not UTF-8 keeps its bad bytes as "\xff" escapes, which
+    # JSON accepts nowhere, so it reads as a malformed reply.
     for line in stream:
-        replies.put(line)
+        replies.put(line.decode("utf-8", "backslashreplace"))
     replies.put(None)
+
+
+def _feed(stream, data: bytes, errors: List[Exception]) -> None:
+    """Write a video's requests to a child's input. A child that is not
+    reading blocks this thread, not the caller; a failed write is kept in
+    ``errors`` for the reply side."""
+    try:
+        stream.write(data)
+        stream.flush()
+    except (OSError, ValueError) as e:  # a broken pipe, or an input already closed
+        errors.append(e)
 
 
 class ExternalSession(TeacherSession):
     """One video on its factory's child, over the line-JSON wire protocol
     (module docstring).
 
-    ``submit`` writes the request line and ``collect`` reads the reply, which
-    the child's reader thread queues as it arrives, so a pool can write ahead
-    to every child without a full pipe stalling either side. Frames are
+    ``submit_init`` hands a writer thread the video's every request line,
+    the ``init`` and a ``predict`` per frame 1..T-1; ``collect`` reads the
+    replies in order, as the child's reader thread queues them. So no step
+    waits for a write, and a child may answer as soon as it likes. Frames are
     handed over as file paths; in-memory videos are spilled to a temporary
     directory that the session removes at close. Any malformed reply,
     timeout, or early exit raises TeacherError carrying the teacher id and
-    the tail of what the child wrote to stderr since this video's init.
+    the tail of what the child wrote to stderr since this video's init; a
+    failed write is named in the timeout's message.
 
-    A session that closes with every submitted step collected and nothing
-    raised leaves the child running for the factory's next video. One that
-    raised, or closes with a request pending, kills the child, because its
+    A session that closes with every request answered and nothing raised
+    leaves the child running for the factory's next video. One that raised,
+    or closes with a request unanswered, kills the child, because its
     replies may be out of step; the factory then starts a fresh one.
     """
 
@@ -359,6 +389,8 @@ class ExternalSession(TeacherSession):
         self._timeout = timeout
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._stderr_start = 0
+        self._unanswered = 0  # requests sent whose reply is not read yet
+        self._write_errors: List[Exception] = []
         self._failed = False
         child.busy = True
 
@@ -381,30 +413,39 @@ class ExternalSession(TeacherSession):
         return path
 
     def _submit(self, t: int) -> None:
-        if t == 0:
-            self._stderr_start = self._child.stderr_size()
-            g0 = self.box
-            msg = {
-                "cmd": "init",
-                "video": self.video_id,
-                "box": [g0.x, g0.y, g0.w, g0.h],
-                "frame": self._frame_path(0),
-            }
-        else:
-            msg = {"cmd": "predict", "frame": self._frame_path(t)}
-        try:
-            self._child.proc.stdin.write(json.dumps(msg) + "\n")
-            self._child.proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as e:
-            raise self._error(f"write failed: {e}")
+        if t >= len(self._video):
+            raise ProtocolError(f"teacher {self.teacher_id!r}: {self.video_id!r} has no frame {t}")
+        if t > 0:  # its request went out with the init
+            return
+        self._stderr_start = self._child.stderr_size()
+        g0 = self.box
+        init = {
+            "cmd": "init",
+            "video": self.video_id,
+            "box": [g0.x, g0.y, g0.w, g0.h],
+            "frame": self._frame_path(0),
+        }
+        lines = [json.dumps(init)] + [
+            json.dumps({"cmd": "predict", "frame": self._frame_path(k)})
+            for k in range(1, len(self._video))
+        ]
+        self._unanswered = len(lines)
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        threading.Thread(
+            target=_feed, args=(self._child.proc.stdin, data, self._write_errors), daemon=True
+        ).start()
 
     def _reply(self) -> dict:
         try:
             line = self._child.replies.get(timeout=self._timeout)
         except queue.Empty:
-            raise self._error(f"no reply within {self._timeout:.1f}s")
+            message = f"no reply within {self._timeout:.1f}s"
+            if self._write_errors:
+                message += f" (write failed: {self._write_errors[0]})"
+            raise self._error(message)
         if line is None:
             raise self._error("process closed its output stream")
+        self._unanswered -= 1
         try:
             reply = json.loads(line)
         except json.JSONDecodeError:
@@ -429,8 +470,8 @@ class ExternalSession(TeacherSession):
             raise self._error(f"bad box in reply: {e}")
 
     def close_input(self) -> None:
-        # A failed or abandoned step leaves the reply stream out of step.
-        if self._failed or self._pending:
+        # A failure or an unread reply leaves the reply stream out of step.
+        if self._failed or self._unanswered:
             self._child.kill()
 
     def close(self) -> None:
@@ -447,7 +488,7 @@ class ExternalFactory(TeacherFactory):
     """An external teacher: one child process that serves every video of a
     command in turn, each of its sessions starting with an ``init``. The
     first session starts the child; a session that fails, or closes with a
-    request pending, kills it, and the next session starts a fresh one.
+    request unanswered, kills it, and the next session starts a fresh one.
     ``close`` ends the child."""
 
     def __init__(self, teacher_id: str, command: str, timeout: float = WIRE_TIMEOUT):

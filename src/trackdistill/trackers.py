@@ -19,6 +19,7 @@ NumericError.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -200,6 +201,8 @@ def read_trackrun(path: str, video_id: str = "", tracker: str = "") -> TrackRun:
                 raise ParseError(f"{path}:{lineno}: non-numeric field in {row!r}")
             except InvalidInputError as e:
                 raise ParseError(f"{path}:{lineno}: {e}")
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")
             run.boxes.append(box)
             run.controllers.append(row[5])
             run.v_student.append(values[0])

@@ -28,12 +28,14 @@ CHUNKS_PER_TRAJECTORY = 5
 
 @dataclass
 class TransferChunk:
-    """A contiguous training window: frames with ground truth and teacher boxes."""
+    """A contiguous training window: frames with ground truth and teacher boxes.
+    The frames are a slice of the video's, so on-disk frames stay undecoded
+    until read."""
 
     video_id: str
     teacher_id: str
     start: int
-    frames: List[np.ndarray]
+    frames: Sequence[np.ndarray]
     gt: List[Box]
     teacher_boxes: List[Box]
 
@@ -122,7 +124,7 @@ def _chunk(video: Video, trace: TrajectoryTrace, start: int, length: int) -> Tra
         video_id=trace.video_id,
         teacher_id=trace.teacher_id,
         start=start,
-        frames=list(video.frames[start : start + length]),
+        frames=video.frames[start : start + length],
         gt=list(video.ground_truth[start : start + length]),
         teacher_boxes=list(trace.boxes[start : start + length]),
     )

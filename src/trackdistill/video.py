@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,36 +34,29 @@ def write_ppm(path: str, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
+# P6, width, height and maxval, each after whitespace or "#" comment lines,
+# then the one whitespace byte that ends the header.
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(rb"P6%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
+PPM_HEADER_BYTES = 64  # what ``ppm_shape`` reads of a frame file
+
+
+def _ppm_header(path: str, data: bytes) -> Tuple[int, int, int]:
+    """(height, width, raster offset) of the PPM whose bytes start with ``data``."""
+    m = _PPM_HEADER.match(data)
+    if m is None:
+        raise ParseError(f"{path}: not a binary PPM header: {data[:16]!r}")
+    w, h, maxval = (int(g) for g in m.groups())
+    if maxval != 255:
+        raise ParseError(f"{path}: unsupported PPM maxval {maxval}")
+    return h, w, m.end()
+
+
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM (P6, maxval 255) into an (H, W, 3) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    # Header: magic, width, height, maxval as whitespace/comment-separated tokens,
-    # then a single whitespace byte before the raster.
-    if not data.startswith(b"P6"):
-        raise ParseError(f"{path}: not a binary PPM (missing P6 magic)")
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != ord("\n"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"{path}: truncated PPM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric PPM header fields {tokens!r}")
-    if maxval != 255:
-        raise ParseError(f"{path}: unsupported PPM maxval {maxval}")
+    h, w, pos = _ppm_header(path, data)
     need = w * h * 3
     raster = data[pos : pos + need]
     if len(raster) != need:
@@ -70,12 +64,46 @@ def read_ppm(path: str) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
+def ppm_shape(path: str) -> Tuple[int, int, int]:
+    """The (H, W, 3) shape of a PPM frame from its header alone, checked
+    against the file's size; no raster is read."""
+    with open(path, "rb") as fh:
+        h, w, pos = _ppm_header(path, fh.read(PPM_HEADER_BYTES))
+        size = os.fstat(fh.fileno()).st_size
+    if size - pos < w * h * 3:
+        raise ParseError(f"{path}: raster has {size - pos} bytes, expected {w * h * 3}")
+    return h, w, 3
+
+
+class LazyFrames(SequenceABC):
+    """The frames of an on-disk video: each decodes on its first read and is
+    kept. A slice is a view sharing that cache, so no frame decodes twice."""
+
+    def __init__(self, paths: List[str], _cache=None, _index: Optional[range] = None):
+        self.paths = paths
+        self._cache: List[Optional[np.ndarray]] = [None] * len(paths) if _cache is None else _cache
+        self._index = range(len(paths)) if _index is None else _index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LazyFrames(self.paths, self._cache, self._index[i])
+        j = self._index[i]
+        frame = self._cache[j]
+        if frame is None:
+            frame = self._cache[j] = read_ppm(self.paths[j])
+        return frame
+
+
 @dataclass
 class Video:
-    """A sequence with per-frame ground truth. Frames are (H, W, 3) uint8."""
+    """A sequence with per-frame ground truth. Frames are (H, W, 3) uint8;
+    those of a video loaded from disk decode when first read."""
 
     video_id: str
-    frames: List[np.ndarray]
+    frames: Sequence[np.ndarray]
     ground_truth: List[Box]
     frame_paths: Optional[List[str]] = field(default=None, repr=False)
 
@@ -122,7 +150,8 @@ def write_groundtruth(path: str, boxes: List[Box]) -> None:
 
 
 def load_video(seq_dir: str) -> Video:
-    """Load one sequence directory (frames/ + groundtruth.csv)."""
+    """Load one sequence directory (frames/ + groundtruth.csv). Every frame's
+    header is checked here; its raster is decoded when the frame is read."""
     frames_dir = os.path.join(seq_dir, "frames")
     gt_path = os.path.join(seq_dir, "groundtruth.csv")
     if not os.path.isdir(frames_dir):
@@ -141,12 +170,13 @@ def load_video(seq_dir: str) -> Video:
         raise ParseError(
             f"{seq_dir}: {len(paths)} frames but {len(boxes)} ground-truth lines"
         )
-    frames = [read_ppm(p) for p in paths]
-    first = frames[0].shape
-    for i, f in enumerate(frames):
-        if f.shape != first:
-            raise ParseError(f"{paths[i]}: frame shape {f.shape} differs from {first}")
-    return Video(os.path.basename(os.path.normpath(seq_dir)), frames, boxes, frame_paths=paths)
+    first = ppm_shape(paths[0])
+    for path in paths[1:]:
+        shape = ppm_shape(path)
+        if shape != first:
+            raise ParseError(f"{path}: frame shape {shape} differs from {first}")
+    video_id = os.path.basename(os.path.normpath(seq_dir))
+    return Video(video_id, LazyFrames(paths), boxes, frame_paths=paths)
 
 
 def load_dataset(root: str) -> List[Video]:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, driven in process via main()."""
 
+import collections
 import filecmp
 import itertools
 import json
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 from trackdistill import cli, mdp, transferset
+from trackdistill import video as videomod
 from trackdistill.cli import main
 from trackdistill.errors import InvalidInputError
 from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
@@ -40,6 +42,19 @@ val_every = 15
 lr = 1e-4
 optimizer = sgd
 """
+
+
+def count_decodes(monkeypatch):
+    """A Counter of the frame rasters decoded, by path, for the rest of the test."""
+    decodes = collections.Counter()
+    real = videomod.read_ppm
+
+    def counted(path):
+        decodes[path] += 1
+        return real(path)
+
+    monkeypatch.setattr(videomod, "read_ppm", counted)
+    return decodes
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +255,20 @@ class TestTeachersAndFilter:
             assert filecmp.cmp(out / name, os.path.join(pipeline["filter"], name),
                                shallow=False)
 
+    def test_run_teachers_and_filter_decode_no_raster(self, tmp_path, pipeline, monkeypatch):
+        # the oracle reads boxes, the child reads the frame files itself and
+        # the filter scores boxes
+        decodes = count_decodes(monkeypatch)
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_TEACHER)
+        pool = f"oracle:0.9,ext=extern:ext:{sys.executable} {script}"
+        traces = str(tmp_path / "traces")
+        assert main(["run-teachers", "--config", pipeline["ini"], "--pool", pool,
+                     "--out", traces, pipeline["data"]]) == 0
+        assert main(["filter", "--config", pipeline["ini"], "--pool", pool,
+                     "--out", str(tmp_path / "filter"), pipeline["data"], traces]) == 0
+        assert not decodes
+
     def test_chunk_index(self, pipeline):
         with open(os.path.join(pipeline["filter"], "chunks.json")) as f:
             index = json.load(f)
@@ -329,6 +358,14 @@ class TestTrainAndTrack:
         with open(os.path.join(out, "train_log.jsonl")) as f:
             rows = [json.loads(line) for line in f]
         assert any("loss" in r for r in rows)
+
+    @pytest.mark.parametrize("command", ["track", "fuse"])
+    def test_tracking_decodes_each_frame_once(self, tmp_path, pipeline, monkeypatch, command):
+        decodes = count_decodes(monkeypatch)
+        pool = ["--pool", "oracle:0.9,oracle:0.6"] if command == "fuse" else []
+        assert main([command, "--config", pipeline["ini"], *pool, "--out", str(tmp_path / "runs"),
+                     os.path.join(pipeline["train"], "student.ckpt"), pipeline["data"]]) == 0
+        assert len(decodes) == 4 * 40 and set(decodes.values()) == {1}
 
     def test_run_files(self, pipeline):
         files = sorted(os.listdir(pipeline["tras"]))
@@ -436,6 +473,18 @@ class TestTrainRun:
             pipeline["data"], traces or pipeline["traces"],
             chunks or os.path.join(pipeline["filter"], "chunks.json"),
         ])
+
+    def test_decodes_each_frame_at_most_once(self, pipeline, tmp_path, monkeypatch, capsys):
+        # chunks overlap in frames, and each validation tracks the held-out video
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            index = json.load(fh)
+        index["chunks"] = [c for c in index["chunks"] if c["video"] != "synth003"]
+        chunks = tmp_path / "chunks.json"
+        chunks.write_text(json.dumps(index))
+        decodes = count_decodes(monkeypatch)
+        assert self.train(pipeline, tmp_path / "t", str(chunks)) == 0
+        held_out = [p for p in decodes if os.sep + "synth003" + os.sep in p]
+        assert len(held_out) == 40 and set(decodes.values()) == {1}
 
     def test_short_trace_fails_at_load(self, pipeline, tmp_path, capsys):
         # a trace cut short, as an interrupted save leaves it, is named

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import time
 import zlib
 
 import numpy as np
@@ -13,7 +14,9 @@ from trackdistill.geometry import MIN_SIDE, Box, iou
 from trackdistill.model import StudentConfig, StudentModel
 from trackdistill.teachers import (
     _SCALE_FLOOR,
+    EXIT_GRACE,
     STDERR_TAIL,
+    WIRE_TIMEOUT,
     ExternalFactory,
     OracleNoiseFactory,
     TeacherFactory,
@@ -119,6 +122,16 @@ class TestOracleNoise:
         ta = run_teacher_on_video(factory, va)
         tb = run_teacher_on_video(factory, vb)
         assert any(x != y for x, y in zip(ta.boxes[1:], tb.boxes[1:]))
+
+    def test_calibrated_on_first_session(self):
+        factory = OracleNoiseFactory("o", target_iou=0.7, seed=11)
+        assert "kappa" not in vars(factory)  # a factory that opens no session never bisects
+        factory.session(gt_only_video("v", 3, np.random.default_rng(75)))
+        assert vars(factory)["kappa"] == calibrate_noise(0.7, seed=11) > 0.0
+
+    def test_unreachable_target_rejected_at_construction(self):
+        with pytest.raises(InvalidInputError, match="outside"):
+            OracleNoiseFactory("o", target_iou=0.1)
 
     def test_calibration_monotone(self):
         k6 = calibrate_noise(0.6, seed=1)
@@ -248,6 +261,21 @@ class TestExternalTeacher:
         with pytest.raises(TeacherError, match="ext"):
             run_teacher_on_video(self.make_factory(tmp_path, body), vid)
 
+    def test_non_utf8_reply_is_malformed_at_once(self, tmp_path):
+        # the reply to the init is one byte that is not UTF-8
+        body = (
+            "import sys\n"
+            "sys.stdin.readline()\n"
+            "sys.stdout.buffer.write(b'\\xff\\n')\n"
+            "sys.stdout.flush()\n"
+            "sys.stdin.read()\n"
+        )
+        vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 2, "bad")
+        start = time.monotonic()
+        with pytest.raises(TeacherError, match=r"malformed reply '\\\\xff\\n'"):
+            run_teacher_on_video(self.make_factory(tmp_path, body), vid)
+        assert time.monotonic() - start < WIRE_TIMEOUT / 2
+
     def test_timeout(self, tmp_path):
         body = "import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n"
         vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 3, "slow")
@@ -318,6 +346,19 @@ for line in sys.stdin:
         sys.exit(1)
     box = [box[0] + 1.0, box[1], box[2], box[3]]
     print(json.dumps({"box": box}), flush=True)
+"""
+
+
+# Answers nothing until it has read all argv[1] requests of its one video:
+# the init and every predict. It never sees a reply's effect, as no teacher does.
+READS_WHOLE_VIDEO_FIRST = r"""
+import json, sys
+requests = [json.loads(sys.stdin.readline()) for _ in range(int(sys.argv[1]))]
+print(json.dumps({"ok": True}))
+for _ in requests[1:]:
+    print(json.dumps({"box": requests[0]["box"]}))
+sys.stdout.flush()
+sys.stdin.read()
 """
 
 
@@ -436,6 +477,15 @@ class TestPool:
             assert trace.teacher_id == tid
             assert trace.boxes == [vid.ground_truth[0]] * len(vid)
 
+    def test_video_requests_are_sent_up_front(self, tmp_path, closing):
+        # one request at a time, the child would never answer the init
+        vid = self.video(frames=6)
+        script = tmp_path / "whole_video.py"
+        script.write_text(READS_WHOLE_VIDEO_FIRST)
+        factory = ExternalFactory("ext", f"{sys.executable} {script} {len(vid)}", timeout=1.0)
+        closing.append(factory)
+        assert run_teacher_on_video(factory, vid).boxes == [vid.ground_truth[0]] * len(vid)
+
     def test_one_member_alone_cannot_meet(self, tmp_path, closing):
         # the sequential schedule: "a" waits for a "b" that is never started
         closing += rendezvous_pool(tmp_path)
@@ -546,6 +596,33 @@ class TestChildLifetime:
         assert run_teacher_on_video(factory, v2).boxes == self.drift(v2, len(v2))
         assert len(started(pids)) == 2
 
+    @pytest.mark.parametrize(
+        "then, error",
+        [("", r"no reply within 1\.0s$"),
+         ("os.close(0)", r"no reply within 1\.0s \(write failed: .*Broken pipe\)$")],
+        ids=["hung", "input_closed"],
+    )
+    def test_silent_child_behind_a_full_input_pipe(self, tmp_path, closing, then, error):
+        # the child reads nothing, so its video's requests overfill the pipe;
+        # one that closes its input also fails the write behind it
+        pids = tmp_path / "silent.pids"
+        script = tmp_path / "silent.py"
+        script.write_text(
+            f"import os, time\nopen({str(pids)!r}, 'w').write('%d' % os.getpid())\n"
+            f"{then}\ntime.sleep(30)\n"
+        )
+        n = 400
+        paths = [str(tmp_path / ("f" * 200) / ("%06d.ppm" % t)) for t in range(n)]
+        assert sum(len(p) for p in paths) > 64 * 1024
+        vid = Video("long", NoPixels(n), [Box(1.0, 1.0, 5.0, 5.0)] * n, paths)
+        factory = ExternalFactory("ext", f"{sys.executable} {script}", timeout=1.0)
+        closing.append(factory)
+        start = time.monotonic()
+        with pytest.raises(TeacherError, match=error):
+            run_teacher_on_video(factory, vid)
+        assert time.monotonic() - start < 1.0 + EXIT_GRACE
+        assert_exited(started(pids))
+
     def test_error_quotes_only_its_own_videos_stderr(self, tmp_path, closing):
         command, pids = pid_teacher(tmp_path, "ext", die_on="v2")
         factory = ExternalFactory("ext", command)
@@ -572,6 +649,19 @@ class TestChildLifetime:
         assert_exited(started(pids))
         assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, len(v1))
         assert len(started(pids)) == 2
+
+    def test_predict_past_the_last_frame_keeps_the_child(self, tmp_path, closing):
+        command, pids = pid_teacher(tmp_path, "ext")
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        v0, v1 = self.videos(2, frames=3)
+        with factory.session(v0) as session:
+            session.init(v0.ground_truth[0])
+            assert [session.predict() for _ in range(2)] == self.drift(v0, 3)[1:]
+            with pytest.raises(ProtocolError, match="has no frame 3"):
+                session.submit()
+        assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, 3)
+        assert len(started(pids)) == 1
 
     def test_one_session_at_a_time(self, tmp_path, closing):
         command, _ = pid_teacher(tmp_path, "ext")

@@ -574,6 +574,17 @@ class TestSerialization:
         with pytest.raises(ParseError):
             read_trackrun(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_names_location(self, tmp_path, cell):
+        from trackdistill.errors import ParseError
+
+        path = str(tmp_path / "values.csv")
+        with open(path, "w") as fh:
+            fh.write("t,x,y,w,h,controller,v_student\n1,0,0,5,5,student,0.5\n"
+                     f"2,0,0,5,5,student,{cell}\n")
+        with pytest.raises(ParseError, match=r"values\.csv:3: non-finite value"):
+            read_trackrun(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         from trackdistill.errors import ParseError
 

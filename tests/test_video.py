@@ -1,12 +1,14 @@
 """PPM round-trips, dataset layout IO, and the synthetic sequence generator."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from trackdistill.errors import InvalidInputError, ParseError
 from trackdistill.geometry import Box
+from trackdistill import video as videomod
 from trackdistill.video import (
     SyntheticSpec,
     Video,
@@ -42,6 +44,13 @@ class TestPpm:
         with open(p, "wb") as fh:
             fh.write(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(ParseError):
+            read_ppm(p)
+
+    def test_rejects_other_maxval(self, tmp_path):
+        p = str(tmp_path / "m.ppm")
+        with open(p, "wb") as fh:
+            fh.write(b"P6\n1 1\n65535\n" + b"\x00" * 6)
+        with pytest.raises(ParseError, match="maxval 65535"):
             read_ppm(p)
 
     def test_rejects_truncated_raster(self, tmp_path):
@@ -123,6 +132,37 @@ class TestDatasetLayout:
         os.rename(os.path.join(d, "frames", "000002.ppm"), os.path.join(d, "frames", "000009.ppm"))
         with pytest.raises(ParseError, match="numbering gap"):
             load_video(d)
+
+    def test_frame_shape_mismatch_names_the_frame(self, tmp_path):
+        vid = generate_video(SyntheticSpec(num_frames=4, width=48, height=40, max_size=20), 3, "s")
+        d = write_video(vid, str(tmp_path))
+        odd = os.path.join(d, "frames", "000002.ppm")
+        write_ppm(odd, np.zeros((40, 47, 3), dtype=np.uint8))
+        with pytest.raises(ParseError, match=re.escape(f"{odd}: frame shape (40, 47, 3) differs")):
+            load_video(d)
+
+    def test_truncated_frame_rejected_at_load(self, tmp_path):
+        vid = generate_video(SyntheticSpec(num_frames=4, width=48, height=40, max_size=20), 3, "s")
+        d = write_video(vid, str(tmp_path))
+        last = os.path.join(d, "frames", "000003.ppm")
+        os.truncate(last, os.path.getsize(last) - 1)
+        with pytest.raises(ParseError, match=re.escape(f"{last}: raster has")):
+            load_video(d)
+
+    def test_frames_decode_once_on_first_read(self, tmp_path, monkeypatch):
+        vid = generate_video(SyntheticSpec(num_frames=6, width=48, height=40, max_size=20), 4, "s")
+        loaded = load_video(write_video(vid, str(tmp_path)))
+        decoded = []
+        real = videomod.read_ppm
+        monkeypatch.setattr(videomod, "read_ppm", lambda p: decoded.append(p) or real(p))
+        window = loaded.frames[2:5]  # a slice shares the video's cache
+        assert len(window) == 3 and not decoded
+        np.testing.assert_array_equal(window[-1], vid.frames[4])
+        assert loaded.frames[4] is window[2]
+        np.testing.assert_array_equal(loaded.frames[-1], vid.frames[5])
+        assert [os.path.basename(p) for p in decoded] == ["000004.ppm", "000005.ppm"]
+        with pytest.raises(IndexError):
+            window[3]
 
     def test_two_frame_minimum(self):
         frame = np.zeros((4, 4, 3), dtype=np.uint8)

@@ -113,20 +113,24 @@ def default_config() -> Config:
 
 
 def load_config(path: str) -> Config:
-    """Defaults overlaid with an INI file; unknown sections or keys fail."""
-    parser = configparser.ConfigParser()
+    """Defaults overlaid with an INI file, its values read verbatim (no "%"
+    interpolation); unknown sections or keys fail, naming the file."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}")
     values: Dict[str, Any] = {}
-    for section in parser.sections():
-        for name, text in parser.items(section):
-            key = f"{section}.{name}"
-            values[key] = parse_value(key, text)
+    try:
+        for section in parser.sections():
+            for name, text in parser.items(section):
+                key = f"{section}.{name}"
+                values[key] = parse_value(key, text)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}")
     return Config(values)
 
 

@@ -29,11 +29,19 @@ class Box:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidInputError(f"box field {name} is not finite: {v!r}")
-            object.__setattr__(self, name, v)
+        x, y, w, h = float(self.x), float(self.y), float(self.w), float(self.h)
+        if not math.isfinite(x + y + w + h):  # a bad field, or a sum that overflows
+            for name, v in zip("xywh", (x, y, w, h)):
+                if not math.isfinite(v):
+                    raise InvalidInputError(f"box field {name} is not finite: {v!r}")
+        # float() returns a float field itself, so fields are set (frozen:
+        # through object) only when one was of another type
+        if not (x is self.x and y is self.y and w is self.w and h is self.h):
+            set_field = object.__setattr__
+            set_field(self, "x", x)
+            set_field(self, "y", y)
+            set_field(self, "w", w)
+            set_field(self, "h", h)
 
     @property
     def cx(self) -> float:

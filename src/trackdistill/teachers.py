@@ -23,8 +23,9 @@ same child. It speaks one JSON object per line on its stdin and stdout:
 
 Each video starts with an ``init``, also on a child that served the video
 before. A teacher never sees the student's box, so no request depends on a
-reply: at the ``init`` the child is sent every request of its video at once
-(a writer thread feeds the pipe), and its replies are then read in order.
+reply: at the ``init`` the child is sent every request of its video at once,
+and its replies are then read in order; the thread that steps the sessions
+polls the child's pipes itself, and no helper thread is started.
 End of file on its stdin comes when the command ends (``close`` on the
 factory; ``close_all`` ends a pool's children side by side) and ends the
 child. A session that fails, or closes with a request unanswered, kills its
@@ -35,18 +36,18 @@ disk are never decoded for it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import os
-import queue
+import select
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +61,7 @@ _KAPPA_MAX = 1.6
 WIRE_TIMEOUT = 5.0
 EXIT_GRACE = 1.0  # seconds an external teacher has to exit after its input closes
 STDERR_TAIL = 2048  # bytes of an external teacher's stderr quoted in its TeacherError
+READ_BYTES = 65536  # the most one read takes of an external teacher's output
 
 
 @dataclass
@@ -276,10 +278,10 @@ class TraceFactory(TeacherFactory):
 
 
 class _Child:
-    """One running external teacher: its pipes, a reader thread that queues
-    its reply lines as they arrive, and its stderr in an unnamed temporary
-    file (no reader, no full pipe). It serves one session at a time; each
-    session starts a writer thread that sends its video's requests."""
+    """One running external teacher: its pipes, which the thread that steps
+    its sessions drives itself through one poll (no helper thread), and its
+    stderr in an unnamed temporary file (no reader, no full pipe). It serves
+    one session at a time."""
 
     def __init__(self, teacher_id: str, command: str):
         self.stderr = tempfile.TemporaryFile()
@@ -293,15 +295,65 @@ class _Child:
         except OSError as e:
             self.stderr.close()
             raise TeacherError(teacher_id, f"cannot start {command!r}: {e}")
-        self.replies: "queue.Queue[Optional[str]]" = queue.Queue()
-        # The thread holds the pipe, not this object, so a child whose owner
-        # is dropped unclosed still gets end of file on its input.
-        self.reader = threading.Thread(
-            target=_pump, args=(self.proc.stdout, self.replies), daemon=True
-        )
-        self.reader.start()
+        self._in, self._out = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        os.set_blocking(self._in, False)
+        os.set_blocking(self._out, False)
+        self._poll = select.poll()
+        self._poll.register(self._out, select.POLLIN)
+        self._unsent = bytearray()  # request bytes not yet written; input polled while any
+        self._partial = b""  # the start of a reply line still being written
+        self._lines: Deque[str] = collections.deque()
+        self._eof = False  # its output stream has closed
+        self.write_error: Optional[OSError] = None
         self.busy = False  # a session is open on it
         self.broken = False  # killed: its reply stream may be out of step
+
+    def send(self, data: bytes) -> None:
+        """Queue request bytes and write what the input pipe takes now; the
+        rest goes out while ``line`` waits."""
+        if not self._unsent:
+            self._poll.register(self._in, select.POLLOUT)
+        self._unsent += data
+        self._write()
+
+    def line(self, timeout: float) -> Optional[str]:
+        """The next reply line, or None at end of file. Raises TimeoutError
+        if neither comes within ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while not self._lines and not self._eof:
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                raise TimeoutError
+            for fd, _ in self._poll.poll(wait * 1000):
+                if fd == self._out:
+                    self._read()
+                else:
+                    self._write()
+        return self._lines.popleft() if self._lines else None
+
+    def _write(self) -> None:
+        try:
+            del self._unsent[: os.write(self._in, self._unsent)]
+        except BlockingIOError:
+            pass
+        except OSError as e:  # the child closed its input or exited
+            self.write_error = e
+            self._unsent.clear()
+        if not self._unsent:
+            self._poll.unregister(self._in)
+
+    def _read(self) -> None:
+        data = os.read(self._out, READ_BYTES)
+        if not data:  # end of file; a last line without a newline still counts
+            self._eof = True
+            self._poll.unregister(self._out)
+            lines = [self._partial] if self._partial else []
+        else:
+            *lines, self._partial = (self._partial + data).split(b"\n")
+            lines = [line + b"\n" for line in lines]
+        # A line that is not UTF-8 keeps its bad bytes as "\xff" escapes,
+        # which JSON accepts nowhere, so it reads as a malformed reply.
+        self._lines.extend(line.decode("utf-8", "backslashreplace") for line in lines)
 
     def stderr_size(self) -> int:
         return os.fstat(self.stderr.fileno()).st_size
@@ -321,60 +373,46 @@ class _Child:
         self.proc.kill()
 
     def close_input(self) -> None:
-        try:
-            self.proc.stdin.close()
-        except OSError:  # a child that already exited leaves a broken pipe
-            pass
+        if self._unsent:
+            self._unsent.clear()
+            self._poll.unregister(self._in)
+        self.proc.stdin.close()
 
     def close(self) -> None:
+        if self.proc.stdout.closed:  # closed before, as a killed child is
+            return
         self.close_input()
-        # The reader ends when the child's output closes at exit; joining it
-        # blocks where Popen.wait(timeout) would poll in sleeps. The child
-        # gets EXIT_GRACE in all before it is killed.
+        # Its output closes when it exits, so reading that to its end waits
+        # for the exit in poll, where Popen.wait(timeout) would poll in
+        # sleeps. The child gets EXIT_GRACE in all before it is killed.
         deadline = time.monotonic() + EXIT_GRACE
-        self.reader.join(timeout=EXIT_GRACE)
+        try:
+            while self.line(deadline - time.monotonic()) is not None:
+                pass
+        except TimeoutError:
+            pass
         try:
             self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        if not self.reader.is_alive():  # it read the pipe to its end
-            self.proc.stdout.close()
+        self.proc.stdout.close()
         self.stderr.close()
-
-
-def _pump(stream, replies: "queue.Queue[Optional[str]]") -> None:
-    # A line that is not UTF-8 keeps its bad bytes as "\xff" escapes, which
-    # JSON accepts nowhere, so it reads as a malformed reply.
-    for line in stream:
-        replies.put(line.decode("utf-8", "backslashreplace"))
-    replies.put(None)
-
-
-def _feed(stream, data: bytes, errors: List[Exception]) -> None:
-    """Write a video's requests to a child's input. A child that is not
-    reading blocks this thread, not the caller; a failed write is kept in
-    ``errors`` for the reply side."""
-    try:
-        stream.write(data)
-        stream.flush()
-    except (OSError, ValueError) as e:  # a broken pipe, or an input already closed
-        errors.append(e)
 
 
 class ExternalSession(TeacherSession):
     """One video on its factory's child, over the line-JSON wire protocol
     (module docstring).
 
-    ``submit_init`` hands a writer thread the video's every request line,
-    the ``init`` and a ``predict`` per frame 1..T-1; ``collect`` reads the
-    replies in order, as the child's reader thread queues them. So no step
-    waits for a write, and a child may answer as soon as it likes. Frames are
-    handed over as file paths; in-memory videos are spilled to a temporary
-    directory that the session removes at close. Any malformed reply,
-    timeout, or early exit raises TeacherError carrying the teacher id and
-    the tail of what the child wrote to stderr since this video's init; a
-    failed write is named in the timeout's message.
+    ``submit_init`` queues on the child the video's every request line, the
+    ``init`` and a ``predict`` per frame 1..T-1; ``collect`` reads the
+    replies in order, writing what the child's input takes of the requests
+    while it waits. So no step blocks on a write, and a child may answer as
+    soon as it likes. Frames are handed over as file paths; in-memory videos
+    are spilled to a temporary directory that the session removes at close.
+    Any malformed reply, timeout, or early exit raises TeacherError carrying
+    the teacher id and the tail of what the child wrote to stderr since this
+    video's init; a failed write is named in the timeout's message.
 
     A session that closes with every request answered and nothing raised
     leaves the child running for the factory's next video. One that raised,
@@ -390,7 +428,6 @@ class ExternalSession(TeacherSession):
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._stderr_start = 0
         self._unanswered = 0  # requests sent whose reply is not read yet
-        self._write_errors: List[Exception] = []
         self._failed = False
         child.busy = True
 
@@ -430,18 +467,15 @@ class ExternalSession(TeacherSession):
             for k in range(1, len(self._video))
         ]
         self._unanswered = len(lines)
-        data = "".join(line + "\n" for line in lines).encode("utf-8")
-        threading.Thread(
-            target=_feed, args=(self._child.proc.stdin, data, self._write_errors), daemon=True
-        ).start()
+        self._child.send("".join(line + "\n" for line in lines).encode("utf-8"))
 
     def _reply(self) -> dict:
         try:
-            line = self._child.replies.get(timeout=self._timeout)
-        except queue.Empty:
+            line = self._child.line(self._timeout)
+        except TimeoutError:
             message = f"no reply within {self._timeout:.1f}s"
-            if self._write_errors:
-                message += f" (write failed: {self._write_errors[0]})"
+            if self._child.write_error is not None:
+                message += f" (write failed: {self._child.write_error})"
             raise self._error(message)
         if line is None:
             raise self._error("process closed its output stream")

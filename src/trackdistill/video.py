@@ -67,9 +67,15 @@ def read_ppm(path: str) -> np.ndarray:
 def ppm_shape(path: str) -> Tuple[int, int, int]:
     """The (H, W, 3) shape of a PPM frame from its header alone, checked
     against the file's size; no raster is read."""
-    with open(path, "rb") as fh:
-        h, w, pos = _ppm_header(path, fh.read(PPM_HEADER_BYTES))
-        size = os.fstat(fh.fileno()).st_size
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = os.read(fd, PPM_HEADER_BYTES)
+        size = os.fstat(fd).st_size
+    except OSError as e:  # named as open() would name it (a directory, say)
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        os.close(fd)
+    h, w, pos = _ppm_header(path, head)
     if size - pos < w * h * 3:
         raise ParseError(f"{path}: raster has {size - pos} bytes, expected {w * h * 3}")
     return h, w, 3
@@ -122,11 +128,15 @@ class Video:
 
 def read_groundtruth(path: str) -> List[Box]:
     boxes = []
-    with open(path, "r", encoding="ascii") as fh:
+    # A byte outside ASCII reads as a lone surrogate, so its line is named.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                raw = line.encode("ascii", "surrogateescape")
+                raise ParseError(f"{path}:{lineno}: non-ASCII byte in {raw!r}")
             parts = line.split(",")
             if len(parts) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 comma-separated values")

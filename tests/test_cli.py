@@ -137,6 +137,29 @@ class TestDataErrors:
         assert "'oracle0.9'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_ascii_groundtruth_names_the_file(self, tmp_path, pipeline, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        gt = sorted(data.glob("*/groundtruth.csv"))[1]
+        gt.write_bytes(gt.read_bytes().replace(b"\n", b"\xff\n", 1))
+        code = main(["run-teachers", "--config", pipeline["ini"], "--pool", "oracle:0.9",
+                     "--out", str(tmp_path / "t"), str(data)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {gt}:1: non-ASCII byte in {gt.read_bytes().splitlines()[0]!r}\n"
+        )
+
+    @pytest.mark.parametrize("text", [b"[train]\nlr = 5%6\n", b"[train]\nlr = 1e-4\xff\n"],
+                             ids=["percent", "not_utf8"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        code = main(["gen-data", "--config", str(ini), "--seed", "1",
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ini}: ")
+        assert not (tmp_path / "d").exists()
+
     def test_eval_without_runs(self, tmp_path, pipeline):
         empty = tmp_path / "noruns"
         empty.mkdir()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -172,6 +173,22 @@ class TestLoadAndEcho:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.ini"))
+
+    def test_values_read_verbatim(self, tmp_path):
+        # no interpolation: a "%" in an extern command is part of the command
+        pool = "oracle:0.9,extern:ext:date +%Y-%m-%d"
+        ini = tmp_path / "pool.ini"
+        ini.write_text(f"[teachers]\npool = {pool}\n")
+        assert load_config(str(ini))["teachers.pool"] == pool
+        back = load_config(echo_config(load_config(str(ini)), str(tmp_path / "echo")))
+        assert back["teachers.pool"] == pool
+
+    @pytest.mark.parametrize("text", [b"[train]\nlr = 1e-4\xff\n", b"[train\xff]\n"])
+    def test_undecodable_bytes_name_the_path(self, tmp_path, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{ini}: ")):
+            load_config(str(ini))
 
     def test_echo_reproduces_effective_config(self, tmp_path):
         c = default_config().with_overrides(

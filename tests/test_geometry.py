@@ -109,6 +109,21 @@ class TestBox:
         with pytest.raises(InvalidInputError, match=f"box field {field} is not finite"):
             Box(**fields)
 
+    def test_fields_become_floats(self):
+        box = Box(1, np.float32(2.5), "3", np.int64(4))
+        assert [type(v) for v in (box.x, box.y, box.w, box.h)] == [float] * 4
+        assert box == Box(1.0, 2.5, 3.0, 4.0)
+
+    def test_first_bad_field_is_named(self):
+        with pytest.raises(InvalidInputError, match="box field w is not finite: -inf"):
+            Box(1.0, 2.0, float("-inf"), float("nan"))
+        with pytest.raises(InvalidInputError, match="box field x is not finite: inf"):
+            Box(float("inf"), float("-inf"), 1.0, 1.0)
+
+    def test_finite_fields_whose_sum_overflows(self):
+        box = Box(1e308, 1e308, 1e308, 1e308)
+        assert (box.x, box.y, box.w, box.h) == (1e308,) * 4
+
 
 class TestIou:
     def test_hand_cases(self):

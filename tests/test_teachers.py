@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 import time
 import zlib
 
@@ -672,6 +673,129 @@ class TestChildLifetime:
             with pytest.raises(ProtocolError, match="still open"):
                 factory.session(v1)
         run_teacher_on_video(factory, v1)
+
+
+# The echo teacher's drift, with each reply written in two parts 50 ms apart.
+SPLIT_REPLY_TEACHER = r"""
+import json, sys, time
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        box = msg["box"]
+        reply = json.dumps({"ok": True})
+    else:
+        box = [box[0] + 1.0, box[1], box[2], box[3]]
+        reply = json.dumps({"box": box})
+    half = len(reply) // 2
+    sys.stdout.write(reply[:half])
+    sys.stdout.flush()
+    time.sleep(0.05)
+    print(reply[half:], flush=True)
+"""
+
+
+# The echo teacher's drift over a video of argv[1] frames, whose last reply
+# has no newline; it exits right after writing it.
+NO_LAST_NEWLINE = r"""
+import json, sys
+n = int(sys.argv[1])
+for t in range(n):
+    msg = json.loads(sys.stdin.readline())
+    if t == 0:
+        box = msg["box"]
+        print(json.dumps({"ok": True}), flush=True)
+        continue
+    box = [box[0] + 1.0, box[1], box[2], box[3]]
+    sys.stdout.write(json.dumps({"box": box}) + ("\n" if t < n - 1 else ""))
+    sys.stdout.flush()
+"""
+
+
+class CountThreads(TeacherFactory):
+    """Ground truth replayed by sessions that log ``threading.active_count()``
+    at every step."""
+
+    def __init__(self, teacher_id, counts):
+        super().__init__(teacher_id)
+        self.counts = counts
+
+    def session(self, video):
+        counts = self.counts
+
+        class _S(TraceSession):
+            def _predict(self, t):
+                counts.append(threading.active_count())
+                return super()._predict(t)
+
+        return _S(self.teacher_id, video.video_id, video.ground_truth)
+
+
+class TestPolledPipes:
+    """The stepping thread drives each child's pipes itself."""
+
+    def factory(self, tmp_path, closing, tid, body, *args, timeout=WIRE_TIMEOUT):
+        script = tmp_path / f"{tid}.py"
+        script.write_text(body)
+        factory = ExternalFactory(
+            tid, " ".join([sys.executable, str(script), *map(str, args)]), timeout=timeout
+        )
+        closing.append(factory)
+        return factory
+
+    def drift(self, video):
+        g0 = video.ground_truth[0]
+        return [g0] + [Box(g0.x + t, g0.y, g0.w, g0.h) for t in range(1, len(video))]
+
+    def test_no_thread_is_started(self, tmp_path, closing):
+        spec = SyntheticSpec(num_frames=6, width=48, height=48, max_size=20)
+        videos = [generate_video(spec, 60 + i, f"v{i}") for i in range(2)]
+        counts = []
+        pool = [
+            self.factory(tmp_path, closing, "a", ECHO_TEACHER),
+            self.factory(tmp_path, closing, "b", ECHO_TEACHER),
+            CountThreads("count", counts),
+        ]
+        before = threading.active_count()
+        for video in videos:
+            results = run_pool_on_video(pool, video)
+            assert [error for _, error in results] == [None] * 3
+            assert results[0][0].boxes == results[1][0].boxes == self.drift(video)
+        close_all(pool)
+        assert counts == [before] * (2 * 5)
+        assert threading.active_count() == before
+
+    def test_reply_written_in_two_parts(self, tmp_path, closing):
+        vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 6, "split")
+        factory = self.factory(tmp_path, closing, "ext", SPLIT_REPLY_TEACHER)
+        assert run_teacher_on_video(factory, vid).boxes == self.drift(vid)
+
+    def test_requests_past_a_pipe_to_two_children(self, tmp_path, closing):
+        # each child is sent more than a pipe holds; "whole" answers only
+        # once it has read all of them, "echo" as it reads
+        n = 400
+        frames = tmp_path / ("f" * 200)
+        frames.mkdir()
+        paths = [str(frames / ("%06d.ppm" % t)) for t in range(n)]
+        for path in paths:
+            open(path, "w").close()
+        assert sum(len(p) for p in paths) > 64 * 1024
+        g0 = Box(1.0, 1.0, 5.0, 5.0)
+        vid = Video("long", NoPixels(n), [g0] * n, paths)
+        pool = [
+            self.factory(tmp_path, closing, "whole", READS_WHOLE_VIDEO_FIRST, n),
+            self.factory(tmp_path, closing, "echo", ECHO_TEACHER),
+        ]
+        start = time.monotonic()
+        (whole, e_whole), (echo, e_echo) = run_pool_on_video(pool, vid)
+        assert time.monotonic() - start < WIRE_TIMEOUT / 2
+        assert e_whole is None and e_echo is None
+        assert whole.boxes == [g0] * n
+        assert echo.boxes == self.drift(vid)
+
+    def test_last_reply_without_newline(self, tmp_path, closing):
+        vid = generate_video(SyntheticSpec(num_frames=4, width=48, height=48, max_size=20), 8, "last")
+        factory = self.factory(tmp_path, closing, "ext", NO_LAST_NEWLINE, len(vid))
+        assert run_teacher_on_video(factory, vid).boxes == self.drift(vid)
 
 
 class TestTeacherSpecParsing:

@@ -96,6 +96,19 @@ class TestGroundTruth:
         with pytest.raises(ParseError):
             read_groundtruth(p)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_ascii_byte_names_location(self, tmp_path, newline):
+        p = tmp_path / "gt.csv"
+        p.write_bytes(newline.join([b"1,2,3,4", b"", b"1,2,3\xff,4", b""]))
+        with pytest.raises(ParseError, match=re.escape(f"{p}:3: non-ASCII byte in b'1,2,3\\xff,4'")):
+            read_groundtruth(str(p))
+
+    def test_line_endings_read_alike(self, tmp_path):
+        p = tmp_path / "gt.csv"
+        for newline in (b"\n", b"\r\n", b"\r"):
+            p.write_bytes(newline.join([b"1,2,3,4", b"", b" 5,6,7,8 ", b""]))
+            assert read_groundtruth(str(p)) == [Box(1, 2, 3, 4), Box(5, 6, 7, 8)]
+
 
 class TestDatasetLayout:
     def test_write_then_load(self, tmp_path):
@@ -148,6 +161,18 @@ class TestDatasetLayout:
         os.truncate(last, os.path.getsize(last) - 1)
         with pytest.raises(ParseError, match=re.escape(f"{last}: raster has")):
             load_video(d)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda path: None, FileNotFoundError),
+        (os.mkdir, IsADirectoryError),
+    ], ids=["missing", "directory"])
+    def test_unreadable_frame_names_its_path(self, tmp_path, make, error):
+        path = str(tmp_path / "000000.ppm")
+        make(path)
+        with pytest.raises(error) as info:
+            videomod.ppm_shape(path)
+        assert info.value.filename == path
+        assert str(info.value).endswith(f": {path!r}")
 
     def test_frames_decode_once_on_first_read(self, tmp_path, monkeypatch):
         vid = generate_video(SyntheticSpec(num_frames=6, width=48, height=40, max_size=20), 4, "s")

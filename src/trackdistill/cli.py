@@ -145,7 +145,7 @@ def cmd_filter(args) -> int:
     betas = list(STATS_BETAS)
     if beta not in betas:
         betas.append(beta)
-    rows = transfer_report(traces, videos, betas, seed=args.seed, ious=ious)
+    rows = transfer_report(traces, videos, betas, ious=ious)
     write_stats_csv(rows, os.path.join(args.out, "transfer_stats.csv"))
     print(
         f"beta={beta:g}: kept {len(kept)}/{len(traces)} trajectories, "

@@ -6,11 +6,10 @@ frame. In-process teachers read no pixels; an external one reads frame files.
 Factories build fresh sessions per video so pools can be replayed
 deterministically across passes.
 
-Every step has two phases: ``submit`` starts work on the next frame index and
-``collect`` returns the box. ``init`` and ``predict`` are submit-then-collect.
-Only ``run_pool_on_video`` opens and steps sessions. Every pool, those of
-``track`` and ``fuse`` included, runs through it, each member submitted to
-before any is collected from; the trackers then read the traces.
+A session is ``init(g0)``, then one ``predict()`` per later frame, then
+``close``. Only ``run_pool_on_video`` opens and steps sessions. Every pool,
+those of ``track`` and ``fuse`` included, runs through it, frame by frame
+across its members; the trackers then read the traces.
 
 An external teacher is a child process, one per teacher per command: its
 factory starts it for the first video and sends every later video to the
@@ -74,54 +73,30 @@ class TrajectoryTrace:
 
 
 class TeacherSession:
-    """Base session: init once from the first box, then predict by frame index,
-    in order, each step split into submit and collect."""
+    """Base session over one video of ``n_frames`` frames: ``init`` once from
+    the first box, then ``predict`` frame 1, 2, ... in order."""
 
-    def __init__(self, teacher_id: str, video_id: str):
+    def __init__(self, teacher_id: str, video_id: str, n_frames: int):
         self.teacher_id = teacher_id
         self.video_id = video_id
-        self.box = None  # the teacher's latest output
-        self._initialized = False
-        self._t = 0
-        self._pending = False  # a step was submitted and not yet collected
+        self.n_frames = n_frames
+        self._t: Optional[int] = None  # the last frame stepped; None before init
 
     def init(self, g0: Box) -> None:
-        self.submit_init(g0)
-        self.collect()
+        if self._t is not None:
+            raise ProtocolError(f"teacher {self.teacher_id!r}: double init")
+        self._t = 0
+        self._init(g0)
 
     def predict(self) -> Box:
-        self.submit()
-        return self.collect()
-
-    def submit_init(self, g0: Box) -> None:
-        """First phase of ``init``: hand over the first frame's box."""
-        if self._initialized:
-            raise ProtocolError(f"teacher {self.teacher_id!r}: double init")
-        self._initialized = True
-        self.box = g0
-        self._pending = True
-        self._submit(0)
-
-    def submit(self) -> None:
-        """First phase of ``predict``: start on the next frame."""
-        if not self._initialized:
+        """The box of the next frame."""
+        if self._t is None:
             raise ProtocolError(f"teacher {self.teacher_id!r}: predict before init")
-        if self._pending:
-            raise ProtocolError(f"teacher {self.teacher_id!r}: submit before collect")
-        self._t += 1
-        self._pending = True
-        self._submit(self._t)
-
-    def collect(self) -> Box:
-        """Second phase: the box of the frame last submitted (the start box after init)."""
-        if not self._pending:
-            raise ProtocolError(f"teacher {self.teacher_id!r}: collect without submit")
-        self._pending = False
-        if self._t == 0:
-            self._collect_init()
-        else:
-            self.box = self._predict(self._t)
-        return self.box
+        t = self._t + 1
+        if t >= self.n_frames:
+            raise ProtocolError(f"teacher {self.teacher_id!r}: {self.video_id!r} has no frame {t}")
+        self._t = t
+        return self._predict(t)
 
     def close_input(self) -> None:
         """Tell the teacher no more frames come; ``close`` then waits for it."""
@@ -129,11 +104,8 @@ class TeacherSession:
     def close(self) -> None:
         pass
 
-    def _submit(self, t: int) -> None:
-        """Start work on frame t (0 is the init); in-process teachers do it in ``_predict``."""
-
-    def _collect_init(self) -> None:
-        pass
+    def _init(self, g0: Box) -> None:
+        """Start from the first frame's box; in-process teachers need nothing."""
 
     def _predict(self, t: int) -> Box:
         raise NotImplementedError
@@ -252,12 +224,10 @@ class TraceSession(TeacherSession):
     """Replays a box list verbatim: a stored trace or an oracle's drawn track."""
 
     def __init__(self, teacher_id: str, video_id: str, boxes: List[Box]):
-        super().__init__(teacher_id, video_id)
+        super().__init__(teacher_id, video_id, len(boxes))
         self._boxes = boxes
 
     def _predict(self, t: int) -> Box:
-        if t >= len(self._boxes):
-            raise ProtocolError(f"teacher {self.teacher_id!r}: trace exhausted at step {t}")
         return self._boxes[t]
 
 
@@ -404,12 +374,13 @@ class ExternalSession(TeacherSession):
     """One video on its factory's child, over the line-JSON wire protocol
     (module docstring).
 
-    ``submit_init`` queues on the child the video's every request line, the
-    ``init`` and a ``predict`` per frame 1..T-1; ``collect`` reads the
-    replies in order, writing what the child's input takes of the requests
-    while it waits. So no step blocks on a write, and a child may answer as
-    soon as it likes. Frames are handed over as file paths; in-memory videos
-    are spilled to a temporary directory that the session removes at close.
+    ``init`` queues on the child the video's every request line, the
+    ``init`` and a ``predict`` per frame 1..T-1, and reads the init's
+    acknowledgement; each ``predict`` reads the next reply. While a step
+    waits, it writes what the child's input takes of the requests, so no
+    step blocks on a write, and a child may answer as soon as it likes.
+    Frames are handed over as file paths; in-memory videos are spilled to
+    a temporary directory that the session removes at close.
     Any malformed reply, timeout, or early exit raises TeacherError carrying
     the teacher id and the tail of what the child wrote to stderr since this
     video's init; a failed write is named in the timeout's message.
@@ -421,7 +392,7 @@ class ExternalSession(TeacherSession):
     """
 
     def __init__(self, teacher_id: str, video: Video, child: _Child, timeout: float):
-        super().__init__(teacher_id, video.video_id)
+        super().__init__(teacher_id, video.video_id, len(video))
         self._video = video
         self._child = child
         self._timeout = timeout
@@ -449,13 +420,8 @@ class ExternalSession(TeacherSession):
             write_ppm(path, self._video.frames[t])
         return path
 
-    def _submit(self, t: int) -> None:
-        if t >= len(self._video):
-            raise ProtocolError(f"teacher {self.teacher_id!r}: {self.video_id!r} has no frame {t}")
-        if t > 0:  # its request went out with the init
-            return
+    def _init(self, g0: Box) -> None:
         self._stderr_start = self._child.stderr_size()
-        g0 = self.box
         init = {
             "cmd": "init",
             "video": self.video_id,
@@ -468,6 +434,9 @@ class ExternalSession(TeacherSession):
         ]
         self._unanswered = len(lines)
         self._child.send("".join(line + "\n" for line in lines).encode("utf-8"))
+        reply = self._reply()
+        if reply.get("ok") is not True:
+            raise self._error(f"init not acknowledged: {reply!r}")
 
     def _reply(self) -> dict:
         try:
@@ -487,11 +456,6 @@ class ExternalSession(TeacherSession):
         if not isinstance(reply, dict):
             raise self._error(f"malformed reply {line!r}")
         return reply
-
-    def _collect_init(self) -> None:
-        reply = self._reply()
-        if reply.get("ok") is not True:
-            raise self._error(f"init not acknowledged: {reply!r}")
 
     def _predict(self, t: int) -> Box:
         reply = self._reply()
@@ -589,11 +553,13 @@ def run_pool_on_video(
     first ground-truth box.
 
     One session per member is opened first, which starts together every
-    external child not yet running. Then, for the init and for each frame,
-    every live member is submitted to before any is collected from. A member that
-    raises TeacherError is dropped and keeps the boxes it gave so far; the
-    others go on. Returns, in pool order, each member's trace (boxes[0] is
-    the ground-truth start) and its error, or None: a member that failed at
+    external child not yet running. Then every live member is initialised,
+    and for each frame every live member is asked for its box, in pool
+    order; an external member's requests all went out at its init, so its
+    child works ahead while the others are read. A member that raises
+    TeacherError is dropped and keeps the boxes it gave so far; the others
+    go on. Returns, in pool order, each member's trace (boxes[0] is the
+    ground-truth start) and its error, or None: a member that failed at
     frame t has boxes up to t - 1. Two members with one id, whose traces
     would share a path, raise InvalidInputError.
     """
@@ -622,11 +588,9 @@ def run_pool_on_video(
                 errors[k] = e
             else:
                 live[k] = opened[-1]
-        each_live(lambda k, s: s.submit_init(g0))
-        each_live(lambda k, s: s.collect())
+        each_live(lambda k, s: s.init(g0))
         for _ in range(1, len(video)):
-            each_live(lambda k, s: s.submit())
-            each_live(lambda k, s: traces[k].boxes.append(s.collect()))
+            each_live(lambda k, s: traces[k].boxes.append(s.predict()))
     finally:
         close_all(opened)
     return list(zip(traces, errors))

@@ -19,6 +19,7 @@ NumericError.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -30,7 +31,7 @@ from .geometry import Box, apply_action, iou
 from .mdp import make_states
 from .model import HiddenSchedule, StudentModel
 from .teachers import TeacherFactory, run_pool_on_video
-from .video import Video
+from .video import Video, read_utf8
 
 STUDENT = "student"
 VALUE_EVALUATOR = "value"
@@ -177,35 +178,34 @@ def write_trackrun(path: str, run: TrackRun) -> None:
 def read_trackrun(path: str, video_id: str = "", tracker: str = "") -> TrackRun:
     """The run ``write_trackrun`` stored; malformed input raises ParseError
     naming ``path:line``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty track file")
+    fixed = len(TRACK_COLUMNS)
+    named = all(h.startswith("v_") and len(h) > 2 for h in header[fixed:])
+    if tuple(header[:fixed]) != TRACK_COLUMNS or not named:
+        raise ParseError(f"{path}:1: unrecognized track header {header!r}")
+    if len(set(header)) < len(header):
+        raise ParseError(f"{path}:1: duplicate column in track header {header!r}")
+    tids = [h[2:] for h in header[fixed:]]
+    run = TrackRun(video_id, tracker, [], [], v_teachers={tid: [] for tid in tids})
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty track file")
-        fixed = len(TRACK_COLUMNS)
-        named = all(h.startswith("v_") and len(h) > 2 for h in header[fixed:])
-        if tuple(header[:fixed]) != TRACK_COLUMNS or not named:
-            raise ParseError(f"{path}:1: unrecognized track header {header!r}")
-        if len(set(header)) < len(header):
-            raise ParseError(f"{path}:1: duplicate column in track header {header!r}")
-        tids = [h[2:] for h in header[fixed:]]
-        run = TrackRun(video_id, tracker, [], [], v_teachers={tid: [] for tid in tids})
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                box = Box(*(float(v) for v in row[1:5]))
-                values = [float(cell) if cell else None for cell in row[6:]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {row!r}")
-            except InvalidInputError as e:
-                raise ParseError(f"{path}:{lineno}: {e}")
-            if not all(v is None or math.isfinite(v) for v in values):
-                raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")
-            run.boxes.append(box)
-            run.controllers.append(row[5])
-            run.v_student.append(values[0])
-            for tid, value in zip(tids, values[1:]):
-                run.v_teachers[tid].append(value)
+            box = Box(*(float(v) for v in row[1:5]))
+            values = [float(cell) if cell else None for cell in row[6:]]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field in {row!r}")
+        except InvalidInputError as e:
+            raise ParseError(f"{path}:{lineno}: {e}")
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")
+        run.boxes.append(box)
+        run.controllers.append(row[5])
+        run.v_student.append(values[0])
+        for tid, value in zip(tids, values[1:]):
+            run.v_teachers[tid].append(value)
     return run

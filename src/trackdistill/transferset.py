@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, ParseError
 from .geometry import Box, iou
 from .teachers import TrajectoryTrace, load_trace, trace_path
-from .video import Video
+from .video import Video, read_utf8
 
 CHUNK_LENGTH = 32
 CHUNKS_PER_TRAJECTORY = 5
@@ -165,13 +165,12 @@ def transfer_report(
     betas: Sequence[float],
     length: int = CHUNK_LENGTH,
     count: int = CHUNKS_PER_TRAJECTORY,
-    seed: int = 0,
     ious: Optional[Sequence[np.ndarray]] = None,
 ) -> List[dict]:
     """Rows for every (teacher, beta), teachers sorted, betas in given order.
     Each trace's overlaps are computed once (or taken from ``ious``, its
     ``trace_ious``) and serve every beta. Chunks are counted, not built: each
-    kept trace of a video of ``length`` frames or more gives ``count``, at any ``seed``."""
+    kept trace of a video of ``length`` frames or more gives ``count``."""
     if ious is None:
         ious = trace_ious(traces, videos)
     overlaps = {id(tr): z for tr, z in zip(traces, ious)}
@@ -221,8 +220,7 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
     ``teacher`` or an integer ``start``) and a trace whose length differs from
     its video's raise ``ParseError`` naming the path."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: {e}")
     if not isinstance(payload, dict) or "chunks" not in payload:

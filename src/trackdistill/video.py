@@ -153,6 +153,19 @@ def read_groundtruth(path: str) -> List[Box]:
     return boxes
 
 
+def read_utf8(path: str) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError
+    naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        line = data.split(b"\n")[lineno - 1].rstrip(b"\r")
+        raise ParseError(f"{path}:{lineno}: non-UTF-8 byte in {line!r}")
+
+
 def write_groundtruth(path: str, boxes: List[Box]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for b in boxes:

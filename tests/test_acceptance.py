@@ -307,7 +307,7 @@ def test_gate_06_transfer_filtering(capsys):
                     float(sum(pooled) / len(pooled)) if pooled else 0.0
                 )
 
-        rows = transfer_report(traces, vmap, betas, length=4, count=2, seed=0)
+        rows = transfer_report(traces, vmap, betas, length=4, count=2)
         assert len(rows) == len(betas) * 3
         for row in rows:
             key = (row["teacher"], row["beta"])

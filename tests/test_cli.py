@@ -5,6 +5,7 @@ import filecmp
 import itertools
 import json
 import os
+import pathlib
 import re
 import shutil
 import sys
@@ -148,6 +149,31 @@ class TestDataErrors:
         assert capsys.readouterr().err == (
             f"error: {gt}:1: non-ASCII byte in {gt.read_bytes().splitlines()[0]!r}\n"
         )
+
+    def test_non_utf8_track_run_names_the_line(self, tmp_path, pipeline, capsys):
+        runs = tmp_path / "tras"
+        shutil.copytree(pipeline["tras"], runs)
+        path = runs / "synth002.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"".join(lines))
+        code = main(["eval", "--config", pipeline["ini"], "--out", str(tmp_path / "eval"),
+                     pipeline["data"], str(runs)])
+        assert code == 2
+        line = lines[2].rstrip(b"\r\n")
+        assert capsys.readouterr().err == f"error: {path}:3: non-UTF-8 byte in {line!r}\n"
+
+    def test_non_utf8_chunk_index_names_the_line(self, tmp_path, pipeline, capsys):
+        chunks = tmp_path / "chunks.json"
+        lines = (pathlib.Path(pipeline["filter"]) / "chunks.json").read_bytes().split(b"\n")
+        lines[1] = lines[1] + b"\xff"
+        chunks.write_bytes(b"\n".join(lines))
+        out = tmp_path / "t"
+        code = main(["train", "--config", pipeline["ini"], "--seed", "3", "--out", str(out),
+                     pipeline["data"], pipeline["traces"], str(chunks)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {chunks}:2: non-UTF-8 byte in {lines[1]!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [b"[train]\nlr = 5%6\n", b"[train]\nlr = 1e-4\xff\n"],
                              ids=["percent", "not_utf8"])

@@ -1,6 +1,9 @@
 """Teacher sessions: noisy oracles, trace replay, the external wire protocol."""
 
+import importlib.util
+import json
 import os
+import shlex
 import sys
 import threading
 import time
@@ -200,20 +203,14 @@ class TestSessionProtocol:
         with pytest.raises(ProtocolError):
             sess.predict()
 
-    def test_submit_and_collect_alternate(self):
-        rng = np.random.default_rng(93)
-        vid = gt_only_video("v", 4, rng)
+    def test_predict_past_the_last_frame(self):
+        vid = gt_only_video("v", 4, np.random.default_rng(93))
         sess = OracleNoiseFactory("o", 0.9, 1).session(vid)
-        with pytest.raises(ProtocolError, match="collect without submit"):
-            sess.collect()
-        sess.submit_init(vid.ground_truth[0])
-        assert sess.collect() == vid.ground_truth[0]
-        sess.submit()
-        with pytest.raises(ProtocolError, match="submit before collect"):
-            sess.submit()
-        ref = OracleNoiseFactory("o", 0.9, 1).session(vid)
-        ref.init(vid.ground_truth[0])
-        assert sess.collect() == ref.predict()
+        sess.init(vid.ground_truth[0])
+        for _ in range(3):
+            sess.predict()
+        with pytest.raises(ProtocolError, match="'v' has no frame 4"):
+            sess.predict()
 
 
 ECHO_TEACHER = r"""
@@ -385,14 +382,11 @@ class Recorder(TeacherFactory):
         log, tid = self.log, self.teacher_id
 
         class _S(TeacherSession):
-            def _submit(self, t):
-                log.append(("submit", tid, t))
-
-            def _collect_init(self):
-                log.append(("collect", tid, 0))
+            def _init(self, g0):
+                log.append(("init", tid, 0))
 
             def _predict(self, t):
-                log.append(("collect", tid, t))
+                log.append(("predict", tid, t))
                 return video.ground_truth[t]
 
             def close_input(self):
@@ -401,7 +395,7 @@ class Recorder(TeacherFactory):
             def close(self):
                 log.append(("close", tid))
 
-        return _S(tid, video.video_id)
+        return _S(tid, video.video_id, len(video))
 
 
 class NoPixels:
@@ -423,7 +417,7 @@ class TestPool:
         return generate_video(spec, seed, "pool")
 
     @pytest.mark.parametrize("runner", ["run_pool_on_video", "trast", "trasfust"])
-    def test_schedule_submits_all_before_collecting_any(self, runner):
+    def test_schedule_inits_all_then_predicts_frame_by_frame(self, runner):
         # the trackers drive their pool through run_pool_on_video, so every
         # runner gives the same log for the members it runs
         vid = self.video(frames=3)
@@ -439,25 +433,29 @@ class TestPool:
                 vid, vid.ground_truth[0], model, np.zeros(model.n_params), member
             )
         ids = [f.teacher_id for f in pool]
-        want = []
-        for t in range(3):
-            want += [("submit", tid, t) for tid in ids] + [("collect", tid, t) for tid in ids]
+        want = [("init", tid, 0) for tid in ids]
+        for t in range(1, 3):
+            want += [("predict", tid, t) for tid in ids]
         want += [("close_input", tid) for tid in ids] + [("close", tid) for tid in ids]
         assert log == want
+
+    def one_of_each_kind(self, tmp_path, vid):
+        """An oracle, a ``trace:`` member replaying ``vid`` backwards and an echo child."""
+        traces = str(tmp_path / "traces")
+        save_trace(traces, TrajectoryTrace(vid.video_id, "t", vid.ground_truth[::-1]))
+        echo = tmp_path / "echo.py"
+        echo.write_text(ECHO_TEACHER)
+        return [
+            OracleNoiseFactory("o", 0.8, 3),
+            TraceFactory("t", traces),
+            ExternalFactory("ext", f"{sys.executable} {echo}"),
+        ]
 
     def test_pool_reads_no_pixels(self, tmp_path, closing):
         # the oracle and the trace replay read boxes; the child reads frame files
         vid = load_video(write_video(self.video(), str(tmp_path / "data")))
         blind = Video(vid.video_id, NoPixels(len(vid)), vid.ground_truth, vid.frame_paths)
-        traces = str(tmp_path / "traces")
-        save_trace(traces, TrajectoryTrace(vid.video_id, "t", vid.ground_truth[::-1]))
-        echo = tmp_path / "echo.py"
-        echo.write_text(ECHO_TEACHER)
-        closing += [
-            OracleNoiseFactory("o", 0.8, 3),
-            TraceFactory("t", traces),
-            ExternalFactory("ext", f"{sys.executable} {echo}"),
-        ]
+        closing += self.one_of_each_kind(tmp_path, vid)
         want = run_pool_on_video(closing, vid)
         got = run_pool_on_video(closing, blind)
         assert [error for _, error in got] == [None] * 3
@@ -512,6 +510,29 @@ class TestPool:
         assert len(live.boxes) == len(vid)
         assert dead.boxes == live.boxes[:3]
 
+    def test_tracer_sees_every_session_step(self, tmp_path, closing):
+        # the benchmark's tracer wraps TeacherSession.init and .predict, each
+        # factory's session and the sessions' close by name
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "tracing.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        vid = self.video()
+        closing += self.one_of_each_kind(tmp_path, vid)
+        init = TeacherSession.init
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            results = run_pool_on_video(closing, vid)
+        finally:
+            tracer.uninstall()
+        assert TeacherSession.init is init
+        assert [error for _, error in results] == [None] * 3
+        calls = {name: s["calls"] for name, s in tracer.function_stats().items()}
+        assert len(vid) == 5
+        assert calls == {"teachers.session_open": 3, "teachers.predict": 12, "teachers.close": 3}
+
     def test_unopenable_member_keeps_start_box(self, tmp_path):
         vid = self.video()
         pool = [TraceFactory("ghost", str(tmp_path)), OracleNoiseFactory("o", 0.9, 1)]
@@ -540,6 +561,25 @@ for line in sys.stdin:
         sys.exit("fatal: gave up on " + video)
     if t == 2 and video == hang_on:
         time.sleep(30)
+    box = [box[0] + 1.0, box[1], box[2], box[3]]
+    print(json.dumps({"box": box}), flush=True)
+"""
+
+
+# The echo teacher's drift, logging its pid to argv[1] at start and a line
+# per video to stderr; it answers the init of video argv[2] with argv[3].
+REFUSES_INIT = r"""
+import json, os, sys
+pids, refuse, reply = sys.argv[1:4]
+with open(pids, "a") as fh:
+    fh.write("%d\n" % os.getpid())
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        video, box = msg["video"], msg["box"]
+        print("init " + video, file=sys.stderr, flush=True)
+        print(reply if video == refuse else json.dumps({"ok": True}), flush=True)
+        continue
     box = [box[0] + 1.0, box[1], box[2], box[3]]
     print(json.dumps({"box": box}), flush=True)
 """
@@ -645,10 +685,30 @@ class TestChildLifetime:
         v0, v1 = self.videos(2)
         session = factory.session(v0)
         session.init(v0.ground_truth[0])
-        session.submit()
-        session.close()  # the reply to frame 1 is never read
+        session.close()  # the replies to frames 1.. are never read
         assert_exited(started(pids))
         assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, len(v1))
+        assert len(started(pids)) == 2
+
+    @pytest.mark.parametrize("reply", [{"ok": False}, {"error": "no weights for v1"}],
+                             ids=["not_ok", "error"])
+    def test_unacknowledged_init_fails_and_replaces_the_child(self, tmp_path, closing, reply):
+        script = tmp_path / "refuses.py"
+        script.write_text(REFUSES_INIT)
+        pids = tmp_path / "ext.pids"
+        command = f"{sys.executable} {script} {pids} v1 {shlex.quote(json.dumps(reply))}"
+        factory = ExternalFactory("ext", command)
+        closing.append(factory)
+        v0, v1, v2 = self.videos(3)
+        run_teacher_on_video(factory, v0)
+        with factory.session(v1) as session:
+            with pytest.raises(TeacherError) as info:
+                session.init(v1.ground_truth[0])
+        assert str(info.value) == (
+            f"teacher 'ext': init not acknowledged: {reply!r}; stderr tail: 'init v1'"
+        )
+        assert_exited(started(pids))
+        assert run_teacher_on_video(factory, v2).boxes == self.drift(v2, len(v2))
         assert len(started(pids)) == 2
 
     def test_predict_past_the_last_frame_keeps_the_child(self, tmp_path, closing):
@@ -660,7 +720,7 @@ class TestChildLifetime:
             session.init(v0.ground_truth[0])
             assert [session.predict() for _ in range(2)] == self.drift(v0, 3)[1:]
             with pytest.raises(ProtocolError, match="has no frame 3"):
-                session.submit()
+                session.predict()
         assert run_teacher_on_video(factory, v1).boxes == self.drift(v1, 3)
         assert len(started(pids)) == 1
 

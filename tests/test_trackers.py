@@ -63,7 +63,7 @@ class FailAfter(TeacherFactory):
                     raise TeacherError(self.teacher_id, "synthetic failure")
                 return video.ground_truth[t]
 
-        return _S(self.teacher_id, video.video_id)
+        return _S(self.teacher_id, video.video_id, len(video))
 
 
 class TestTras:

@@ -206,7 +206,7 @@ class TestOverlapsOnce:
         assert len({r["num_chunks"] for r in ref_rows}) > 2  # counts vary
         ious = trace_ious(traces, videos)
         write_stats_csv(ref_rows, str(tmp_path / "ref.csv"))
-        write_stats_csv(transfer_report(traces, videos, betas, seed=3, ious=ious),
+        write_stats_csv(transfer_report(traces, videos, betas, ious=ious),
                         str(tmp_path / "got.csv"))
         assert filecmp.cmp(tmp_path / "ref.csv", tmp_path / "got.csv", shallow=False)
         _, chunks = build_transfer_set(traces, videos, 0.65, seed=3, ious=ious)

@@ -582,5 +582,5 @@ def load_params(path: str, config: StudentConfig) -> np.ndarray:
     pos += 8
     expected = count * 8
     if len(blob) - pos != expected:
-        raise ParseError(f"{path}: raster has {len(blob) - pos} bytes, expected {expected}")
+        raise ParseError(f"{path}: parameter payload has {len(blob) - pos} bytes, expected {expected}")
     return np.frombuffer(blob, dtype="<f8", count=count, offset=pos).astype(np.float64)

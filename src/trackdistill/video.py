@@ -6,6 +6,11 @@ A dataset directory holds one subdirectory per sequence:
     <root>/<sequence>/groundtruth.csv        # one "x,y,w,h" line per frame
 
 Frames are binary PPM (P6, maxval 255). Ground-truth boxes are continuous.
+
+A loaded or generated video's frames are produced when read and are
+read-only. A loaded video decodes a frame on its first read and keeps it; a
+generated video renders a frame from its background and texture when it is
+read and keeps only the last one.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import os
 import re
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,15 +58,15 @@ def _ppm_header(path: str, data: bytes) -> Tuple[int, int, int]:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM (P6, maxval 255) into an (H, W, 3) uint8 array."""
+    """Read a binary PPM (P6, maxval 255) into a read-only (H, W, 3) uint8
+    array, a view of the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     h, w, pos = _ppm_header(path, data)
     need = w * h * 3
-    raster = data[pos : pos + need]
-    if len(raster) != need:
-        raise ParseError(f"{path}: raster has {len(raster)} bytes, expected {need}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
+    if len(data) - pos < need:
+        raise ParseError(f"{path}: raster has {len(data) - pos} bytes, expected {need}")
+    return np.frombuffer(data, np.uint8, need, pos).reshape(h, w, 3)
 
 
 def ppm_shape(path: str) -> Tuple[int, int, int]:
@@ -82,31 +87,65 @@ def ppm_shape(path: str) -> Tuple[int, int, int]:
 
 
 class LazyFrames(SequenceABC):
-    """The frames of an on-disk video: each decodes on its first read and is
-    kept. A slice is a view sharing that cache, so no frame decodes twice."""
+    """A video's frames, each produced by ``source(j)`` when frame j is read.
+    A slice is a view over the same source, so it shares what the source
+    keeps."""
 
-    def __init__(self, paths: List[str], _cache=None, _index: Optional[range] = None):
-        self.paths = paths
-        self._cache: List[Optional[np.ndarray]] = [None] * len(paths) if _cache is None else _cache
-        self._index = range(len(paths)) if _index is None else _index
+    def __init__(self, source: Callable[[int], np.ndarray], index: range):
+        self._source = source
+        self._index = index
 
     def __len__(self) -> int:
         return len(self._index)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return LazyFrames(self.paths, self._cache, self._index[i])
-        j = self._index[i]
-        frame = self._cache[j]
-        if frame is None:
-            frame = self._cache[j] = read_ppm(self.paths[j])
-        return frame
+            return LazyFrames(self._source, self._index[i])
+        return self._source(self._index[i])
+
+
+def _decoded(paths: List[str]) -> Callable[[int], np.ndarray]:
+    """Frame j decodes from ``paths[j]`` on its first read and is kept."""
+    cache: List[Optional[np.ndarray]] = [None] * len(paths)
+
+    def frame(j: int) -> np.ndarray:
+        f = cache[j]
+        if f is None:
+            f = cache[j] = read_ppm(paths[j])
+        return f
+
+    return frame
+
+
+def _rendered(bg: np.ndarray, texture: np.ndarray, pastes: list) -> Callable[[int], np.ndarray]:
+    """Frame j is a copy of ``bg`` with the texture window ``pastes[j]``
+    pasted in, if it has one. Only the last frame rendered is kept: a tracker
+    reads t - 1 and then t, so each frame renders once per pass. The kept
+    (j, frame) pair is replaced in one assignment, so no reader, on any
+    thread, gets one frame's index with another's bytes."""
+    last: Tuple[int, Optional[np.ndarray]] = (-1, None)
+
+    def frame(j: int) -> np.ndarray:
+        nonlocal last
+        last_j, f = last
+        if last_j != j:
+            f = bg.copy()
+            if pastes[j] is not None:
+                dst, src = pastes[j]
+                f[dst] = texture[src]
+            f.flags.writeable = False
+            last = (j, f)
+        return f
+
+    return frame
 
 
 @dataclass
 class Video:
-    """A sequence with per-frame ground truth. Frames are (H, W, 3) uint8;
-    those of a video loaded from disk decode when first read."""
+    """A sequence with per-frame ground truth. Frames are (H, W, 3) uint8.
+    Those of a loaded or generated video are produced when read and are
+    read-only: decoded from disk on first read, or rendered on each read
+    but a repeat of the last."""
 
     video_id: str
     frames: Sequence[np.ndarray]
@@ -199,7 +238,7 @@ def load_video(seq_dir: str) -> Video:
         if shape != first:
             raise ParseError(f"{path}: frame shape {shape} differs from {first}")
     video_id = os.path.basename(os.path.normpath(seq_dir))
-    return Video(video_id, LazyFrames(paths), boxes, frame_paths=paths)
+    return Video(video_id, LazyFrames(_decoded(paths), range(len(paths))), boxes, frame_paths=paths)
 
 
 def load_dataset(root: str) -> List[Video]:
@@ -270,9 +309,11 @@ def _bounce(pos: float, lo: float, hi: float) -> float:
 
 
 def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
-    """Deterministically render a moving textured rectangle.
+    """Deterministically generate a moving textured rectangle.
 
     Same (spec, seed) always yields byte-identical frames and ground truth.
+    Only the background, the texture and each frame's paste window are kept;
+    a frame renders when it is read.
     """
     spec.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
@@ -295,7 +336,7 @@ def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
         vx = float(rng.uniform(-spec.max_step, spec.max_step))
         vy = float(rng.uniform(-spec.max_step, spec.max_step))
 
-    frames: List[np.ndarray] = []
+    pastes = []
     boxes: List[Box] = []
     for t in range(spec.num_frames):
         if t > 0:
@@ -320,7 +361,6 @@ def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
 
         box = Box(cx - bw / 2, cy - bh / 2, bw, bh)
         boxes.append(box)
-        frame = bg.copy()
         xi = int(round(box.x))
         yi = int(round(box.y))
         wi = max(1, int(round(bw)))
@@ -328,6 +368,9 @@ def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
         x0, y0 = max(xi, 0), max(yi, 0)
         x1, y1 = min(xi + wi, w_f), min(yi + hi, h_f)
         if x1 > x0 and y1 > y0:
-            frame[y0:y1, x0:x1] = texture[y0 - yi : y1 - yi, x0 - xi : x1 - xi]
-        frames.append(frame)
+            pastes.append(((slice(y0, y1), slice(x0, x1)),
+                           (slice(y0 - yi, y1 - yi), slice(x0 - xi, x1 - xi))))
+        else:
+            pastes.append(None)
+    frames = LazyFrames(_rendered(bg, texture, pastes), range(spec.num_frames))
     return Video(video_id, frames, boxes)

@@ -1,5 +1,6 @@
 """Forward determinism, weight sharing, exact gradients, checkpoints."""
 
+import re
 import weakref
 
 import numpy as np
@@ -636,10 +637,16 @@ class TestCheckpoints:
         save_params(p, SMALL, model.init_params(seed=1))
         with open(p, "rb") as fh:
             blob = fh.read()
-        with open(p, "wb") as fh:
-            fh.write(blob[:-16])
-        with pytest.raises(ParseError):
-            load_params(p, SMALL)
+        expected = model.n_params * 8
+        # the payload cut short, then two bytes past its end
+        for bad in (blob[:-16], blob + b"\x00\x01"):
+            with open(p, "wb") as fh:
+                fh.write(bad)
+            got = expected + len(bad) - len(blob)
+            with pytest.raises(ParseError, match=re.escape(
+                f"{p}: parameter payload has {got} bytes, expected {expected}"
+            )):
+                load_params(p, SMALL)
 
     def test_nonfinite_params_refused(self, tmp_path):
         model = StudentModel(SMALL)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -381,12 +382,18 @@ def reference_trasfust(video, model, params, pool):
     return run
 
 
+def frame_digest(frame):
+    return hashlib.sha256(frame.tobytes()).hexdigest()
+
+
 def count_crops(monkeypatch):
-    """Record (frame, anchors) for every make_states call the trackers make."""
+    """Record (frame digest, anchors) for every make_states call the trackers
+    make. A frame is named by its bytes: a generated video renders a fresh
+    array per read."""
     calls = []
 
     def counting(frame_prev, frame_cur, boxes, context, patch_size):
-        calls.append((id(frame_cur), tuple(boxes)))
+        calls.append((frame_digest(frame_cur), tuple(boxes)))
         return make_states(frame_prev, frame_cur, boxes, context, patch_size)
 
     monkeypatch.setattr(trackers, "make_states", counting)
@@ -425,7 +432,7 @@ class TestBatchedLanes:
         run = tras(video, video.ground_truth[0], self.model, self.params)
         outputs = [video.ground_truth[0]] + run.boxes
         assert calls == [
-            (id(video.frames[t]), (outputs[t - 1],)) for t in range(1, len(video.frames))
+            (frame_digest(video.frames[t]), (outputs[t - 1],)) for t in range(1, len(video.frames))
         ]
 
     def test_trast_crops_each_distinct_anchor_once(self, monkeypatch):
@@ -436,7 +443,7 @@ class TestBatchedLanes:
         chain = run_teacher_on_video(teacher, video).boxes
         outputs = [video.ground_truth[0]] + run.boxes
         want = [
-            (id(video.frames[t]), tuple(dict.fromkeys((outputs[t - 1], chain[t - 1]))))
+            (frame_digest(video.frames[t]), tuple(dict.fromkeys((outputs[t - 1], chain[t - 1]))))
             for t in range(1, len(video.frames))
         ]
         assert calls == want  # one call per frame, each distinct anchor once, in lane order
@@ -451,7 +458,7 @@ class TestBatchedLanes:
         trasfust(video, video.ground_truth[0], self.model, self.params, pool)
         chains = [run_teacher_on_video(f, video).boxes for f in pool]
         want = [
-            (id(video.frames[t]), tuple(dict.fromkeys(chain[t - 1] for chain in chains)))
+            (frame_digest(video.frames[t]), tuple(dict.fromkeys(chain[t - 1] for chain in chains)))
             for t in range(1, len(video.frames))
         ]
         assert calls == want  # one call per frame, each distinct anchor once, in lane order

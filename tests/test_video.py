@@ -1,7 +1,11 @@
 """PPM round-trips, dataset layout IO, and the synthetic sequence generator."""
 
+import hashlib
 import os
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +63,16 @@ class TestPpm:
             fh.write(b"P6\n4 4\n255\n" + b"\x00" * 10)
         with pytest.raises(ParseError):
             read_ppm(p)
+
+    def test_decoded_frame_is_read_only(self, tmp_path):
+        img = np.random.default_rng(4).integers(0, 256, (5, 6, 3)).astype(np.uint8)
+        p = str(tmp_path / "r.ppm")
+        write_ppm(p, img)
+        frame = read_ppm(p)
+        np.testing.assert_array_equal(frame, img)
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0, 0] = 1
 
     def test_rejects_non_uint8_write(self, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -195,7 +209,46 @@ class TestDatasetLayout:
             Video("v", [frame], [Box(0, 0, 2, 2)])
 
 
+def sha256_of(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# (all frames, frames[5:30:3], ground-truth float64s) at seed 5
+PINNED = {
+    "default": (
+        SyntheticSpec(),
+        "e9c3acd69a6653cd299fe1f9e054f85c57ab77f2f0e7b754b4e414030446e2ba",
+        "4f64312a8dac599a39c39bfdc5275c45ab7524ec0ba39b5ccbd8345238f60edc",
+        "a55556f6f586658a98bab86bde39fa03f6ecf5649743d639e87481683d187658",
+    ),
+    "track-bench": (  # the benchmark's track workload spec
+        SyntheticSpec(width=320, height=240, num_frames=40, min_size=240 / 9.0,
+                      max_size=240 / 3.0, max_step=240 / 60.0, scale_drift=0.01),
+        "49efb223e726f3f8e02af0acf572d2945d62779c62d807d7da493a9398978687",
+        "0085d5c97bd65273f80e377a72db3cda29a22c3ee3528415fb1d9b1cde422508",
+        "d4b0dc76b67caa743bbbcf991d5089ed528376a973b181f7b6c25714b75d8e32",
+    ),
+    "linear-flat": (
+        SyntheticSpec(motion="linear", background="flat"),
+        "b6b1e291133d49aa8e24d4ebab61afd14f7a773cb201b0928c4dc761723c6dfa",
+        "7286390367861c8ec8bfc49f93ef3315d8ec36cd08243c1f1758d74c3c181445",
+        "106ddbf6f82ff5bdf011b2cd06462b6d76fffb211f1317dc40354ead94b9fb04",
+    ),
+}
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes_are_pinned(self, name):
+        spec, frames_sha, slice_sha, gt_sha = PINNED[name]
+        vid = generate_video(spec, seed=5, video_id="v")
+        assert sha256_of(vid.frames) == frames_sha
+        assert sha256_of(vid.frames[5:30:3]) == slice_sha
+        assert sha256_of(b.as_array() for b in vid.ground_truth) == gt_sha
+
     def test_deterministic(self):
         spec = SyntheticSpec(num_frames=8)
         a = generate_video(spec, seed=42, video_id="v")
@@ -252,3 +305,70 @@ class TestSyntheticGenerator:
     def test_unknown_motion_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_video(SyntheticSpec(motion="teleport"), 1, "v")
+
+
+class TestRenderedFrames:
+    """A generated video keeps its background, texture and paste windows and
+    renders a frame when it is read."""
+
+    SPEC = SyntheticSpec(width=320, height=240, num_frames=200)
+
+    def test_generation_keeps_no_frames(self):
+        # 200 frames of 320x240 would hold 46 MB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vid = generate_video(self.SPEC, seed=3, video_id="v")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(vid) == 200
+        assert held < 1_000_000
+
+    def test_frame_is_read_only(self):
+        frame = generate_video(self.SPEC, seed=3, video_id="v").frames[7]
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0, 0] = 1
+
+    def test_rereading_a_frame_gives_its_bytes(self):
+        frames = generate_video(self.SPEC, seed=3, video_id="v").frames
+        first = frames[9]
+        assert frames[9] is first  # a repeat read is the kept frame
+        other = frames[10]
+        again = frames[9]
+        assert not np.array_equal(other, first)
+        np.testing.assert_array_equal(again, first)
+
+    def test_slice_frames_equal_the_videos(self):
+        frames = generate_video(self.SPEC, seed=3, video_id="v").frames
+        window = frames[40:60]
+        assert len(window) == 20
+        for k in (0, 19, 5, -1, 6):
+            np.testing.assert_array_equal(window[k], frames[40 + k % 20])
+        with pytest.raises(IndexError):
+            window[20]
+
+    def test_threads_reading_one_video_get_their_frames(self):
+        vid = generate_video(SyntheticSpec(num_frames=30), seed=3, video_id="v")
+        want = [frame.tobytes() for frame in vid.frames]
+        wrong = []
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            for t in rng.integers(0, len(want), 400):
+                if vid.frames[t].tobytes() != want[t]:
+                    wrong.append(int(t))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []

@@ -2,7 +2,8 @@
 
 Boxes live in continuous pixel coordinates (x, y = top-left corner; w, h in
 pixels, no integer snapping) so that the motion maps below invert each other
-exactly. Everything here is pure and float64.
+exactly. A box's fields are finite and its sides positive by construction, so
+nothing here checks a box again. Everything here is pure and float64.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ MIN_SIDE = 1.0
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle: top-left corner plus width and height."""
+    """Axis-aligned rectangle: top-left corner plus width and height.
+
+    Every field is a finite float and both sides are positive; any other
+    value raises InvalidInputError naming the field, or both sides.
+    """
 
     x: float
     y: float
@@ -30,10 +35,13 @@ class Box:
 
     def __post_init__(self):
         x, y, w, h = float(self.x), float(self.y), float(self.w), float(self.h)
-        if not math.isfinite(x + y + w + h):  # a bad field, or a sum that overflows
+        # a bad field, a side that is not positive, or a sum that overflows
+        if not (w > 0 and h > 0 and math.isfinite(x + y + w + h)):
             for name, v in zip("xywh", (x, y, w, h)):
                 if not math.isfinite(v):
                     raise InvalidInputError(f"box field {name} is not finite: {v!r}")
+            if w <= 0 or h <= 0:
+                raise InvalidInputError(f"box side is not positive: w={w!r}, h={h!r}")
         # float() returns a float field itself, so fields are set (frozen:
         # through object) only when one was of another type
         if not (x is self.x and y is self.y and w is self.w and h is self.h):
@@ -63,13 +71,7 @@ class Box:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area of two boxes.
-
-    Raises:
-        InvalidInputError: if either box has non-positive width or height.
-    """
-    if a.w <= 0 or a.h <= 0 or b.w <= 0 or b.h <= 0:
-        raise InvalidInputError("iou of a degenerate box (non-positive side)")
+    """Intersection area over union area of two boxes."""
     if a == b:  # (x+w)-x cancellation would spoil the exact self-overlap
         return 1.0
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
@@ -102,8 +104,6 @@ def infer_action(target: Box, prev: Box) -> np.ndarray:
     Inverse of :func:`apply_action` whenever the true offsets fit in the clamp
     range and no side hits the MIN_SIDE floor.
     """
-    if prev.w <= 0 or prev.h <= 0:
-        raise InvalidInputError("anchor box has non-positive side")
     a = np.array(
         [
             (target.cx - prev.cx) / prev.w,
@@ -120,8 +120,6 @@ def context_region(box: Box, context: float) -> Box:
     """Square region centered on ``box`` whose side is context * sqrt(w * h)."""
     if context <= 0:
         raise InvalidInputError(f"context factor must be positive, got {context}")
-    if box.w <= 0 or box.h <= 0:
-        raise InvalidInputError("context region of a degenerate box")
     side = context * float(np.sqrt(box.w * box.h))
     return Box(box.cx - side / 2.0, box.cy - side / 2.0, side, side)
 
@@ -161,9 +159,6 @@ def crop_regions(
         raise InvalidInputError(f"non-positive patch size {out_size!r}")
     if not len(regions):
         raise InvalidInputError("no crop regions")
-    for region in regions:
-        if region.w <= 0 or region.h <= 0:
-            raise InvalidInputError("crop region has zero or negative area")
     if not len(frames):
         raise InvalidInputError("no frames to crop")
     shape = frames[0].shape

@@ -61,6 +61,11 @@ WIRE_TIMEOUT = 5.0
 EXIT_GRACE = 1.0  # seconds an external teacher has to exit after its input closes
 STDERR_TAIL = 2048  # bytes of an external teacher's stderr quoted in its TeacherError
 READ_BYTES = 65536  # the most one read takes of an external teacher's output
+REPLY_LINE_CAP = 4096  # bytes in one reply line of an external teacher; a reply is < 100
+
+
+class _LineTooLong(Exception):
+    """An external teacher wrote a line longer than REPLY_LINE_CAP."""
 
 
 @dataclass
@@ -288,7 +293,8 @@ class _Child:
 
     def line(self, timeout: float) -> Optional[str]:
         """The next reply line, or None at end of file. Raises TimeoutError
-        if neither comes within ``timeout`` seconds."""
+        if neither comes within ``timeout`` seconds, and _LineTooLong as soon
+        as a line outgrows REPLY_LINE_CAP; that line is dropped."""
         deadline = time.monotonic() + timeout
         while not self._lines and not self._eof:
             wait = deadline - time.monotonic()
@@ -319,7 +325,11 @@ class _Child:
             self._poll.unregister(self._out)
             lines = [self._partial] if self._partial else []
         else:
-            *lines, self._partial = (self._partial + data).split(b"\n")
+            pieces = (self._partial + data).split(b"\n")
+            if max(map(len, pieces)) > REPLY_LINE_CAP:
+                self._partial = b""
+                raise _LineTooLong
+            *lines, self._partial = pieces
             lines = [line + b"\n" for line in lines]
         # A line that is not UTF-8 keeps its bad bytes as "\xff" escapes,
         # which JSON accepts nowhere, so it reads as a malformed reply.
@@ -359,7 +369,7 @@ class _Child:
         try:
             while self.line(deadline - time.monotonic()) is not None:
                 pass
-        except TimeoutError:
+        except (TimeoutError, _LineTooLong):
             pass
         try:
             self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
@@ -446,6 +456,8 @@ class ExternalSession(TeacherSession):
             if self._child.write_error is not None:
                 message += f" (write failed: {self._child.write_error})"
             raise self._error(message)
+        except _LineTooLong:
+            raise self._error(f"reply line longer than {REPLY_LINE_CAP} bytes")
         if line is None:
             raise self._error("process closed its output stream")
         self._unanswered -= 1

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, TeacherError
 from .geometry import Box, iou
 from .teachers import TrajectoryTrace, load_trace, trace_path
 from .video import Video, read_utf8
@@ -246,7 +246,10 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
         video = videos[vid_id]
         key = (tid, vid_id)
         if key not in trace_cache:
-            trace = load_trace(trace_root, tid, vid_id)
+            try:
+                trace = load_trace(trace_root, tid, vid_id)
+            except TeacherError as e:
+                raise ParseError(f"{path}: chunk entry {i}: {e}")
             if len(trace.boxes) != len(video):
                 raise ParseError(
                     f"{trace_path(trace_root, tid, vid_id)}: trace has {len(trace.boxes)} "

@@ -54,6 +54,8 @@ def _ppm_header(path: str, data: bytes) -> Tuple[int, int, int]:
     w, h, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise ParseError(f"{path}: unsupported PPM maxval {maxval}")
+    if not (w and h):
+        raise ParseError(f"{path}: PPM of {w}x{h} pixels has none")
     return h, w, m.end()
 
 

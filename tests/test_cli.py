@@ -17,6 +17,7 @@ from trackdistill import video as videomod
 from trackdistill.cli import main
 from trackdistill.errors import InvalidInputError
 from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
+from trackdistill.trackers import read_trackrun
 from trackdistill.video import load_dataset
 
 from test_teachers import DIES_AT_FRAME_3, ECHO_TEACHER, assert_exited, pid_teacher, started
@@ -42,6 +43,22 @@ max_updates = 30
 val_every = 15
 lr = 1e-4
 optimizer = sgd
+"""
+
+
+# The echo teacher's drift; on video argv[1] it replies with w = 0 at frame 2.
+ZERO_WIDTH_AT_FRAME_2 = r"""
+import json, sys
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["cmd"] == "init":
+        video, t, box = msg["video"], 0, msg["box"]
+        print(json.dumps({"ok": True}), flush=True)
+        continue
+    t += 1
+    box = [box[0] + 1.0, box[1], box[2], box[3]]
+    reply = [box[0], box[1], 0.0, box[3]] if (video, t) == (sys.argv[1], 2) else box
+    print(json.dumps({"box": reply}), flush=True)
 """
 
 
@@ -399,6 +416,84 @@ class TestChildPerCommand:
                                    shallow=False), path
 
 
+class TestDegenerateBoxes:
+    """A box with a side that is not positive is rejected where it enters:
+    from a teacher, as a contained teacher failure; from a file, naming the
+    line."""
+
+    def zero_width(self, tmp_path, tid="t"):
+        script = tmp_path / "zero.py"
+        script.write_text(ZERO_WIDTH_AT_FRAME_2)
+        return f"{tid}=extern:{tid}:{sys.executable} {script} synth001"
+
+    def echo(self, tmp_path, tid="t"):
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_TEACHER)
+        return f"{tid}=extern:{tid}:{sys.executable} {script}"
+
+    def test_run_teachers_quarantines_the_teacher(self, tmp_path, pipeline, capsys):
+        out = str(tmp_path / "traces")
+        code = main(["run-teachers", "--config", pipeline["ini"],
+                     "--pool", f"{self.zero_width(tmp_path)},oracle:0.9",
+                     "--out", out, pipeline["data"]])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("(1 failures quarantined)\n")
+        assert captured.err.startswith(
+            "warning: t failed on synth001: teacher 't': bad box in reply: "
+            "box side is not positive: w=0.0, h="
+        )
+        assert os.listdir(os.path.join(out, ".failed", "t")) == ["synth001.csv"]
+        partial = load_trace(os.path.join(out, ".failed"), "t", "synth001").boxes
+        assert len(partial) == 2  # the start box and frame 1's
+        for video in load_dataset(pipeline["data"]):
+            assert len(load_trace(out, "oracle0.9", video.video_id).boxes) == len(video)
+            if video.video_id != "synth001":
+                assert len(load_trace(out, "t", video.video_id).boxes) == len(video)
+        assert not os.path.exists(trace_path(out, "t", "synth001"))
+
+    @pytest.mark.parametrize("command", ["trast", "fuse"])
+    def test_tracking_makes_one_partial_run(self, tmp_path, pipeline, capsys, command):
+        # beside the partial run, each run is the one an echo teacher gives
+        ckpt = os.path.join(pipeline["train"], "student.ckpt")
+        outs = {}
+        for name, spec in (("zero", self.zero_width(tmp_path)), ("echo", self.echo(tmp_path))):
+            outs[name] = tmp_path / name
+            if command == "trast":
+                argv = ["track", "--mode", "trast", "--teacher", spec]
+            else:
+                argv = ["fuse", "--pool", f"oracle:0.9,{spec}"]
+            assert main([*argv, "--config", pipeline["ini"], "--out", str(outs[name]),
+                         ckpt, pipeline["data"]]) == 0
+        tracker = "trast" if command == "trast" else "trasfust"
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: {tracker} aborted on synth001: teacher 't': bad box in "
+                              "reply: box side is not positive: w=0.0, h=")
+        assert err.endswith("; quarantined\n") and err.count("\n") == 1
+        assert os.listdir(outs["zero"] / ".failed") == ["synth001.csv"]
+        partial = read_trackrun(str(outs["zero"] / ".failed" / "synth001.csv"))
+        assert len(partial.boxes) == 1  # frame 1; frame 2 has no teacher box
+        assert sorted(os.listdir(outs["zero"])) == [
+            ".failed", "config.ini", "synth000.csv", "synth002.csv", "synth003.csv"]
+        for name in ("synth000.csv", "synth002.csv", "synth003.csv"):
+            assert filecmp.cmp(outs["zero"] / name, outs["echo"] / name, shallow=False), name
+
+    def test_groundtruth_line_names_the_line(self, tmp_path, pipeline, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        gt = data / "synth002" / "groundtruth.csv"
+        lines = gt.read_text().splitlines(keepends=True)
+        x, y, _w, h = lines[1].split(",")
+        lines[1] = f"{x},{y},0,{h}"
+        gt.write_text("".join(lines))
+        code = main(["run-teachers", "--config", pipeline["ini"], "--pool", "oracle:0.9",
+                     "--out", str(tmp_path / "t"), str(data)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {gt}:2: box side is not positive: w=0.0, h={float(h)!r}\n"
+        )
+
+
 class TestTrainAndTrack:
     def test_train_artifacts(self, pipeline):
         out = pipeline["train"]
@@ -563,6 +658,25 @@ class TestTrainRun:
         out = tmp_path / "t"
         assert self.train(pipeline, out, str(chunks)) == 2
         assert f"{chunks}: chunk entry 1 has no 'start'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_trace_names_the_index_entry(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            entries = json.load(fh)["chunks"]
+        last = entries[-1]
+        i = next(k for k, e in enumerate(entries)  # the first entry that needs its trace
+                 if (e["teacher"], e["video"]) == (last["teacher"], last["video"]))
+        traces = tmp_path / "traces"
+        shutil.copytree(pipeline["traces"], traces)
+        path = trace_path(str(traces), last["teacher"], last["video"])
+        os.remove(path)
+        chunks = os.path.join(pipeline["filter"], "chunks.json")
+        out = tmp_path / "t"
+        assert self.train(pipeline, out, traces=str(traces)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chunks}: chunk entry {i}: teacher {last['teacher']!r}: "
+            f"no trace file {path}\n"
+        )
         assert not out.exists()
 
     def test_episode_error_exits_nonzero(self, pipeline, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Box arithmetic checked against counting oracles and hand-worked cases."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,39 @@ class TestBox:
         box = Box(1e308, 1e308, 1e308, 1e308)
         assert (box.x, box.y, box.w, box.h) == (1e308,) * 4
 
+    # the first two were crop_regions' bad regions
+    @pytest.mark.parametrize("w,h", [(0.0, 5.0), (5.0, -1.0), (3.0, 0.0), (-0.0, 4.0),
+                                     (3.0, -1e-300), (-2.0, -5.0)])
+    def test_side_not_positive_rejected(self, w, h):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"box side is not positive: w={w!r}, h={h!r}")):
+            Box(1.0, 2.0, w, h)
+
+    def test_non_finite_side_named_before_a_zero_one(self):
+        with pytest.raises(InvalidInputError, match="box field w is not finite: nan"):
+            Box(1.0, 2.0, float("nan"), 0.0)
+        with pytest.raises(InvalidInputError, match="box field h is not finite: -inf"):
+            Box(1.0, 2.0, 0.0, float("-inf"))
+
+    def test_subnormal_side_accepted(self):
+        tiny = 5e-324
+        box = Box(0.0, 0.0, tiny, 3.0)
+        assert (box.w, box.h) == (tiny, 3.0)
+        assert Box(0.0, 0.0, 3.0, tiny).h == tiny
+
+    def test_degenerate_rejected(self):
+        # once iou's own check; the box is rejected before iou is called
+        with pytest.raises(InvalidInputError, match="box side is not positive"):
+            iou(Box(0, 0, 0, 5), Box(0, 0, 5, 5))
+        with pytest.raises(InvalidInputError, match="box side is not positive"):
+            iou(Box(0, 0, 5, 5), Box(0, 0, 5, -1))
+
+    def test_zero_area_region_rejected(self):
+        # once crop_regions' own check; the region is rejected before the crop
+        frame = np.zeros((5, 5, 3), dtype=np.uint8)
+        with pytest.raises(InvalidInputError, match="box side is not positive"):
+            crop_regions((frame,), [Box(0, 0, 0, 5)], (4, 4))
+
 
 class TestIou:
     def test_hand_cases(self):
@@ -160,12 +195,6 @@ class TestIou:
             a2 = Box(a.x * s + tx, a.y * s + ty, a.w * s, a.h * s)
             b2 = Box(b.x * s + tx, b.y * s + ty, b.w * s, b.h * s)
             np.testing.assert_allclose(iou(a2, b2), iou(a, b), rtol=1e-10, atol=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(InvalidInputError):
-            iou(Box(0, 0, 0, 5), Box(0, 0, 5, 5))
-        with pytest.raises(InvalidInputError):
-            iou(Box(0, 0, 5, 5), Box(0, 0, 5, -1))
 
 
 class TestMotionMaps:
@@ -265,11 +294,6 @@ class TestCropPatch:
         frame = np.full((20, 20, 3), 37, dtype=np.uint8)
         out = crop_regions((frame,), [Box(4, 4, 10, 10)], (8, 8))[0, 0]
         np.testing.assert_allclose(out, 37.0, atol=1e-12)
-
-    def test_zero_area_region_rejected(self):
-        frame = np.zeros((5, 5, 3), dtype=np.uint8)
-        with pytest.raises(InvalidInputError):
-            crop_regions((frame,), [Box(0, 0, 0, 5)], (4, 4))
 
     def test_shape_and_dtype(self):
         frame = np.zeros((5, 5, 3), dtype=np.uint8)
@@ -426,9 +450,6 @@ class TestCropRegions:
         ok = Box(2, 2, 5, 5)
         with pytest.raises(InvalidInputError, match="no crop regions"):
             crop_regions((frame,), [], (4, 4))
-        for bad in (Box(0, 0, 0, 5), Box(0, 0, 5, -1)):
-            with pytest.raises(InvalidInputError, match="area"):
-                crop_regions((frame,), [ok, bad], (4, 4))
         with pytest.raises(InvalidInputError, match="differ"):
             crop_regions((frame, np.zeros((20, 21, 3), dtype=np.uint8)), [ok], (4, 4))
         with pytest.raises(InvalidInputError, match="no frames"):

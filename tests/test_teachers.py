@@ -19,6 +19,7 @@ from trackdistill.model import StudentConfig, StudentModel
 from trackdistill.teachers import (
     _SCALE_FLOOR,
     EXIT_GRACE,
+    REPLY_LINE_CAP,
     STDERR_TAIL,
     WIRE_TIMEOUT,
     ExternalFactory,
@@ -271,6 +272,23 @@ class TestExternalTeacher:
         vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 2, "bad")
         start = time.monotonic()
         with pytest.raises(TeacherError, match=r"malformed reply '\\\\xff\\n'"):
+            run_teacher_on_video(self.make_factory(tmp_path, body), vid)
+        assert time.monotonic() - start < WIRE_TIMEOUT / 2
+
+    @pytest.mark.parametrize("tail", ["", "\\n"], ids=["unterminated", "terminated"])
+    def test_reply_line_over_the_cap_fails_at_once(self, tmp_path, tail):
+        # a megabyte in one line: the read that passes the cap fails the
+        # session, long before the timeout, and the child is killed
+        body = (
+            "import sys\n"
+            "sys.stdin.readline()\n"
+            f"sys.stdout.write('x' * 1000000 + '{tail}')\n"
+            "sys.stdout.flush()\n"
+            "sys.stdin.read()\n"
+        )
+        vid = generate_video(SyntheticSpec(num_frames=3, width=48, height=48, max_size=20), 2, "long")
+        start = time.monotonic()
+        with pytest.raises(TeacherError, match=f"reply line longer than {REPLY_LINE_CAP} bytes"):
             run_teacher_on_video(self.make_factory(tmp_path, body), vid)
         assert time.monotonic() - start < WIRE_TIMEOUT / 2
 

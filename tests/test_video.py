@@ -19,6 +19,7 @@ from trackdistill.video import (
     generate_video,
     load_dataset,
     load_video,
+    ppm_shape,
     read_groundtruth,
     read_ppm,
     write_groundtruth,
@@ -63,6 +64,16 @@ class TestPpm:
             fh.write(b"P6\n4 4\n255\n" + b"\x00" * 10)
         with pytest.raises(ParseError):
             read_ppm(p)
+
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0"])
+    def test_rejects_a_raster_without_pixels(self, tmp_path, size):
+        # a frame of no pixels would fail far away, in the crop, unnamed
+        p = str(tmp_path / "z.ppm")
+        with open(p, "wb") as fh:
+            fh.write(b"P6\n" + size + b"\n255\n")
+        for read in (read_ppm, ppm_shape):
+            with pytest.raises(ParseError, match=re.escape(f"{p}: PPM of ") + ".* has none"):
+                read(p)
 
     def test_decoded_frame_is_read_only(self, tmp_path):
         img = np.random.default_rng(4).integers(0, 256, (5, 6, 3)).astype(np.uint8)

@@ -18,15 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    InvalidInputError,
-    NumericError,
-    ParseError,
-    ProtocolError,
-    TeacherError,
-)
+from .errors import InvalidInputError, NumericError, TrackDistillError
 from .metrics import SUMMARY_COLUMNS, ope_run, report
 from .model import StudentConfig, StudentModel, grad_check, load_params
 from .teachers import (
@@ -89,7 +81,6 @@ def _failed_dir(out_dir: str) -> str:
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     spec = cfgmod.build(config, SyntheticSpec)
-    spec.validate()
     cfgmod.echo_config(config, args.out)
     count = config["env.num_videos"]
     for i in range(count):
@@ -161,18 +152,20 @@ def cmd_train(args) -> int:
     if not chunks:
         raise InvalidInputError(f"chunk index {args.chunks!r} is empty")
     model = StudentModel(cfgmod.build(config, StudentConfig))
+    settings = cfgmod.build(config, TrainSettings, seed=args.seed)
+    worker_cfg = cfgmod.build(config, WorkerConfig)
+    opt = cfgmod.build(config, OptimizerConfig)
     cfgmod.echo_config(config, args.out)
 
     covered = {c.video_id for c in chunks}
     held_out = [videos[vid] for vid in sorted(videos) if vid not in covered]
-    context = config["env.context"]
 
     validate_fn = None
     if held_out:
 
         def validate_fn(params):
             result = ope_run(
-                lambda v: tras(v, v.ground_truth[0], model, params, context),
+                lambda v: tras(v, v.ground_truth[0], model, params, worker_cfg.context),
                 held_out,
                 "tras",
                 "val",
@@ -197,14 +190,8 @@ def cmd_train(args) -> int:
         )
 
     result = train(
-        model,
-        chunks,
-        cfgmod.build(config, TrainSettings, seed=args.seed),
-        cfgmod.build(config, WorkerConfig),
-        cfgmod.build(config, OptimizerConfig),
-        args.out,
-        validate_fn=validate_fn,
-        progress=progress,
+        model, chunks, settings, worker_cfg, opt, args.out,
+        validate_fn=validate_fn, progress=progress,
     )
     tail = (
         f", best val AO {result.best_val_ao:.4f}" if result.best_val_ao is not None else ""
@@ -284,12 +271,17 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _load_config(args)
     model = StudentModel(cfgmod.build(config, StudentConfig))
+    worker_cfg = cfgmod.build(config, WorkerConfig)
+    opt = cfgmod.build(config, OptimizerConfig)
     rng = np.random.default_rng(args.seed)
     params = model.init_params(args.seed)
     record = synthetic_record(model, params, 5, rng)
     worst = 0.0
     for kind in ("distill", "policy", "value", "combined"):
-        fn = window_loss_fn(model, record, kind)
+        fn = window_loss_fn(
+            model, record, kind, gamma=worker_cfg.gamma, returns_mode=worker_cfg.returns_mode,
+            rl_scale=opt.rl_scale, weight_decay=opt.weight_decay,
+        )
         rep = grad_check(
             params, fn, eps=1e-5, samples=args.samples,
             rng=np.random.default_rng(args.seed + 1), name_of=model.param_name,
@@ -396,15 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (
-        ConfigError,
-        InvalidInputError,
-        ParseError,
-        ProtocolError,
-        TeacherError,
-        CheckpointError,
-        OSError,
-    ) as e:
+    except (TrackDistillError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,9 @@
 
 Keys live in five sections (env, model, train, teachers, eval). Defaults live
 in the config dataclasses, whose fields are keys typed by their default, and
-``build`` makes one of them from a config. Anything outside the schema is
-rejected so a typo cannot silently fall back to a default. Every run echoes
-its effective config.
+``build`` makes one of them from a config; each checks its values as it is
+built. Anything outside the schema is rejected so a typo cannot silently fall
+back to a default. Every run echoes its effective config.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Any, Dict
 
 from .errors import ConfigError
 from .model import StudentConfig
+from .trackers import VALUE_EVALUATOR
 from .training import OptimizerConfig, TrainSettings, WorkerConfig
 from .video import SyntheticSpec
 
@@ -40,7 +41,7 @@ EXTRA = {
     "env.num_videos": 20,
     "teachers.pool": "oracle:0.9",
     "eval.beta": 0.5,
-    "eval.evaluator": "value",
+    "eval.evaluator": VALUE_EVALUATOR,
     "eval.dataset_id": "dataset",
 }
 

@@ -24,8 +24,8 @@ MIN_SIDE = 1.0
 class Box:
     """Axis-aligned rectangle: top-left corner plus width and height.
 
-    Every field is a finite float and both sides are positive; any other
-    value raises InvalidInputError naming the field, or both sides.
+    Every field is a finite float; both sides and the area are positive. Any
+    other value raises InvalidInputError naming the field, or both sides.
     """
 
     x: float
@@ -35,13 +35,15 @@ class Box:
 
     def __post_init__(self):
         x, y, w, h = float(self.x), float(self.y), float(self.w), float(self.h)
-        # a bad field, a side that is not positive, or a sum that overflows
-        if not (w > 0 and h > 0 and math.isfinite(x + y + w + h)):
+        # a bad field, a side or an area that is not positive, or a sum that overflows
+        if not (w > 0 and h > 0 and w * h > 0 and math.isfinite(x + y + w + h)):
             for name, v in zip("xywh", (x, y, w, h)):
                 if not math.isfinite(v):
                     raise InvalidInputError(f"box field {name} is not finite: {v!r}")
             if w <= 0 or h <= 0:
                 raise InvalidInputError(f"box side is not positive: w={w!r}, h={h!r}")
+            if w * h == 0:
+                raise InvalidInputError(f"box area underflows to 0: w={w!r}, h={h!r}")
         # float() returns a float field itself, so fields are set (frozen:
         # through object) only when one was of another type
         if not (x is self.x and y is self.y and w is self.w and h is self.h):

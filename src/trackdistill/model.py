@@ -41,7 +41,7 @@ class StudentConfig:
     fc_dim: int = 64
     hidden_dim: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.encoder not in ("conv", "pool"):
             raise ConfigError(f"unknown encoder {self.encoder!r}")
         if min(self.patch_size, self.fc_dim, self.hidden_dim) <= 0:
@@ -113,7 +113,6 @@ class StudentModel:
     """Stateless computation over flat parameter vectors for one architecture."""
 
     def __init__(self, config: StudentConfig):
-        config.validate()
         self.config = config
         self._layout: List[Tuple[str, Tuple[int, ...], int]] = []
         offset = 0
@@ -583,4 +582,7 @@ def load_params(path: str, config: StudentConfig) -> np.ndarray:
     expected = count * 8
     if len(blob) - pos != expected:
         raise ParseError(f"{path}: parameter payload has {len(blob) - pos} bytes, expected {expected}")
-    return np.frombuffer(blob, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    params = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    if not np.all(np.isfinite(params)):
+        raise CheckpointError(f"{path}: checkpoint holds non-finite parameters")
+    return params

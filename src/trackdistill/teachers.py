@@ -6,10 +6,10 @@ frame. In-process teachers read no pixels; an external one reads frame files.
 Factories build fresh sessions per video so pools can be replayed
 deterministically across passes.
 
-A session is ``init(g0)``, then one ``predict()`` per later frame, then
-``close``. Only ``run_pool_on_video`` opens and steps sessions. Every pool,
-those of ``track`` and ``fuse`` included, runs through it, frame by frame
-across its members; the trackers then read the traces.
+A session is ``init(g0)``, then one ``predict()`` per later frame, then one
+``close`` that ends it. Only ``run_pool_on_video`` opens, steps and closes
+sessions. Every pool, those of ``track`` and ``fuse`` included, runs through
+it, frame by frame across its members; the trackers then read the traces.
 
 An external teacher is a child process, one per teacher per command: its
 factory starts it for the first video and sends every later video to the
@@ -50,7 +50,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, ProtocolError, TeacherError
+from .errors import InvalidInputError, ParseError, ProtocolError, TeacherError
 from .geometry import MIN_SIDE, Box
 from .video import Video, read_groundtruth, write_groundtruth, write_ppm
 
@@ -103,9 +103,6 @@ class TeacherSession:
         self._t = t
         return self._predict(t)
 
-    def close_input(self) -> None:
-        """Tell the teacher no more frames come; ``close`` then waits for it."""
-
     def close(self) -> None:
         pass
 
@@ -142,13 +139,13 @@ class TeacherFactory:
         pass
 
 
-def close_all(closables: Sequence) -> None:
-    """Close the input of every session or factory before waiting for any to
-    end, so that external children are killed or exit side by side."""
-    for closable in closables:
-        closable.close_input()
-    for closable in closables:
-        closable.close()
+def close_all(factories: Sequence[TeacherFactory]) -> None:
+    """Close the input of every factory before waiting for any to end, so
+    that external children exit side by side."""
+    for factory in factories:
+        factory.close_input()
+    for factory in factories:
+        factory.close()
 
 
 def _video_seed(base_seed: int, video_id: str) -> np.random.Generator:
@@ -242,7 +239,10 @@ class TraceFactory(TeacherFactory):
         self.trace_root = trace_root
 
     def session(self, video: Video) -> TraceSession:
-        trace = load_trace(self.trace_root, self.teacher_id, video.video_id)
+        try:
+            trace = load_trace(self.trace_root, self.teacher_id, video.video_id)
+        except ParseError as e:  # a corrupt trace fails this member alone
+            raise TeacherError(self.teacher_id, str(e))
         if len(trace.boxes) != len(video):
             raise TeacherError(
                 self.teacher_id,
@@ -409,15 +409,15 @@ class ExternalSession(TeacherSession):
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._stderr_start = 0
         self._unanswered = 0  # requests sent whose reply is not read yet
-        self._failed = False
         child.busy = True
 
     def _error(self, message: str) -> TeacherError:
-        """A TeacherError quoting the tail of this video's stderr."""
-        self._failed = True
+        """A TeacherError quoting the tail of this video's stderr; the child,
+        whose replies may now be out of step, is killed."""
         tail = self._child.stderr_tail(self._stderr_start)
         if tail:
             message += f"; stderr tail: {tail!r}"
+        self._child.kill()
         return TeacherError(self.teacher_id, message)
 
     def _frame_path(self, t: int) -> str:
@@ -479,13 +479,9 @@ class ExternalSession(TeacherSession):
         except (TypeError, ValueError, InvalidInputError) as e:
             raise self._error(f"bad box in reply: {e}")
 
-    def close_input(self) -> None:
-        # A failure or an unread reply leaves the reply stream out of step.
-        if self._failed or self._unanswered:
-            self._child.kill()
-
     def close(self) -> None:
-        self.close_input()
+        if self._unanswered:  # an unread reply leaves the reply stream out of step
+            self._child.kill()
         if self._child.broken:
             self._child.close()
         self._child.busy = False
@@ -604,7 +600,8 @@ def run_pool_on_video(
         for _ in range(1, len(video)):
             each_live(lambda k, s: traces[k].boxes.append(s.predict()))
     finally:
-        close_all(opened)
+        for session in opened:
+            session.close()
     return list(zip(traces, errors))
 
 

@@ -13,7 +13,8 @@ judgement is a lane, and a lane is one row of a single hidden state: every
 protocol steps all lanes of a frame in one ``forward_lanes`` call, with each
 distinct anchor cropped once, in one call per frame, and all lanes reset
 together under one ``HiddenSchedule``. Non-finite student output raises
-NumericError.
+NumericError. The crop context defaults to ``WorkerConfig.context``, the one
+the student trained with.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .geometry import Box, apply_action, iou
 from .mdp import make_states
 from .model import HiddenSchedule, StudentModel
 from .teachers import TeacherFactory, run_pool_on_video
+from .training import WorkerConfig
 from .video import Video, read_utf8
 
 STUDENT = "student"
@@ -126,7 +128,8 @@ def _track(
 
 
 def tras(
-    video: Video, g0: Box, model: StudentModel, params: np.ndarray, context: float = 1.5
+    video: Video, g0: Box, model: StudentModel, params: np.ndarray,
+    context: float = WorkerConfig.context,
 ) -> TrackRun:
     """Pure student: the mean action drives the box chain deterministically."""
     return _track("tras", video, g0, model, params, [], context, VALUE_EVALUATOR, True)
@@ -134,7 +137,7 @@ def tras(
 
 def trast(
     video: Video, g0: Box, model: StudentModel, params: np.ndarray, teacher: TeacherFactory,
-    context: float = 1.5, evaluator: str = VALUE_EVALUATOR,
+    context: float = WorkerConfig.context, evaluator: str = VALUE_EVALUATOR,
 ) -> TrackRun:
     """Student-teacher duo: per frame the higher-valued candidate wins, the
     student taking ties. A teacher hand-off rebases the student's next crop.
@@ -147,7 +150,8 @@ def trast(
 
 def trasfust(
     video: Video, g0: Box, model: StudentModel, params: np.ndarray,
-    pool: Sequence[TeacherFactory], context: float = 1.5, evaluator: str = VALUE_EVALUATOR,
+    pool: Sequence[TeacherFactory], context: float = WorkerConfig.context,
+    evaluator: str = VALUE_EVALUATOR,
 ) -> TrackRun:
     """Teacher fusion: every pool member tracks its own chain; each frame the
     student's value head picks the box of the highest-valued teacher. Ties go

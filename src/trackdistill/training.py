@@ -31,6 +31,66 @@ from .transferset import TransferChunk
 
 DISTILLING = "distilling"
 AUTONOMOUS = "autonomous"
+RETURNS_MODES = ("forward", "prefix-sum")
+
+
+# -- configuration -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    method: str = "radam"  # "radam" | "adam" | "sgd"
+    lr: float = 1e-6
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    weight_decay: float = 1e-4  # decoupled, distillation updates only
+    rl_scale: float = 1e-3  # pre-scales autonomous gradients
+    grad_clip: float = 0.0  # max L2 norm, 0 disables
+
+    def __post_init__(self) -> None:
+        if self.method not in ("radam", "adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.method!r}")
+        if self.lr <= 0:
+            raise ConfigError("learning rate must be positive")
+
+
+@dataclass(frozen=True)
+class WorkerConfig:
+    t_max: int = 5
+    gamma: float = 1.0
+    context: float = 1.5
+    sigma_floor: float = 1e-3
+    returns_mode: str = "forward"
+
+    def __post_init__(self) -> None:
+        if self.t_max < 1:
+            raise ConfigError("t_max must be >= 1")
+        if not (0.0 < self.gamma <= 1.0):
+            raise ConfigError("gamma must be in (0, 1]")
+        if self.returns_mode not in RETURNS_MODES:
+            raise ConfigError(f"unknown returns mode {self.returns_mode!r}")
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    workers: int = 8
+    max_updates: int = 50000
+    val_every: int = 2000
+    patience: int = 5
+    seed: int = 0
+    curriculum: bool = True
+    initial_horizon: int = 1
+    tau: float = 0.25
+    record_deltas: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers < 2:
+            raise ConfigError(f"need at least 2 workers for the even split, got {self.workers}")
+        if self.max_updates < 1:
+            raise ConfigError("max_updates must be positive")
+        if self.val_every < 1:
+            raise ConfigError("val_every must be positive")
 
 
 # -- records -------------------------------------------------------------------
@@ -100,7 +160,7 @@ def sample_action(
     mu: np.ndarray,
     gt_action: np.ndarray,
     rng: np.random.Generator,
-    sigma_floor: float = 1e-3,
+    sigma_floor: float = WorkerConfig.sigma_floor,
 ) -> ActionSample:
     """Gaussian exploration that shrinks as the policy approaches ground truth.
 
@@ -117,27 +177,29 @@ def sample_action(
     )
 
 
-def returns(record: EpisodeRecord, gamma: float, mode: str = "forward") -> np.ndarray:
-    """Per-step value targets R_i.
+def returns(
+    record: EpisodeRecord, gamma: float, mode: str = WorkerConfig.returns_mode
+) -> np.ndarray:
+    """Per-step value targets R_i, in one of the RETURNS_MODES.
 
     "forward": discounted reward-to-go with terminal-zero bootstrap.
     "prefix-sum": backward-looking prefix sums, R_i = sum_{k<=i} gamma^(k-1) r_k.
     """
     if not (0.0 < gamma <= 1.0):
         raise InvalidInputError(f"gamma must be in (0, 1], got {gamma}")
+    if mode not in RETURNS_MODES:
+        raise ConfigError(f"unknown returns mode {mode!r}")
     r = np.array([s.reward for s in record.steps])
     n = len(r)
-    if mode == "forward":
-        out = np.empty(n)
-        acc = 0.0 if record.terminated else record.bootstrap_value
-        for i in range(n - 1, -1, -1):
-            acc = r[i] + gamma * acc
-            out[i] = acc
-        return out
     if mode == "prefix-sum":
         weights = gamma ** np.arange(n)
         return np.cumsum(weights * r)
-    raise ConfigError(f"unknown returns mode {mode!r}")
+    out = np.empty(n)
+    acc = 0.0 if record.terminated else record.bootstrap_value
+    for i in range(n - 1, -1, -1):
+        acc = r[i] + gamma * acc
+        out[i] = acc
+    return out
 
 
 def advantages(record: EpisodeRecord, gamma: float) -> np.ndarray:
@@ -150,7 +212,7 @@ def advantages(record: EpisodeRecord, gamma: float) -> np.ndarray:
 
 
 def actor_critic_loss(
-    record: EpisodeRecord, gamma: float, returns_mode: str = "forward"
+    record: EpisodeRecord, gamma: float, returns_mode: str = WorkerConfig.returns_mode
 ) -> Tuple[float, float]:
     """(policy loss, value loss) over the recorded window.
 
@@ -176,10 +238,10 @@ def window_loss_fn(
     model: StudentModel,
     record: EpisodeRecord,
     kind: str,
-    gamma: float = 1.0,
-    returns_mode: str = "forward",
-    rl_scale: float = 1e-3,
-    weight_decay: float = 1e-4,
+    gamma: float = WorkerConfig.gamma,
+    returns_mode: str = WorkerConfig.returns_mode,
+    rl_scale: float = OptimizerConfig.rl_scale,
+    weight_decay: float = OptimizerConfig.weight_decay,
 ) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
     """A differentiable view of one window's loss, for updates and verification.
 
@@ -263,24 +325,6 @@ def window_gradient(
 # -- optimizer and shared store ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    method: str = "radam"  # "radam" | "adam" | "sgd"
-    lr: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4  # decoupled, distillation updates only
-    rl_scale: float = 1e-3  # pre-scales autonomous gradients
-    grad_clip: float = 0.0  # max L2 norm, 0 disables
-
-    def validate(self) -> None:
-        if self.method not in ("radam", "adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.method!r}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-
-
 class SharedWeights:
     """The master parameter vector plus optimizer state.
 
@@ -301,7 +345,6 @@ class SharedWeights:
         record_deltas: bool = False,
         log_file: Optional[TextIO] = None,
     ):
-        opt.validate()
         self.opt = opt
         self._params = np.array(params, dtype=np.float64, copy=True)
         self._m = np.zeros_like(self._params)
@@ -309,7 +352,6 @@ class SharedWeights:
         self._g = np.empty_like(self._params)
         self._delta = np.empty_like(self._params)
         self._tmp = np.empty_like(self._params)
-        self._t = 0
         self.update_count = 0
         self.rejected_count = 0
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
@@ -336,7 +378,7 @@ class SharedWeights:
         np.multiply(g, 1.0 - o.beta2, out=tmp)
         tmp *= g
         self._v += tmp
-        t = self._t
+        t = self.update_count
         np.divide(self._m, 1.0 - o.beta1 ** t, out=d)  # m_hat
         if o.method == "adam":
             scale = o.lr
@@ -375,14 +417,13 @@ class SharedWeights:
             norm = float(np.linalg.norm(g))
             if norm > self.opt.grad_clip:
                 g = np.multiply(g, self.opt.grad_clip / norm, out=self._g)
-        self._t += 1
+        self.update_count += 1
         delta = np.negative(self._direction(g), out=self._delta)
         if kind == DISTILLING and self.opt.weight_decay > 0.0:
             delta -= np.multiply(
                 self._params, self.opt.lr * self.opt.weight_decay, out=self._tmp
             )
         self._params += delta
-        self.update_count += 1
         if self.deltas is not None:
             self.deltas.append(delta.copy())
         entry = {"update": self.update_count, "kind": kind}
@@ -414,7 +455,7 @@ def curriculum_update(
     state: CurriculumState,
     sum_r_student: float,
     sum_r_teacher: float,
-    tau: float = 0.25,
+    tau: float = TrainSettings.tau,
 ) -> None:
     """Count the episode; extend the horizon when the success ratio reaches tau."""
     state.episodes += 1
@@ -429,7 +470,9 @@ def curriculum_update(
 class CurriculumStore:
     """Per-episode-source horizon table."""
 
-    def __init__(self, initial_horizon: int = 1, tau: float = 0.25):
+    def __init__(
+        self, initial_horizon: int = TrainSettings.initial_horizon, tau: float = TrainSettings.tau
+    ):
         if initial_horizon < 1:
             raise ConfigError("initial horizon must be >= 1")
         self.initial_horizon = initial_horizon
@@ -454,21 +497,6 @@ class CurriculumStore:
 
 
 # -- episodes and workers ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    t_max: int = 5
-    gamma: float = 1.0
-    context: float = 1.5
-    sigma_floor: float = 1e-3
-    returns_mode: str = "forward"
-
-    def validate(self) -> None:
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ConfigError("gamma must be in (0, 1]")
 
 
 def run_episode(
@@ -498,7 +526,6 @@ def run_episode(
         raise ConfigError(f"unknown worker kind {kind!r}")
     if kind == AUTONOMOUS and rng is None:
         raise ConfigError("an autonomous worker needs an rng")
-    cfg.validate()
     episode = TrackingEpisode(
         chunk.frames, chunk.gt, cfg.context, model.config.patch_size, horizon=horizon
     )
@@ -586,27 +613,6 @@ def run_episode(
 
 
 @dataclass
-class TrainSettings:
-    workers: int = 8
-    max_updates: int = 50000
-    val_every: int = 2000
-    patience: int = 5
-    seed: int = 0
-    curriculum: bool = True
-    initial_horizon: int = 1
-    tau: float = 0.25
-    record_deltas: bool = False
-
-    def validate(self) -> None:
-        if self.workers < 2:
-            raise ConfigError(f"need at least 2 workers for the even split, got {self.workers}")
-        if self.max_updates < 1:
-            raise ConfigError("max_updates must be positive")
-        if self.val_every < 1:
-            raise ConfigError("val_every must be positive")
-
-
-@dataclass
 class TrainResult:
     checkpoint_path: str
     log_path: str
@@ -651,8 +657,6 @@ def train(
     each validation's log entry. The best-scoring snapshot is checkpointed.
     Without ``validate_fn`` the final parameters are saved.
     """
-    settings.validate()
-    worker_cfg.validate()
     if not chunks:
         raise ConfigError("no training chunks; transfer set is empty")
     os.makedirs(out_dir, exist_ok=True)

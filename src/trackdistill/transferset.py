@@ -215,7 +215,7 @@ def write_chunk_index(
 
 def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> List[TransferChunk]:
     """Rebuild chunks from an index file against a dataset and trace directory.
-    A malformed index (``length`` not a positive integer, ``chunks`` not a
+    A malformed index (``length`` not an integer of at least 2, ``chunks`` not a
     list, an entry that is not an object or lacks a string ``video`` and
     ``teacher`` or an integer ``start``) and a trace whose length differs from
     its video's raise ``ParseError`` naming the path."""
@@ -226,8 +226,8 @@ def load_chunk_index(path: str, videos: Dict[str, Video], trace_root: str) -> Li
     if not isinstance(payload, dict) or "chunks" not in payload:
         raise ParseError(f"{path}: not a chunk index")
     length = payload.get("length", CHUNK_LENGTH)
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-        raise ParseError(f"{path}: chunk length {length!r} is not a positive integer")
+    if not isinstance(length, int) or isinstance(length, bool) or length < 2:
+        raise ParseError(f"{path}: chunk length {length!r} is not a positive integer >= 2")
     if not isinstance(payload["chunks"], list):
         raise ParseError(f"{path}: \"chunks\" is not a list")
     out = []

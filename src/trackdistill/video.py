@@ -283,7 +283,7 @@ class SyntheticSpec:
     scale_drift: float = 0.0
     background: str = "noise"  # or "flat"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.motion not in ("random-walk", "linear"):
             raise InvalidInputError(f"unknown motion model {self.motion!r}")
         if self.background not in ("noise", "flat"):
@@ -317,7 +317,6 @@ def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
     Only the background, the texture and each frame's paste window are kept;
     a frame renders when it is read.
     """
-    spec.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
     w_f, h_f = spec.width, spec.height
 

@@ -2,6 +2,7 @@
 
 import collections
 import filecmp
+import inspect
 import itertools
 import json
 import os
@@ -60,6 +61,11 @@ for line in sys.stdin:
     reply = [box[0], box[1], 0.0, box[3]] if (video, t) == (sys.argv[1], 2) else box
     print(json.dumps({"box": reply}), flush=True)
 """
+
+
+def with_train_value(key, text):
+    """SMALL_INI with ``train.<key>`` set to ``text``."""
+    return re.sub(rf"^{key} = .*\n", "", SMALL_INI, flags=re.M) + f"{key} = {text}\n"
 
 
 def count_decodes(monkeypatch):
@@ -603,6 +609,34 @@ class TestTrainAndTrack:
         code, err, path = self.eval_edited_run(pipeline, tmp_path, capsys, edit)
         assert code == 2 and err.startswith(f"error: {path}:1: "), err
 
+    @pytest.mark.parametrize("damage", ["corrupt", "short"])
+    def test_trast_contains_a_bad_trace_file(self, pipeline, tmp_path, capsys, damage):
+        # a trace: teacher's bad file fails its video alone; the other 3 are tracked
+        traces = tmp_path / "traces"
+        shutil.copytree(pipeline["traces"], traces)
+        path = trace_path(str(traces), "oracle0.9", "synth001")
+        with open(path) as fh:
+            rows = fh.readlines()
+        if damage == "corrupt":
+            rows[5] = "1,2,abc,4\n"
+            why = f"{path}:6: non-numeric box field in '1,2,abc,4'"
+        else:
+            rows = rows[:20]
+            why = "trace for 'synth001' has 20 boxes, video has 40 frames"
+        with open(path, "w") as fh:
+            fh.writelines(rows)
+        out = tmp_path / "trast"
+        assert main(["track", "--config", pipeline["ini"], "--mode", "trast",
+                     "--teacher", f"trace:{traces}:oracle0.9", "--out", str(out),
+                     os.path.join(pipeline["train"], "student.ckpt"), pipeline["data"]]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"trast: 3/4 videos tracked into {out}\n"
+        assert captured.err == (
+            f"warning: trast aborted on synth001: teacher 'oracle0.9': {why}; quarantined\n"
+        )
+        assert sorted(os.listdir(out)) == [
+            ".failed", "config.ini", "synth000.csv", "synth002.csv", "synth003.csv"]
+
     def test_eval_plot_files(self, pipeline):
         names = os.listdir(pipeline["eval"])
         assert any(n.endswith("_success.csv") for n in names)
@@ -611,9 +645,9 @@ class TestTrainAndTrack:
 
 
 class TestTrainRun:
-    def train(self, pipeline, out, chunks=None, traces=None):
+    def train(self, pipeline, out, chunks=None, traces=None, config=None):
         return main([
-            "train", "--config", pipeline["ini"], "--seed", "3", "--out", str(out),
+            "train", "--config", config or pipeline["ini"], "--seed", "3", "--out", str(out),
             pipeline["data"], traces or pipeline["traces"],
             chunks or os.path.join(pipeline["filter"], "chunks.json"),
         ])
@@ -658,6 +692,37 @@ class TestTrainRun:
         out = tmp_path / "t"
         assert self.train(pipeline, out, str(chunks)) == 2
         assert f"{chunks}: chunk entry 1 has no 'start'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_chunk_length_below_2_fails_at_load(self, pipeline, tmp_path, capsys):
+        # an episode needs 2 frames; the index that cuts 1-frame chunks is named
+        with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
+            index = json.load(fh)
+        index["length"] = 1
+        chunks = tmp_path / "chunks.json"
+        chunks.write_text(json.dumps(index))
+        out = tmp_path / "t"
+        assert self.train(pipeline, out, str(chunks)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chunks}: chunk length 1 is not a positive integer >= 2\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("returns", "bogus", "unknown returns mode 'bogus'"),
+        ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+        ("lr", "0.0", "learning rate must be positive"),
+        ("t_max", "0", "t_max must be >= 1"),
+        ("gamma", "0.0", "gamma must be in (0, 1]"),
+        ("workers", "1", "need at least 2 workers for the even split, got 1"),
+    ])
+    def test_bad_train_value_writes_nothing(self, pipeline, tmp_path, capsys, key, text,
+                                            message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(with_train_value(key, text))
+        out = tmp_path / "t"
+        assert self.train(pipeline, out, config=str(ini)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_trace_names_the_index_entry(self, pipeline, tmp_path, capsys):
@@ -741,6 +806,23 @@ class TestGradcheck:
         assert "OK" in out
         for kind in ("distill", "policy", "value", "combined"):
             assert kind in out
+
+    def test_checks_the_configured_objective(self, tmp_path, capsys, monkeypatch):
+        configured = {"gamma": 0.9, "returns_mode": "prefix-sum", "rl_scale": 0.5,
+                      "weight_decay": 0.01}
+        ini = tmp_path / "objective.ini"
+        ini.write_text(SMALL_INI + "gamma = 0.9\nreturns = prefix-sum\nrl_scale = 0.5\n"
+                       "weight_decay = 0.01\n")
+        real, seen = cli.window_loss_fn, []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            seen.append({name: bound.arguments.get(name) for name in configured})
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "window_loss_fn", recording)
+        assert main(["gradcheck", "--config", str(ini), "--seed", "2", "--samples", "4"]) == 0
+        assert seen == [configured] * 4
 
     def test_fail_exit_three(self, pipeline, capsys, monkeypatch):
         monkeypatch.setattr(cli, "GRADCHECK_TOLERANCE", 0.0)

@@ -2,10 +2,10 @@
 external-teacher wire.
 
 The contract: a reader returns a valid object (finite boxes with positive
-sides, frames with pixels, parameters of the expected count) or raises a
-TrackDistillError that names the path it read. On the wire, a child that
-garbles its replies costs a TeacherError naming the teacher, and every box
-taken from it is valid. Seeds and counts are fixed, so every run tries the
+sides and area, frames with pixels, finite parameters of the expected count)
+or raises a TrackDistillError that names the path it read. On the wire, a
+child that garbles its replies costs a TeacherError naming the teacher, and
+every box taken from it is valid. Seeds and counts are fixed, so every run tries the
 same inputs.
 """
 
@@ -72,7 +72,7 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
 
 def valid_box(box) -> bool:
     return (isinstance(box, Box) and all(math.isfinite(v) for v in (box.x, box.y, box.w, box.h))
-            and box.w > 0 and box.h > 0)
+            and box.w > 0 and box.h > 0 and box.area > 0)
 
 
 def gt_video(video_id, n, rng):
@@ -181,6 +181,27 @@ def test_reader_contract(readers, name):
             fh.write(valid)
     assert not broken, f"{name}: {len(broken)} of {MUTATIONS} broke the contract: {broken[:3]}"
     assert accepted and rejected, (name, accepted, rejected)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_rejected(readers, value):
+    # the text mutations above seldom make a non-finite double, so this puts
+    # one at seeded places in the checkpoint's payload
+    path, valid, read, _ = readers["load_params"]
+    count = (len(valid) - 52) // 8  # the header is 52 bytes
+    rng = np.random.default_rng(2021)
+    try:
+        for k in rng.choice(count, size=20, replace=False):
+            data = bytearray(valid)
+            start = len(valid) - 8 * (count - int(k))
+            data[start:start + 8] = np.float64(value).astype("<f8").tobytes()
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(TrackDistillError, match=re.escape(path)):
+                read()
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(valid)
 
 
 # The echo teacher's drift, its replies garbled at random: each reply, with

@@ -146,6 +146,16 @@ class TestBox:
         assert (box.w, box.h) == (tiny, 3.0)
         assert Box(0.0, 0.0, 3.0, tiny).h == tiny
 
+    def test_underflowing_area_rejected(self):
+        # both sides positive, but their product rounds to 0: such boxes made
+        # iou divide by a zero union
+        with pytest.raises(InvalidInputError, match=re.escape(
+            "box area underflows to 0: w=1e-320, h=1e-320"
+        )):
+            Box(0.0, 0.0, 1e-320, 1e-320)
+        with pytest.raises(InvalidInputError, match="box area underflows to 0"):
+            Box(0.0, 0.0, 5e-324, 0.25)
+
     def test_degenerate_rejected(self):
         # once iou's own check; the box is rejected before iou is called
         with pytest.raises(InvalidInputError, match="box side is not positive"):

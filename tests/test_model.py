@@ -648,6 +648,20 @@ class TestCheckpoints:
             )):
                 load_params(p, SMALL)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_params_rejected_at_load(self, tmp_path, value):
+        # a checkpoint edited after save: its last double is not finite
+        model = StudentModel(SMALL)
+        p = str(tmp_path / "m.ckpt")
+        save_params(p, SMALL, model.init_params(seed=1))
+        with open(p, "r+b") as fh:
+            fh.seek(-8, 2)
+            fh.write(np.float64(value).astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match=re.escape(
+            f"{p}: checkpoint holds non-finite parameters"
+        )):
+            load_params(p, SMALL)
+
     def test_nonfinite_params_refused(self, tmp_path):
         model = StudentModel(SMALL)
         params = model.init_params(seed=1)

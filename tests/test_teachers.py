@@ -407,9 +407,6 @@ class Recorder(TeacherFactory):
                 log.append(("predict", tid, t))
                 return video.ground_truth[t]
 
-            def close_input(self):
-                log.append(("close_input", tid))
-
             def close(self):
                 log.append(("close", tid))
 
@@ -454,7 +451,7 @@ class TestPool:
         want = [("init", tid, 0) for tid in ids]
         for t in range(1, 3):
             want += [("predict", tid, t) for tid in ids]
-        want += [("close_input", tid) for tid in ids] + [("close", tid) for tid in ids]
+        want += [("close", tid) for tid in ids]
         assert log == want
 
     def one_of_each_kind(self, tmp_path, vid):
@@ -478,6 +475,23 @@ class TestPool:
         got = run_pool_on_video(closing, blind)
         assert [error for _, error in got] == [None] * 3
         assert [trace.boxes for trace, _ in got] == [trace.boxes for trace, _ in want]
+
+    def test_corrupt_trace_member_is_contained(self, tmp_path):
+        # a malformed line fails that member alone, naming the file and line
+        vid = self.video(frames=6)
+        traces = str(tmp_path / "traces")
+        path = save_trace(traces, TrajectoryTrace(vid.video_id, "t", vid.ground_truth))
+        with open(path) as fh:
+            rows = fh.readlines()
+        rows[3] = "1,2,abc,4\n"
+        with open(path, "w") as fh:
+            fh.writelines(rows)
+        pool = [OracleNoiseFactory("o", 0.9, 1), TraceFactory("t", traces)]
+        (oracle, oracle_error), (trace, error) = run_pool_on_video(pool, vid)
+        assert oracle_error is None and len(oracle.boxes) == len(vid)
+        assert isinstance(error, TeacherError) and error.teacher_id == "t"
+        assert f"{path}:4: non-numeric box field" in str(error)
+        assert trace.boxes == [vid.ground_truth[0]]
 
     def test_duplicate_ids_rejected(self):
         pool = [parse_teacher_spec("oracle:0.9"), parse_teacher_spec("oracle:0.9:5")]

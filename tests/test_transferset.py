@@ -273,6 +273,7 @@ class TestChunkIndex:
              "chunk entry 0 has a bad 'start'"),
             ({"chunks": [{"video": "v", "teacher": "t", "start": True}]},
              "chunk entry 0 has a bad 'start'"),
+            ({"length": 1}, "chunk length 1 is not a positive integer >= 2"),
         ],
     )
     def test_malformed_index_named(self, tmp_path, fields, message):

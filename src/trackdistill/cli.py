@@ -13,6 +13,7 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .errors import InvalidInputError, NumericError, TrackDistillError
 from .metrics import SUMMARY_COLUMNS, ope_run, report
-from .model import StudentConfig, StudentModel, grad_check, load_params
+from .model import StudentModel, grad_check, load_params
 from .teachers import (
     TeacherFactory,
     close_all,
@@ -30,7 +31,6 @@ from .teachers import (
     save_trace,
 )
 from .trackers import TrackRun, read_trackrun, tras, trasfust, trast, write_trackrun
-from .training import OptimizerConfig, TrainSettings, WorkerConfig
 from .training import synthetic_record, train, window_loss_fn
 from .transferset import (
     CHUNK_LENGTH,
@@ -42,16 +42,10 @@ from .transferset import (
     write_chunk_index,
     write_stats_csv,
 )
-from .video import SyntheticSpec, Video, generate_video, load_dataset, write_video
+from .video import Video, generate_video, load_dataset, write_video
 
 GRADCHECK_TOLERANCE = 1e-4
 STATS_BETAS = (0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-def _load_config(args) -> cfgmod.Config:
-    if getattr(args, "config", None):
-        return cfgmod.load_config(args.config)
-    return cfgmod.default_config()
 
 
 def _load_videos(args) -> List[Video]:
@@ -78,23 +72,20 @@ def _failed_dir(out_dir: str) -> str:
     return path
 
 
-def cmd_gen_data(args) -> int:
-    config = _load_config(args)
-    spec = cfgmod.build(config, SyntheticSpec)
+def cmd_gen_data(args, config: cfgmod.Config) -> int:
     cfgmod.echo_config(config, args.out)
-    count = config["env.num_videos"]
+    count = config.pipeline.num_videos
     for i in range(count):
         video_seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-        video = generate_video(spec, video_seed, f"synth{i:03d}")
+        video = generate_video(config.env, video_seed, f"synth{i:03d}")
         write_video(video, args.out)
     print(f"wrote {count} videos to {args.out}")
     return 0
 
 
-def cmd_run_teachers(args) -> int:
-    config = _load_config(args)
+def cmd_run_teachers(args, config: cfgmod.Config) -> int:
     videos = _load_videos(args)
-    pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
+    pool = _parse_pool(args.pool or config.pipeline.pool, args.seed)
     cfgmod.echo_config(config, args.out)
     failures = 0
     try:
@@ -118,17 +109,18 @@ def cmd_run_teachers(args) -> int:
     return 0
 
 
-def cmd_filter(args) -> int:
-    config = _load_config(args)
-    beta = args.beta if args.beta is not None else config["eval.beta"]
+def cmd_filter(args, config: cfgmod.Config) -> int:
+    beta = config.pipeline.beta
+    if args.beta is not None:
+        beta = replace(config.pipeline, beta=args.beta).beta
     videos = videos_by_id(_load_videos(args))
-    pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
+    pool = _parse_pool(args.pool or config.pipeline.pool, args.seed)
     traces = []
     for factory in pool:
         for vid in sorted(videos):
             traces.append(load_trace(args.traces, factory.teacher_id, vid))
-    cfgmod.echo_config(config, args.out)
     ious = trace_ious(traces, videos)
+    cfgmod.echo_config(config, args.out)
     kept, chunks = build_transfer_set(traces, videos, beta, seed=args.seed, ious=ious)
     write_chunk_index(
         chunks, os.path.join(args.out, "chunks.json"), beta, CHUNK_LENGTH, args.seed
@@ -145,16 +137,12 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
+def cmd_train(args, config: cfgmod.Config) -> int:
     videos = videos_by_id(load_dataset(args.dataset))
     chunks = load_chunk_index(args.chunks, videos, args.traces)
     if not chunks:
         raise InvalidInputError(f"chunk index {args.chunks!r} is empty")
-    model = StudentModel(cfgmod.build(config, StudentConfig))
-    settings = cfgmod.build(config, TrainSettings, seed=args.seed)
-    worker_cfg = cfgmod.build(config, WorkerConfig)
-    opt = cfgmod.build(config, OptimizerConfig)
+    model = StudentModel(config.model)
     cfgmod.echo_config(config, args.out)
 
     covered = {c.video_id for c in chunks}
@@ -165,7 +153,7 @@ def cmd_train(args) -> int:
 
         def validate_fn(params):
             result = ope_run(
-                lambda v: tras(v, v.ground_truth[0], model, params, worker_cfg.context),
+                lambda v: tras(v, v.ground_truth[0], model, params, config.worker.context),
                 held_out,
                 "tras",
                 "val",
@@ -190,8 +178,8 @@ def cmd_train(args) -> int:
         )
 
     result = train(
-        model, chunks, settings, worker_cfg, opt, args.out,
-        validate_fn=validate_fn, progress=progress,
+        model, chunks, replace(config.train, seed=args.seed), config.worker, config.optimizer,
+        args.out, validate_fn=validate_fn, progress=progress,
     )
     tail = (
         f", best val AO {result.best_val_ao:.4f}" if result.best_val_ao is not None else ""
@@ -200,23 +188,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_track(args) -> int:
+def cmd_track(args, config: cfgmod.Config) -> int:
     """``track`` (``--mode`` tras or trast) and ``fuse`` (whose parser sets the
     mode to trasfust): one protocol over every video of the dataset."""
-    config = _load_config(args)
-    model = StudentModel(cfgmod.build(config, StudentConfig))
+    model = StudentModel(config.model)
     params = load_params(args.checkpoint, model.config)
     videos = _load_videos(args)
-    context, evaluator = config["env.context"], config["eval.evaluator"]
+    context, evaluator = config.worker.context, config.pipeline.evaluator
     pool: List[TeacherFactory] = []
     if args.mode == "tras":
         track = lambda v: tras(v, v.ground_truth[0], model, params, context)
     elif args.mode == "trast":
-        spec = args.teacher or config["teachers.pool"].split(",")[0].strip()
+        spec = args.teacher or config.pipeline.pool.split(",")[0].strip()
         pool = [parse_teacher_spec(spec, default_seed=args.seed)]
         track = lambda v: trast(v, v.ground_truth[0], model, params, pool[0], context, evaluator)
     else:
-        pool = _parse_pool(args.pool or config["teachers.pool"], args.seed)
+        pool = _parse_pool(args.pool or config.pipeline.pool, args.seed)
         track = lambda v: trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
     cfgmod.echo_config(config, args.out)
     try:
@@ -240,10 +227,8 @@ def cmd_track(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
+def cmd_eval(args, config: cfgmod.Config) -> int:
     videos = _load_videos(args)
-    dataset_id = config["eval.dataset_id"]
     results = []
     with warnings.catch_warnings():  # ope_run's warnings as warning: lines
         warnings.simplefilter("always")
@@ -258,7 +243,7 @@ def cmd_eval(args) -> int:
                                     error="no run file")
                 return read_trackrun(path, video.video_id, tracker_id)
 
-            results.append(ope_run(stored, videos, tracker_id, dataset_id))
+            results.append(ope_run(stored, videos, tracker_id, config.pipeline.dataset_id))
     cfgmod.echo_config(config, args.out)
     report(results, args.out)
     for r in results:
@@ -268,11 +253,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    config = _load_config(args)
-    model = StudentModel(cfgmod.build(config, StudentConfig))
-    worker_cfg = cfgmod.build(config, WorkerConfig)
-    opt = cfgmod.build(config, OptimizerConfig)
+def cmd_gradcheck(args, config: cfgmod.Config) -> int:
+    model = StudentModel(config.model)
+    worker_cfg, opt = config.worker, config.optimizer
     rng = np.random.default_rng(args.seed)
     params = model.init_params(args.seed)
     record = synthetic_record(model, params, 5, rng)
@@ -384,7 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.func(args)
+        return args.func(args, cfgmod.load_config(args.config))
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

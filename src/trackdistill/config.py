@@ -1,10 +1,12 @@
 """Flat INI configuration shared by every command.
 
-Keys live in five sections (env, model, train, teachers, eval). Defaults live
-in the config dataclasses, whose fields are keys typed by their default, and
-``build`` makes one of them from a config; each checks its values as it is
-built. Anything outside the schema is rejected so a typo cannot silently fall
-back to a default. Every run echoes its effective config.
+Keys live in five sections (env, model, train, teachers, eval). A loaded
+``Config`` is six frozen dataclasses, whose fields are keys typed by their
+default: the five the library takes, and ``PipelineSettings`` for the keys
+only the commands read. ``load_config`` builds all six, and each checks its
+values as it is built, so a bad value fails before any command writes.
+Anything outside the schema is rejected so a typo cannot silently fall back
+to a default. Every run echoes its effective config.
 """
 
 from __future__ import annotations
@@ -12,14 +14,49 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import fields
-from typing import Any, Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, TrackDistillError
 from .model import StudentConfig
-from .trackers import VALUE_EVALUATOR
+from .teachers import check_id
+from .trackers import EVALUATORS, VALUE_EVALUATOR
 from .training import OptimizerConfig, TrainSettings, WorkerConfig
+from .transferset import check_beta
 from .video import SyntheticSpec
+
+
+@dataclass(frozen=True)
+class PipelineSettings:
+    """The keys that only the commands read: dataset size, teacher pool,
+    filter threshold, tracking evaluator and the dataset's name in reports."""
+
+    num_videos: int = 20
+    pool: str = "oracle:0.9"
+    beta: float = 0.5
+    evaluator: str = VALUE_EVALUATOR
+    dataset_id: str = "dataset"
+
+    def __post_init__(self) -> None:
+        if self.num_videos < 1:
+            raise ConfigError(f"num_videos must be >= 1, got {self.num_videos}")
+        check_beta(self.beta)
+        if self.evaluator not in EVALUATORS:
+            raise ConfigError(f"unknown evaluator {self.evaluator!r}")
+        check_id("dataset id", self.dataset_id)
+
+
+@dataclass(frozen=True)
+class Config:
+    """One loaded configuration; each field's default factory is its class."""
+
+    model: StudentConfig = field(default_factory=StudentConfig)
+    env: SyntheticSpec = field(default_factory=SyntheticSpec)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    worker: WorkerConfig = field(default_factory=WorkerConfig)
+    train: TrainSettings = field(default_factory=TrainSettings)
+    pipeline: PipelineSettings = field(default_factory=PipelineSettings)
+
 
 SECTIONS = {
     StudentConfig: "model",
@@ -27,23 +64,18 @@ SECTIONS = {
     OptimizerConfig: "train",
     WorkerConfig: "train",
     TrainSettings: "train",
+    PipelineSettings: "eval",
 }
 # (class, field) -> key, where the key is not <section>.<field>
 RENAMED = {
     (OptimizerConfig, "method"): "train.optimizer",
     (WorkerConfig, "returns_mode"): "train.returns",
     (WorkerConfig, "context"): "env.context",
+    (PipelineSettings, "num_videos"): "env.num_videos",
+    (PipelineSettings, "pool"): "teachers.pool",
 }
 # fields fixed by the code or the command line, not by the config
 NOT_KEYS = {"beta1", "beta2", "eps", "seed", "record_deltas"}
-# keys no dataclass carries
-EXTRA = {
-    "env.num_videos": 20,
-    "teachers.pool": "oracle:0.9",
-    "eval.beta": 0.5,
-    "eval.evaluator": VALUE_EVALUATOR,
-    "eval.dataset_id": "dataset",
-}
 
 
 def _keyed_fields(cls: type):
@@ -55,7 +87,6 @@ def _keyed_fields(cls: type):
 
 # key -> default; a key's type is its default's (a tuple is a comma list of ints)
 SCHEMA: Dict[str, Any] = {key: f.default for cls in SECTIONS for f, key in _keyed_fields(cls)}
-SCHEMA.update(EXTRA)
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -88,51 +119,32 @@ def parse_value(key: str, text: str) -> Any:
     return text
 
 
-class Config:
-    """Immutable-by-convention mapping of schema keys to typed values."""
-
-    def __init__(self, values: Dict[str, Any]):
-        for key in values:
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-        self.values = dict(values)
-
-    def __getitem__(self, key: str) -> Any:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        return self.values.get(key, SCHEMA[key])
-
-    def with_overrides(self, overrides: Dict[str, Any]) -> "Config":
-        return Config({**self.values, **overrides})
-
-    def effective(self) -> Dict[str, Any]:
-        return {key: self[key] for key in SCHEMA}
-
-
-def default_config() -> Config:
-    return Config({})
-
-
-def load_config(path: str) -> Config:
-    """Defaults overlaid with an INI file, its values read verbatim (no "%"
-    interpolation); unknown sections or keys fail, naming the file."""
-    parser = configparser.ConfigParser(interpolation=None)
+def load_config(path: Optional[str] = None) -> Config:
+    """The defaults overlaid with the INI file at ``path``, if any, its values
+    read verbatim (no "%" interpolation). Each part checks its values as it is
+    built; an unknown section or key, or a bad value, fails naming the file."""
+    texts: Dict[str, str] = {}
+    if path is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except OSError as e:
+            raise ConfigError(f"cannot read config {path!r}: {e}")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: {e}")
+        texts = {f"{s}.{name}": text for s in parser.sections() for name, text in parser.items(s)}
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}")
-    except (configparser.Error, UnicodeDecodeError) as e:
+        values = {key: parse_value(key, text) for key, text in texts.items()}
+        return Config(**{
+            part.name: part.default_factory(**{
+                f.name: values[key]
+                for f, key in _keyed_fields(part.default_factory) if key in values
+            })
+            for part in fields(Config)
+        })
+    except TrackDistillError as e:
         raise ConfigError(f"{path}: {e}")
-    values: Dict[str, Any] = {}
-    try:
-        for section in parser.sections():
-            for name, text in parser.items(section):
-                key = f"{section}.{name}"
-                values[key] = parse_value(key, text)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}")
-    return Config(values)
 
 
 def echo_config(config: Config, out_dir: str, name: str = "config.ini") -> str:
@@ -140,15 +152,18 @@ def echo_config(config: Config, out_dir: str, name: str = "config.ini") -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     sections: Dict[str, Dict[str, str]] = {}
-    for key, value in config.effective().items():
-        section, option = key.split(".", 1)
-        if isinstance(value, tuple):
-            text = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        sections.setdefault(section, {})[option] = text
+    for part in fields(config):
+        values = getattr(config, part.name)
+        for f, key in _keyed_fields(type(values)):
+            value = getattr(values, f.name)
+            if isinstance(value, tuple):
+                text = ",".join(str(v) for v in value)
+            elif isinstance(value, bool):
+                text = "true" if value else "false"
+            else:
+                text = repr(value) if isinstance(value, float) else str(value)
+            section, option = key.split(".", 1)
+            sections.setdefault(section, {})[option] = text
     with open(path, "w") as fh:
         for section in sorted(sections):
             fh.write(f"[{section}]\n")
@@ -156,9 +171,3 @@ def echo_config(config: Config, out_dir: str, name: str = "config.ini") -> str:
                 fh.write(f"{option} = {sections[section][option]}\n")
             fh.write("\n")
     return path
-
-
-def build(config: Config, cls: type, **extra: Any):
-    """An instance of config dataclass ``cls`` with every key field read from
-    ``config``; ``extra`` sets the fields that are not keys (``seed=``)."""
-    return cls(**{f.name: config[key] for f, key in _keyed_fields(cls)}, **extra)

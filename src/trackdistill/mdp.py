@@ -98,8 +98,6 @@ class TrackingEpisode:
             )
         if len(frames) < 2:
             raise InvalidInputError("an episode needs at least 2 frames")
-        if context <= 0 or patch_size <= 0:
-            raise InvalidInputError("context and patch size must be positive")
         self.frames = frames
         self.ground_truth = ground_truth
         self.context = context

@@ -119,14 +119,19 @@ class TeacherSession:
         self.close()
 
 
+def check_id(kind: str, name: str) -> None:
+    """An id is part of a file path: it must be non-empty and hold no "/"."""
+    if not name or "/" in name:
+        raise InvalidInputError(f"bad {kind} {name!r}")
+
+
 class TeacherFactory:
     """Builds one session per video; subclasses define the teacher behavior.
     A factory may hold resources across its sessions (an external teacher's
     child process); ``close`` releases them."""
 
     def __init__(self, teacher_id: str):
-        if not teacher_id or "/" in teacher_id:
-            raise InvalidInputError(f"bad teacher id {teacher_id!r}")
+        check_id("teacher id", teacher_id)
         self.teacher_id = teacher_id
 
     def session(self, video: Video) -> TeacherSession:

@@ -38,6 +38,7 @@ from .video import Video, read_utf8
 STUDENT = "student"
 VALUE_EVALUATOR = "value"
 ORACLE_EVALUATOR = "oracle"
+EVALUATORS = (VALUE_EVALUATOR, ORACLE_EVALUATOR)
 TRACK_COLUMNS = ("t", "x", "y", "w", "h", "controller", "v_student")  # then v_<id> per teacher
 
 
@@ -81,7 +82,7 @@ def _track(
     member could not give, with the error of the member whose trace ends
     first (the lowest pool index on a tie).
     """
-    if evaluator not in (VALUE_EVALUATOR, ORACLE_EVALUATOR):
+    if evaluator not in EVALUATORS:
         raise InvalidInputError(f"unknown evaluator {evaluator!r}")
     results = run_pool_on_video(pool, video)
     tracks = [trace.boxes for trace, _ in results]

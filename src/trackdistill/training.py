@@ -66,6 +66,8 @@ class WorkerConfig:
     def __post_init__(self) -> None:
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
+        if self.context <= 0:
+            raise ConfigError(f"context must be positive, got {self.context}")
         if not (0.0 < self.gamma <= 1.0):
             raise ConfigError("gamma must be in (0, 1]")
         if self.returns_mode not in RETURNS_MODES:
@@ -91,6 +93,8 @@ class TrainSettings:
             raise ConfigError("max_updates must be positive")
         if self.val_every < 1:
             raise ConfigError("val_every must be positive")
+        if self.initial_horizon < 1:
+            raise ConfigError("initial horizon must be >= 1")
 
 
 # -- records -------------------------------------------------------------------
@@ -473,8 +477,6 @@ class CurriculumStore:
     def __init__(
         self, initial_horizon: int = TrainSettings.initial_horizon, tau: float = TrainSettings.tau
     ):
-        if initial_horizon < 1:
-            raise ConfigError("initial horizon must be >= 1")
         self.initial_horizon = initial_horizon
         self.tau = tau
         self._table: Dict[tuple, CurriculumState] = {}

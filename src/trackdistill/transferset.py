@@ -75,6 +75,11 @@ def trace_ious(
     return [trajectory_ious(trace, videos[trace.video_id]) for trace in traces]
 
 
+def check_beta(beta: float) -> None:
+    if not (0.5 <= beta < 1.0):
+        raise InvalidInputError(f"beta must lie in [0.5, 1), got {beta}")
+
+
 def filter_trajectories(
     traces: Sequence[TrajectoryTrace],
     videos: Dict[str, Video],
@@ -83,8 +88,7 @@ def filter_trajectories(
 ) -> List[TrajectoryTrace]:
     """Keep trajectories whose overlap stays strictly above beta at every
     frame. ``ious`` are the traces' ``trace_ious``, if already computed."""
-    if not (0.5 <= beta < 1.0):
-        raise InvalidInputError(f"beta must lie in [0.5, 1), got {beta}")
+    check_beta(beta)
     if ious is None:
         ious = trace_ious(traces, videos)
     return [trace for trace, z in zip(traces, ious) if np.all(z > beta)]

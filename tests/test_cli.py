@@ -63,9 +63,13 @@ for line in sys.stdin:
 """
 
 
-def with_train_value(key, text):
-    """SMALL_INI with ``train.<key>`` set to ``text``."""
-    return re.sub(rf"^{key} = .*\n", "", SMALL_INI, flags=re.M) + f"{key} = {text}\n"
+def with_value(key, text):
+    """SMALL_INI with config key ``<section>.<option>`` set to ``text``."""
+    section, option = key.split(".")
+    ini = re.sub(rf"^{option} = .*\n", "", SMALL_INI, flags=re.M)
+    if f"[{section}]\n" not in ini:
+        ini += f"\n[{section}]\n"
+    return ini.replace(f"[{section}]\n", f"[{section}]\n{option} = {text}\n")
 
 
 def count_decodes(monkeypatch):
@@ -208,6 +212,51 @@ class TestDataErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {ini}: ")
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("case", [
+        ("filter", "eval.beta", "0.3", "beta must lie in [0.5, 1), got 0.3"),
+        ("filter", "--beta", "0.3", "beta must lie in [0.5, 1), got 0.3"),
+        ("trast", "eval.evaluator", "bogus", "unknown evaluator 'bogus'"),
+        ("eval", "eval.dataset_id", "a/b", "bad dataset id 'a/b'"),
+        ("train", "train.initial_horizon", "0", "initial horizon must be >= 1"),
+        ("train", "env.context", "0.0", "context must be positive, got 0.0"),
+        ("track", "env.context", "0.0", "context must be positive, got 0.0"),
+        ("gen-data", "env.num_videos", "-3", "num_videos must be >= 1, got -3"),
+        ("filter", "short-trace", "", None),
+    ], ids=lambda case: f"{case[0]}:{case[1]}")
+    def test_bad_value_writes_nothing(self, tmp_path, pipeline, capsys, case):
+        # each fails before its command writes: the error names the config
+        # file, the --beta value or the cut trace
+        command, key, text, message = case
+        ini, out, traces = tmp_path / "bad.ini", str(tmp_path / "out"), pipeline["traces"]
+        ini.write_text(SMALL_INI if "." not in key else with_value(key, text))
+        flags = ["--config", str(ini), "--out", out]
+        if key == "--beta":
+            flags += ["--beta", text]
+        if key == "short-trace":
+            traces = str(tmp_path / "traces")
+            shutil.copytree(pipeline["traces"], traces)
+            path = trace_path(traces, "oracle0.9", "synth002")
+            with open(path) as fh:
+                rows = fh.readlines()
+            with open(path, "w") as fh:
+                fh.writelines(rows[:-1])
+            message = (f"trace 'oracle0.9'/'synth002' has {len(rows) - 1} boxes, "
+                       f"video has {len(rows)} frames")
+        ckpt = os.path.join(pipeline["train"], "student.ckpt")
+        argv = {
+            "filter": ["filter", *flags, pipeline["data"], traces],
+            "trast": ["track", *flags, "--mode", "trast", ckpt, pipeline["data"]],
+            "track": ["track", *flags, ckpt, pipeline["data"]],
+            "eval": ["eval", *flags, pipeline["data"], pipeline["tras"]],
+            "train": ["train", *flags, "--seed", "3", pipeline["data"], traces,
+                      os.path.join(pipeline["filter"], "chunks.json")],
+            "gen-data": ["gen-data", *flags, "--seed", "1"],
+        }[command]
+        assert main(argv) == 2
+        where = f"{ini}: " if "." in key else ""
+        assert capsys.readouterr().err == f"error: {where}{message}\n"
+        assert not os.path.exists(out)
 
     def test_eval_without_runs(self, tmp_path, pipeline):
         empty = tmp_path / "noruns"
@@ -719,10 +768,10 @@ class TestTrainRun:
     def test_bad_train_value_writes_nothing(self, pipeline, tmp_path, capsys, key, text,
                                             message):
         ini = tmp_path / "bad.ini"
-        ini.write_text(with_train_value(key, text))
+        ini.write_text(with_value(f"train.{key}", text))
         out = tmp_path / "t"
         assert self.train(pipeline, out, config=str(ini)) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {ini}: {message}\n"
         assert not out.exists()
 
     def test_missing_trace_names_the_index_entry(self, pipeline, tmp_path, capsys):

@@ -1,24 +1,25 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from trackdistill.config import (
     SCHEMA,
     Config,
+    PipelineSettings,
     _keyed_fields,
-    build,
-    default_config,
     echo_config,
     load_config,
     parse_value,
 )
-from trackdistill.errors import ConfigError
+from trackdistill.errors import ConfigError, InvalidInputError
 from trackdistill.model import StudentConfig
 from trackdistill.training import OptimizerConfig, TrainSettings, WorkerConfig
 from trackdistill.video import SyntheticSpec
 
-CONFIG_CLASSES = (StudentConfig, SyntheticSpec, OptimizerConfig, WorkerConfig, TrainSettings)
+CONFIG_CLASSES = (StudentConfig, SyntheticSpec, OptimizerConfig, WorkerConfig, TrainSettings,
+                  PipelineSettings)
+PART = {f.default_factory: f.name for f in fields(Config)}  # class -> its field of Config
 
 DEFAULT_INI = """\
 [env]
@@ -74,23 +75,28 @@ workers = 8
 
 class TestSchema:
     def test_defaults(self):
-        c = default_config()
-        assert c["train.lr"] == 1e-6
-        assert c["train.workers"] == 8
-        assert c["train.t_max"] == 5
-        assert c["train.gamma"] == 1.0
-        assert c["env.context"] == 1.5
-        assert c["eval.beta"] == 0.5
-        assert c["model.conv_channels"] == (8, 16, 32)
-        assert c["train.curriculum"] is True
+        c = load_config()
+        assert c == Config()
+        assert c.optimizer.lr == 1e-6
+        assert c.train.workers == 8
+        assert c.worker.t_max == 5
+        assert c.worker.gamma == 1.0
+        assert c.worker.context == 1.5
+        assert c.pipeline.beta == 0.5
+        assert c.model.conv_channels == (8, 16, 32)
+        assert c.train.curriculum is True
 
-    def test_unknown_key_rejected_on_read(self):
-        with pytest.raises(ConfigError):
-            default_config()["train.momentum"]
+    def test_unknown_key_rejected_on_read(self, tmp_path):
+        # a field fixed by the code is not a key
+        ini = tmp_path / "seed.ini"
+        ini.write_text("[train]\nseed = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{ini}: unknown config key 'train.seed'")):
+            load_config(str(ini))
 
     def test_unknown_key_rejected_on_construction(self):
-        with pytest.raises(ConfigError):
-            Config({"train.turbo": 1})
+        # a renamed field is a key under its new name only
+        with pytest.raises(ConfigError, match="unknown config key 'train.returns_mode'"):
+            parse_value("train.returns_mode", "forward")
 
     def test_parse_typed_values(self):
         assert parse_value("train.workers", " 4 ") == 4
@@ -142,10 +148,11 @@ class TestSchema:
             parse_value("env.min_size", "16.5")
 
     def test_overrides(self):
-        c = default_config().with_overrides({"train.lr": 0.5})
-        assert c["train.lr"] == 0.5
-        with pytest.raises(ConfigError):
-            default_config().with_overrides({"nope.nope": 1})
+        c = load_config()
+        assert replace(c.train, seed=7).seed == 7
+        assert replace(c.pipeline, beta=0.7).beta == 0.7
+        with pytest.raises(InvalidInputError, match=re.escape("beta must lie in [0.5, 1), got 0.3")):
+            replace(c.pipeline, beta=0.3)
 
 
 class TestLoadAndEcho:
@@ -153,10 +160,10 @@ class TestLoadAndEcho:
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nlr = 1e-4\nworkers = 2\n\n[model]\npatch_size = 16\n")
         c = load_config(str(ini))
-        assert c["train.lr"] == 1e-4
-        assert c["train.workers"] == 2
-        assert c["model.patch_size"] == 16
-        assert c["train.t_max"] == 5  # untouched default
+        assert c.optimizer.lr == 1e-4
+        assert c.train.workers == 2
+        assert c.model.patch_size == 16
+        assert c.worker.t_max == 5  # untouched default
 
     def test_unknown_section_key_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -179,9 +186,9 @@ class TestLoadAndEcho:
         pool = "oracle:0.9,extern:ext:date +%Y-%m-%d"
         ini = tmp_path / "pool.ini"
         ini.write_text(f"[teachers]\npool = {pool}\n")
-        assert load_config(str(ini))["teachers.pool"] == pool
+        assert load_config(str(ini)).pipeline.pool == pool
         back = load_config(echo_config(load_config(str(ini)), str(tmp_path / "echo")))
-        assert back["teachers.pool"] == pool
+        assert back.pipeline.pool == pool
 
     @pytest.mark.parametrize("text", [b"[train]\nlr = 1e-4\xff\n", b"[train\xff]\n"])
     def test_undecodable_bytes_name_the_path(self, tmp_path, text):
@@ -191,28 +198,31 @@ class TestLoadAndEcho:
             load_config(str(ini))
 
     def test_echo_reproduces_effective_config(self, tmp_path):
-        c = default_config().with_overrides(
-            {"train.lr": 3e-5, "model.conv_channels": (4, 8), "train.curriculum": False}
+        c = Config(
+            model=StudentConfig(conv_channels=(4, 8)),
+            optimizer=OptimizerConfig(lr=3e-5),
+            train=TrainSettings(curriculum=False),
         )
         path = echo_config(c, str(tmp_path))
-        back = load_config(path)
-        assert back.effective() == c.effective()
+        assert load_config(path) == c
 
     def test_default_echo_text(self, tmp_path):
-        with open(echo_config(default_config(), str(tmp_path))) as fh:
+        with open(echo_config(load_config(), str(tmp_path))) as fh:
             assert fh.read() == DEFAULT_INI
 
     def test_echo_is_deterministic(self, tmp_path):
-        c = default_config()
+        c = load_config()
         with open(echo_config(c, str(tmp_path / "a"))) as fa:
             with open(echo_config(c, str(tmp_path / "b"))) as fb:
                 assert fa.read() == fb.read()
 
 
-# a valid alternative to each string default
+# a valid alternative to each string default, and to beta's 0.5, which halved
+# would fall below its range
 OTHER_CHOICE = {
     "conv": "pool", "random-walk": "linear", "noise": "flat", "radam": "adam",
-    "forward": "prefix-sum",
+    "forward": "prefix-sum", "oracle:0.9": "oracle:0.8", "value": "oracle",
+    "dataset": "otb", 0.5: "0.75",
 }
 
 
@@ -228,32 +238,32 @@ def _other(value):
     if isinstance(value, int):
         return str(value + 3)
     if isinstance(value, float):
-        return str(value / 2 or 0.5)
+        return OTHER_CHOICE.get(value, str(value / 2 or 0.5))
     return OTHER_CHOICE[value]
 
 
 class TestBridges:
     def test_student_config(self):
-        sc = build(default_config(), StudentConfig)
+        sc = load_config().model
         assert sc == StudentConfig()
         assert sc.patch_size == 32
         assert sc.conv_channels == (8, 16, 32)
 
     def test_synthetic_spec(self):
-        spec = build(default_config(), SyntheticSpec)
+        spec = load_config().env
         assert spec == SyntheticSpec()
         assert (spec.width, spec.height, spec.num_frames) == (96, 96, 64)
 
     def test_optimizer_and_worker(self):
-        c = default_config()
-        opt = build(c, OptimizerConfig)
+        c = load_config()
+        opt = c.optimizer
         assert opt.method == "radam" and opt.lr == 1e-6
         assert opt.rl_scale == 1e-3 and opt.weight_decay == 1e-4
-        wc = build(c, WorkerConfig)
+        wc = c.worker
         assert wc.t_max == 5 and wc.context == 1.5
 
     def test_train_settings_carry_seed(self):
-        ts = build(default_config(), TrainSettings, seed=42)
+        ts = replace(load_config().train, seed=42)
         assert ts.seed == 42
         assert ts.workers == 8
         assert ts.tau == 0.25
@@ -267,7 +277,7 @@ class TestBridges:
             sections.setdefault(section, []).append(f"{option} = {_other(f.default)}")
         ini = tmp_path / "run.ini"
         ini.write_text("".join(f"[{s}]\n" + "\n".join(o) + "\n" for s, o in sections.items()))
-        built = build(load_config(str(ini)), cls)
+        built = getattr(load_config(str(ini)), PART[cls])
         for f, key in keyed:
             value = getattr(built, f.name)
             assert value != f.default, key

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from trackdistill.config import load_config
+from trackdistill.config import Config, load_config
 from trackdistill.errors import TeacherError, TrackDistillError
 from trackdistill.geometry import Box
 from trackdistill.model import StudentConfig, StudentModel, load_params, save_params
@@ -131,7 +131,7 @@ def readers(tmp_path_factory):
 
     ini = ws / "small.ini"
     ini.write_text(SMALL_INI)
-    add("load_config", ini, lambda: load_config(str(ini)), lambda cfg: cfg.effective())
+    add("load_config", ini, lambda: load_config(str(ini)), lambda cfg: isinstance(cfg, Config))
 
     config = StudentConfig(patch_size=8, conv_channels=(2,), fc_dim=4, hidden_dim=3)
     params = StudentModel(config).init_params(1)

@@ -576,8 +576,8 @@ class TestCurriculum:
         assert store.horizon(("short",), 3) == 3
 
     def test_bad_initial_horizon(self):
-        with pytest.raises(ConfigError):
-            CurriculumStore(initial_horizon=0)
+        with pytest.raises(ConfigError, match="initial horizon must be >= 1"):
+            TrainSettings(initial_horizon=0)
 
 
 def logged(log_file):

@@ -110,9 +110,9 @@ def cmd_run_teachers(args, config: cfgmod.Config) -> int:
 
 
 def cmd_filter(args, config: cfgmod.Config) -> int:
+    if args.beta is not None:  # echoed as eval.beta, so config.ini reruns the filter
+        config = replace(config, pipeline=replace(config.pipeline, beta=args.beta))
     beta = config.pipeline.beta
-    if args.beta is not None:
-        beta = replace(config.pipeline, beta=args.beta).beta
     videos = videos_by_id(_load_videos(args))
     pool = _parse_pool(args.pool or config.pipeline.pool, args.seed)
     traces = []
@@ -138,6 +138,7 @@ def cmd_filter(args, config: cfgmod.Config) -> int:
 
 
 def cmd_train(args, config: cfgmod.Config) -> int:
+    config = replace(config, train=replace(config.train, seed=args.seed))
     videos = videos_by_id(load_dataset(args.dataset))
     chunks = load_chunk_index(args.chunks, videos, args.traces)
     if not chunks:
@@ -178,7 +179,7 @@ def cmd_train(args, config: cfgmod.Config) -> int:
         )
 
     result = train(
-        model, chunks, replace(config.train, seed=args.seed), config.worker, config.optimizer,
+        model, chunks, config.train, config.worker, config.optimizer,
         args.out, validate_fn=validate_fn, progress=progress,
     )
     tail = (

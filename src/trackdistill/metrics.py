@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import iou
+from .teachers import check_id
 from .trackers import TrackRun
 from .video import Video
 
@@ -135,13 +136,16 @@ def ope_run(
     tracker: Callable[[Video], TrackRun],
     dataset: Sequence[Video],
     tracker_id: str,
-    dataset_id: str = "dataset",
+    dataset_id: str,
 ) -> EvalResult:
     """One pass per video from its first annotation, no re-initialization.
 
-    A partial (aborted) run excludes its video from aggregation with a
-    warning rather than failing the whole evaluation.
+    Both ids name ``report``'s files, so each must be a valid id. A partial
+    (aborted) run excludes its video from aggregation with a warning rather
+    than failing the whole evaluation.
     """
+    check_id("tracker id", tracker_id)
+    check_id("dataset id", dataset_id)
     if not dataset:
         raise InvalidInputError("dataset is empty")
     result = EvalResult(tracker=tracker_id, dataset=dataset_id, per_video={})

@@ -216,14 +216,16 @@ class OracleNoiseFactory(TeacherFactory):
         order from the video's own generator."""
         boxes = list(video.ground_truth)
         if self.kappa != 0.0:
-            rng, k = _video_seed(self.seed, video.video_id), self.kappa
-            for t, g in enumerate(video.ground_truth[1:], start=1):
-                e = rng.uniform(-1.0, 1.0, 4)
-                cx = g.cx + e[0] * k * g.w
-                cy = g.cy + e[1] * k * g.h
-                w = max(g.w * max(_SCALE_FLOOR, 1.0 + e[2] * k * 0.5), MIN_SIDE)
-                h = max(g.h * max(_SCALE_FLOOR, 1.0 + e[3] * k * 0.5), MIN_SIDE)
-                boxes[t] = Box(cx - w / 2, cy - h / 2, w, h)
+            # one draw of (T - 1, 4) is the stream of T - 1 draws of 4
+            e = _video_seed(self.seed, video.video_id).uniform(-1.0, 1.0, (len(boxes) - 1, 4))
+            x, y, gw, gh = np.array([(g.x, g.y, g.w, g.h) for g in boxes[1:]]).T
+            k = self.kappa
+            cx = (x + gw / 2.0) + e[:, 0] * k * gw
+            cy = (y + gh / 2.0) + e[:, 1] * k * gh
+            w = np.maximum(gw * np.maximum(_SCALE_FLOOR, 1.0 + e[:, 2] * k * 0.5), MIN_SIDE)
+            h = np.maximum(gh * np.maximum(_SCALE_FLOOR, 1.0 + e[:, 3] * k * 0.5), MIN_SIDE)
+            rows = np.stack([cx - w / 2, cy - h / 2, w, h], axis=1).tolist()
+            boxes[1:] = [Box(*row) for row in rows]
         return TraceSession(self.teacher_id, video.video_id, boxes)
 
 

@@ -329,6 +329,11 @@ def window_gradient(
 # -- optimizer and shared store ------------------------------------------------
 
 
+# Elements per optimizer block: one block of the three vectors and the two
+# scratch buffers (640 KiB) stays in a core's L2 cache.
+OPT_BLOCK = 16384
+
+
 class SharedWeights:
     """The master parameter vector plus optimizer state.
 
@@ -337,9 +342,10 @@ class SharedWeights:
     and flushed at once. With ``record_deltas`` every applied delta is kept so
     a replay can reproduce the final vector bitwise.
 
-    The optimizer works in preallocated buffers; each element goes through the
-    same operations in the same order as the textbook formulas, so results are
-    bitwise equal to them.
+    The store holds three parameter-sized vectors (the parameters and the two
+    moments) and two scratch buffers of one ``OPT_BLOCK``. An update runs
+    block by block; each element goes through the same operations in the same
+    order as the textbook formulas, so results are bitwise equal to them.
     """
 
     def __init__(
@@ -353,9 +359,8 @@ class SharedWeights:
         self._params = np.array(params, dtype=np.float64, copy=True)
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
-        self._g = np.empty_like(self._params)
-        self._delta = np.empty_like(self._params)
-        self._tmp = np.empty_like(self._params)
+        self._delta = np.empty(min(OPT_BLOCK, self._params.size))
+        self._tmp = np.empty_like(self._delta)
         self.update_count = 0
         self.rejected_count = 0
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
@@ -369,43 +374,6 @@ class SharedWeights:
             self._log_file.write(json.dumps(entry) + "\n")
             self._log_file.flush()
 
-    def _direction(self, g: np.ndarray) -> np.ndarray:
-        """The step lr * direction(g), written into (and returned as) _delta."""
-        o = self.opt
-        d, tmp = self._delta, self._tmp
-        if o.method == "sgd":
-            return np.multiply(g, o.lr, out=d)
-        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        self._m *= o.beta1
-        self._m += np.multiply(g, 1.0 - o.beta1, out=tmp)
-        self._v *= o.beta2
-        np.multiply(g, 1.0 - o.beta2, out=tmp)
-        tmp *= g
-        self._v += tmp
-        t = self.update_count
-        np.divide(self._m, 1.0 - o.beta1 ** t, out=d)  # m_hat
-        if o.method == "adam":
-            scale = o.lr
-        else:
-            # variance-rectified: fall back to unadapted momentum while the
-            # second-moment estimate is too young to be trusted
-            rho_inf = 2.0 / (1.0 - o.beta2) - 1.0
-            rho_t = rho_inf - 2.0 * t * o.beta2 ** t / (1.0 - o.beta2 ** t)
-            if rho_t <= 4.0:
-                d *= o.lr
-                return d
-            scale = o.lr * math.sqrt(
-                ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
-                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
-            )
-        # scale * m_hat / (sqrt(v / (1 - beta2^t)) + eps)
-        np.divide(self._v, 1.0 - o.beta2 ** t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += o.eps
-        d *= scale
-        d /= tmp
-        return d
-
     def update(self, grad: np.ndarray, kind: str, meta: Optional[dict] = None) -> bool:
         """Apply one gradient; returns False (and logs) when the grad is rejected."""
         if kind not in (DISTILLING, AUTONOMOUS):
@@ -416,20 +384,64 @@ class SharedWeights:
             entry.update(meta or {})
             self.log_entry(entry)
             return False
-        g = np.multiply(grad, self.opt.rl_scale, out=self._g) if kind == AUTONOMOUS else grad
-        if self.opt.grad_clip > 0.0:
-            norm = float(np.linalg.norm(g))
-            if norm > self.opt.grad_clip:
-                g = np.multiply(g, self.opt.grad_clip / norm, out=self._g)
+        o = self.opt
+        rl_scale = o.rl_scale if kind == AUTONOMOUS else None
+        clip = None
+        if o.grad_clip > 0.0:  # the one parameter-sized temporary: the scaled gradient's norm
+            norm = float(np.linalg.norm(grad if rl_scale is None else grad * rl_scale))
+            if norm > o.grad_clip:
+                clip = o.grad_clip / norm
         self.update_count += 1
-        delta = np.negative(self._direction(g), out=self._delta)
-        if kind == DISTILLING and self.opt.weight_decay > 0.0:
-            delta -= np.multiply(
-                self._params, self.opt.lr * self.opt.weight_decay, out=self._tmp
-            )
-        self._params += delta
-        if self.deltas is not None:
-            self.deltas.append(delta.copy())
+        t = self.update_count
+        # step = scale * m / c1, divided by sqrt(v / c2) + eps when adaptive
+        c1, c2 = 1.0 - o.beta1 ** t, 1.0 - o.beta2 ** t
+        scale, adaptive = o.lr, o.method != "sgd"
+        if o.method == "radam":
+            # variance-rectified: fall back to unadapted momentum while the
+            # second-moment estimate is too young to be trusted
+            rho_inf = 2.0 / (1.0 - o.beta2) - 1.0
+            rho_t = rho_inf - 2.0 * t * o.beta2 ** t / c2
+            adaptive = rho_t > 4.0
+            if adaptive:
+                scale = o.lr * math.sqrt(
+                    ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                    / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+                )
+        decay = o.lr * o.weight_decay if kind == DISTILLING and o.weight_decay > 0.0 else None
+        delta = None if self.deltas is None else np.empty_like(self._params)
+        for s in range(0, self._params.size, OPT_BLOCK):
+            params, m, v = (a[s:s + OPT_BLOCK] for a in (self._params, self._m, self._v))
+            d, tmp = self._delta[:params.size], self._tmp[:params.size]
+            g = grad[s:s + OPT_BLOCK]
+            if rl_scale is not None:
+                g = np.multiply(g, rl_scale, out=d)
+            if clip is not None:
+                g = np.multiply(g, clip, out=d)
+            if o.method == "sgd":
+                np.multiply(g, o.lr, out=d)
+            else:
+                # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+                m *= o.beta1
+                m += np.multiply(g, 1.0 - o.beta1, out=tmp)
+                v *= o.beta2
+                np.multiply(g, 1.0 - o.beta2, out=tmp)
+                tmp *= g
+                v += tmp
+                np.divide(m, c1, out=d)  # m_hat
+                d *= scale
+                if adaptive:
+                    np.divide(v, c2, out=tmp)
+                    np.sqrt(tmp, out=tmp)
+                    tmp += o.eps
+                    d /= tmp
+            np.negative(d, out=d)
+            if decay is not None:
+                d -= np.multiply(params, decay, out=tmp)
+            params += d
+            if delta is not None:
+                delta[s:s + OPT_BLOCK] = d
+        if delta is not None:
+            self.deltas.append(delta)
         entry = {"update": self.update_count, "kind": kind}
         entry.update(meta or {})
         self.log_entry(entry)
@@ -608,6 +620,7 @@ def run_episode(
             "T_hat": episode.horizon,
         }
         shared.update(grad, kind, entry)
+        del grad  # applied; gone before the next window's backward makes another
     return sum_r_student, sum_r_teacher, records
 
 
@@ -663,7 +676,6 @@ def train(
         raise ConfigError("no training chunks; transfer set is empty")
     os.makedirs(out_dir, exist_ok=True)
 
-    params0 = model.init_params(settings.seed) if init_params is None else init_params
     curriculum = (
         CurriculumStore(settings.initial_horizon, settings.tau)
         if settings.curriculum
@@ -686,8 +698,10 @@ def train(
     best_params: Optional[np.ndarray] = None
 
     with open(log_path, "w") as log_file:
+        # the store keeps its own copy; no reference to the initial vector stays behind
         shared = SharedWeights(
-            params0, opt, record_deltas=settings.record_deltas, log_file=log_file
+            model.init_params(settings.seed) if init_params is None else init_params,
+            opt, record_deltas=settings.record_deltas, log_file=log_file,
         )
 
         def validate() -> bool:

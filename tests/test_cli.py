@@ -376,6 +376,17 @@ class TestTeachersAndFilter:
             assert filecmp.cmp(out / name, os.path.join(pipeline["filter"], name),
                                shallow=False)
 
+    def test_filter_reruns_from_its_config(self, tmp_path, pipeline):
+        # --beta is echoed into config.ini, so a rerun from that file keeps it
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["filter", "--config", pipeline["ini"], "--beta", "0.7",
+                     "--out", str(first), pipeline["data"], pipeline["traces"]]) == 0
+        assert main(["filter", "--config", str(first / "config.ini"),
+                     "--out", str(second), pipeline["data"], pipeline["traces"]]) == 0
+        assert json.loads((first / "chunks.json").read_text())["beta"] == 0.7
+        for name in ("chunks.json", "transfer_stats.csv", "config.ini"):
+            assert filecmp.cmp(first / name, second / name, shallow=False), name
+
     def test_run_teachers_and_filter_decode_no_raster(self, tmp_path, pipeline, monkeypatch):
         # the oracle reads boxes, the child reads the frame files itself and
         # the filter scores boxes

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -192,6 +193,21 @@ class TestOpeRun:
         with pytest.warns(UserWarning):
             with pytest.raises(InvalidInputError):
                 ope_run(dead, dataset, "dead", "toy")
+
+    @pytest.mark.parametrize("tracker_id,dataset_id,bad", [
+        ("t", "a/b", "'a/b'"), ("t/u", "toy", "'t/u'"), ("t", "", "''"),
+    ])
+    def test_bad_id_rejected_before_tracking(self, tracker_id, dataset_id, bad):
+        # the ids name report's files; a "/" would point into a missing directory
+        calls = []
+
+        def tracker(video):
+            calls.append(video.video_id)
+            return echo_tracker(video)
+
+        with pytest.raises(InvalidInputError, match=re.escape(bad)):
+            ope_run(tracker, [tiny_video(0)], tracker_id, dataset_id)
+        assert not calls
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):

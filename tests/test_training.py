@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +19,7 @@ from trackdistill.training import (
     CurriculumState,
     CurriculumStore,
     EpisodeRecord,
+    OPT_BLOCK,
     OptimizerConfig,
     SharedWeights,
     StepRecord,
@@ -467,17 +469,24 @@ class OutOfPlaceOptimizer:
         return delta
 
 
+# one vector inside a block, then sizes at the optimizer's block edges; the
+# size enters a case's id from the second size on
+OPT_SIZES = (50, 1, OPT_BLOCK - 1, OPT_BLOCK, OPT_BLOCK + 1, 2 * OPT_BLOCK + 7)
+
+
 class TestInPlaceOptimizer:
-    @pytest.mark.parametrize("method", ["sgd", "adam", "radam"])
-    @pytest.mark.parametrize("grad_clip", [0.0, 4.0])
-    def test_bitwise_equal_to_out_of_place_formulas(self, method, grad_clip):
+    @pytest.mark.parametrize("method,grad_clip,size", [
+        pytest.param(method, clip, size, id=f"{clip}-{method}" + ("" if size == 50 else f"-n{size}"))
+        for size in OPT_SIZES for clip in (0.0, 4.0) for method in ("sgd", "adam", "radam")
+    ])
+    def test_bitwise_equal_to_out_of_place_formulas(self, method, grad_clip, size):
         rng = np.random.default_rng(61)
-        theta0 = rng.normal(size=50)
+        theta0 = rng.normal(size=size)
         cfg = OptimizerConfig(method=method, lr=1e-2, weight_decay=0.05, grad_clip=grad_clip)
         sw = SharedWeights(theta0, cfg, record_deltas=True)
         ref = OutOfPlaceOptimizer(theta0, cfg)
         for i in range(12):
-            g = rng.normal(size=50) * (10.0 if i % 3 == 0 else 1.0)
+            g = rng.normal(size=size) * (10.0 if i % 3 == 0 else 1.0)
             kind = DISTILLING if rng.integers(2) == 0 else AUTONOMOUS
             assert sw.update(g, kind)
             want = ref.update(g, kind)
@@ -489,6 +498,28 @@ class TestInPlaceOptimizer:
 
 
 class TestSharedWeights:
+    @pytest.mark.parametrize("method", ["sgd", "adam", "radam"])
+    def test_working_set_is_three_vectors(self, method):
+        n = 8 * OPT_BLOCK
+        vector = n * 8  # bytes
+        rng = np.random.default_rng(62)
+        theta0, grad = rng.normal(size=n), rng.normal(size=n)
+        cfg = OptimizerConfig(method=method, lr=1e-2)
+        tracemalloc.start()
+        try:
+            sw = SharedWeights(theta0, cfg)
+            assert sw.update(grad, DISTILLING)
+            held = tracemalloc.get_traced_memory()[0]
+            # the parameters and two moments; the scratch is one block each
+            assert held < 3.5 * vector
+            for kind in (DISTILLING, AUTONOMOUS):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert sw.update(grad, kind)
+                assert tracemalloc.get_traced_memory()[1] - before < vector
+        finally:
+            tracemalloc.stop()
+
     def test_snapshot_is_a_copy(self):
         sw = SharedWeights(np.zeros(3), OptimizerConfig(method="sgd"))
         snap = sw.snapshot()

@@ -185,6 +185,8 @@ def cmd_train(args, config: cfgmod.Config) -> int:
     tail = (
         f", best val AO {result.best_val_ao:.4f}" if result.best_val_ao is not None else ""
     )
+    if result.rejected:
+        tail += f", {result.rejected} rejected"
     print(f"trained {result.updates} updates -> {result.checkpoint_path}{tail}")
     return 0
 

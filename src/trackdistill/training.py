@@ -5,15 +5,18 @@ ground truth and the boxes of the one teacher that recorded it. Distilling
 workers execute their own policy and regress masked L1 toward that teacher's
 action; autonomous workers execute Gaussian samples around the policy mean
 (spread set by the distance to the ground-truth action) and optimize an
-advantage actor-critic objective. Every window's gradient goes to one shared
-parameter store. A worker is a (kind, rng, shuffled chunk order) triple:
-``train`` interleaves the workers on the calling thread, one whole episode per
-turn in a fixed round-robin order, so a run is a pure function of its inputs
-and seed, and an error in any episode propagates out of ``train``.
+advantage actor-critic objective. ``window_terms`` states a window's objective
+once; the reported losses and every window's gradient read its terms. Every
+window's gradient goes to one shared parameter store. A worker is a (kind,
+rng, shuffled chunk order) triple: ``train`` interleaves the workers on the
+calling thread, one whole episode per turn in a fixed round-robin order, so a
+run is a pure function of its inputs and seed, and an error in any episode
+propagates out of ``train``.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -102,7 +105,8 @@ class TrainSettings:
 
 @dataclass
 class StepRecord:
-    """Frozen facts about one executed step; only mu/v are ever re-derived."""
+    """What the rollout recorded at one executed step. A mutable record: tests set
+    fields such as ``mask``, and a loss at other parameters re-derives mu and v."""
 
     state: State
     mu: np.ndarray
@@ -128,6 +132,10 @@ class EpisodeRecord:
     def states(self) -> List[State]:
         return [s.state for s in self.steps]
 
+    def tail_value(self) -> float:
+        """v after the last step: 0 once the episode terminated, else the bootstrap."""
+        return 0.0 if self.terminated else self.bootstrap_value
+
 
 # -- losses --------------------------------------------------------------------
 
@@ -139,17 +147,15 @@ def mask(reward_student: float, reward_teacher: float) -> int:
 
 def distill_loss(record: EpisodeRecord) -> float:
     """Masked L1 between recorded policy means and best-teacher actions."""
-    total = 0.0
-    for s in record.steps:
-        if s.teacher_action is None:
-            raise InvalidInputError("distillation loss needs teacher actions on every step")
-        total += s.mask * float(np.sum(np.abs(s.teacher_action - s.mu)))
-    return total
+    mus = np.array([s.mu for s in record.steps])
+    # gamma and the returns mode do not enter a distillation loss
+    return window_terms(record, "distill", mus, None, None, 1.0, "forward", 1.0).distill
 
 
-def gaussian_log_density(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
+def gaussian_log_density(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """log N(x; mu, diag(sigma^2)) over the last axis, so one per row of a window."""
     z = (x - mu) / sigma
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * sigma * sigma) + z * z))
+    return -0.5 * np.sum(np.log(2.0 * np.pi * sigma * sigma) + z * z, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ def sample_action(
         action=np.clip(raw, -1.0, 1.0),
         raw=raw,
         sigma=sigma,
-        log_density=gaussian_log_density(raw, mu, sigma),
+        log_density=float(gaussian_log_density(raw, mu, sigma)),
     )
 
 
@@ -199,7 +205,7 @@ def returns(
         weights = gamma ** np.arange(n)
         return np.cumsum(weights * r)
     out = np.empty(n)
-    acc = 0.0 if record.terminated else record.bootstrap_value
+    acc = record.tail_value()
     for i in range(n - 1, -1, -1):
         acc = r[i] + gamma * acc
         out[i] = acc
@@ -208,31 +214,74 @@ def returns(
 
 def advantages(record: EpisodeRecord, gamma: float) -> np.ndarray:
     """A_i = r_i + gamma * v(s_{i+1}) - v(s_i), all from recorded values."""
-    values = [s.value for s in record.steps]
-    values.append(0.0 if record.terminated else record.bootstrap_value)
-    return np.array(
-        [s.reward + gamma * values[i + 1] - values[i] for i, s in enumerate(record.steps)]
-    )
+    values = np.array([s.value for s in record.steps])
+    following = np.append(values[1:], record.tail_value())
+    return np.array([s.reward for s in record.steps]) + gamma * following - values
+
+
+WindowTerms = collections.namedtuple(
+    "WindowTerms", "masked_l1 log_density advantage value_target value_error "
+    "distill policy value loss dmus dvalues",
+)
+
+
+def _recorded(steps: Sequence[StepRecord], field: str) -> np.ndarray:
+    column = [getattr(s, field) for s in steps]
+    if any(x is None for x in column):
+        raise InvalidInputError(f"this loss needs a recorded {field} on every step")
+    return np.array(column)
+
+
+def window_terms(
+    record: EpisodeRecord, kind: str, mus: np.ndarray, values: Optional[np.ndarray],
+    log_density: Optional[np.ndarray], gamma: float, returns_mode: str, rl_scale: float,
+) -> WindowTerms:
+    """One window's objective under loss ``kind`` at policy means ``mus`` and
+    values ``values``: per step the masked L1, log density, advantage, value
+    target and value error (None where the kind leaves them out), their sums
+    (added step by step), the ``loss`` as the kind weighs them, and the loss's
+    derivatives ``dmus`` and ``dvalues``. Advantages read the recorded values.
+    A given ``log_density`` is a constant; without one, the densities are taken
+    at the recorded samples around ``mus`` and enter ``dmus``.
+    """
+    steps = record.steps
+    scale = rl_scale if kind == "combined" else 1.0
+    dmus, dvalues = np.zeros((len(steps), 4)), np.zeros(len(steps))
+    masked_l1 = adv = targets = errors = None
+    distill = policy = value = 0.0
+    if kind in ("distill", "combined"):
+        diff = mus - _recorded(steps, "teacher_action")
+        masks = np.array([s.mask for s in steps])
+        masked_l1 = masks * np.sum(np.abs(diff), axis=1)
+        distill = float(np.cumsum(np.append(0.0, masked_l1))[-1])
+        dmus += masks[:, None] * np.sign(diff)
+    if kind in ("policy", "rl", "combined"):
+        adv = advantages(record, gamma)
+        if log_density is None:
+            raw, sigma = _recorded(steps, "raw"), _recorded(steps, "sigma")
+            log_density = gaussian_log_density(raw, mus, sigma)
+            dmus += (scale * -adv)[:, None] * (raw - mus) / sigma ** 2
+        policy = float(np.cumsum(np.append(0.0, -adv * log_density))[-1])
+    if kind in ("value", "rl", "combined"):
+        targets = returns(record, gamma, returns_mode)
+        errors = values - targets
+        value = float(np.sum(0.5 * errors * errors))
+        dvalues += scale * errors
+    loss = distill + scale * policy + scale * value
+    return WindowTerms(masked_l1, log_density, adv, targets, errors, distill, policy, value,
+                       loss, dmus, dvalues)
 
 
 def actor_critic_loss(
     record: EpisodeRecord, gamma: float, returns_mode: str = WorkerConfig.returns_mode
 ) -> Tuple[float, float]:
-    """(policy loss, value loss) over the recorded window.
-
-    Advantages and value targets are constants here; this is the reporting
-    view of the objective whose gradient window_loss_fn computes.
-    """
-    adv = advantages(record, gamma)
-    loss_pi = 0.0
-    for a, s in zip(adv, record.steps):
-        if s.log_density is None:
-            raise InvalidInputError("policy loss needs recorded log densities")
-        loss_pi -= s.log_density * a
-    targets = returns(record, gamma, returns_mode)
-    values = np.array([s.value for s in record.steps])
-    loss_v = float(np.sum(0.5 * (targets - values) ** 2))
-    return float(loss_pi), loss_v
+    """(policy loss, value loss): the window's terms at the recorded values and
+    log densities, the reporting view of what window_loss_fn differentiates."""
+    steps = record.steps
+    terms = window_terms(record, "rl", np.array([s.mu for s in steps]),
+                         np.array([s.value for s in steps]), _recorded(steps, "log_density"),
+                         gamma, returns_mode, 1.0)
+    return terms.policy, terms.value
 
 
 LOSS_KINDS = ("distill", "policy", "value", "combined", "rl")
@@ -257,13 +306,11 @@ def window_loss_fn(
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}")
     states = record.states()
-    adv = advantages(record, gamma)
-    targets = returns(record, gamma, returns_mode)
 
     def fn(params: np.ndarray) -> Tuple[float, np.ndarray]:
         mus, values, _, caches = model.forward_window(params, states, record.h0)
         return window_gradient(
-            model, params, record, kind, mus, values, caches, adv, targets,
+            model, params, record, kind, mus, values, caches, gamma, returns_mode,
             rl_scale, weight_decay,
         )
 
@@ -278,51 +325,25 @@ def window_gradient(
     mus: np.ndarray,
     values: np.ndarray,
     caches: list,
-    adv: np.ndarray,
-    targets: np.ndarray,
+    gamma: float,
+    returns_mode: str,
     rl_scale: float = 1.0,
     weight_decay: float = 0.0,
 ) -> Tuple[float, np.ndarray]:
     """Loss and exact gradient of one window from its forward pass at params.
 
     ``mus``, ``values`` and ``caches`` are that pass's per-step outputs, from
-    ``forward_window`` or from the rollout's own ``forward`` calls; ``adv``
-    and ``targets`` are the recorded advantages and value targets. See
-    ``window_loss_fn`` for the loss kinds.
+    ``forward_window`` or from the rollout's own ``forward`` calls. See
+    ``window_terms`` for the objective and ``window_loss_fn`` for the kinds.
     """
-    n = len(record.steps)
-    dmus = np.zeros((n, 4))
-    dvalues = np.zeros(n)
-    loss = 0.0
-    if kind in ("distill", "combined"):
-        part = 0.0
-        for i, s in enumerate(record.steps):
-            if s.teacher_action is None:
-                raise InvalidInputError("distill loss needs teacher actions")
-            diff = mus[i] - s.teacher_action
-            part += s.mask * float(np.sum(np.abs(diff)))
-            dmus[i] += s.mask * np.sign(diff)
-        loss += part
-    if kind in ("policy", "rl", "combined"):
-        part = 0.0
-        scale = rl_scale if kind == "combined" else 1.0
-        for i, s in enumerate(record.steps):
-            if s.raw is None or s.sigma is None:
-                raise InvalidInputError("policy loss needs recorded samples")
-            part -= adv[i] * gaussian_log_density(s.raw, mus[i], s.sigma)
-            dmus[i] += scale * (-adv[i]) * (s.raw - mus[i]) / (s.sigma ** 2)
-        loss += scale * part
-    if kind in ("value", "rl", "combined"):
-        scale = rl_scale if kind == "combined" else 1.0
-        diff = values - targets
-        loss += scale * float(np.sum(0.5 * diff * diff))
-        dvalues += scale * diff
-    grad = model.backward_window(params, caches, dmus, dvalues)
+    terms = window_terms(record, kind, mus, values, None, gamma, returns_mode, rl_scale)
+    loss = terms.loss
+    grad = model.backward_window(params, caches, terms.dmus, terms.dvalues)
     if kind == "combined" and weight_decay:
         loss += 0.5 * weight_decay * float(params @ params)
         grad = grad + weight_decay * params
     if not math.isfinite(loss):
-        raise NumericError(f"non-finite {kind} loss over a {n}-step window")
+        raise NumericError(f"non-finite {kind} loss over a {len(record.steps)}-step window")
     return float(loss), grad
 
 
@@ -342,6 +363,11 @@ class SharedWeights:
     and flushed at once. With ``record_deltas`` every applied delta is kept so
     a replay can reproduce the final vector bitwise.
 
+    A gradient with a non-finite element is rejected. Its log entry counts
+    those elements and names the first through ``name_of`` (by default, its
+    index). With ``reject_limit``, that many rejections in a row raise
+    ``NumericError``.
+
     The store holds three parameter-sized vectors (the parameters and the two
     moments) and two scratch buffers of one ``OPT_BLOCK``. An update runs
     block by block; each element goes through the same operations in the same
@@ -354,6 +380,8 @@ class SharedWeights:
         opt: OptimizerConfig,
         record_deltas: bool = False,
         log_file: Optional[TextIO] = None,
+        name_of: Callable[[int], str] = str,
+        reject_limit: Optional[int] = None,
     ):
         self.opt = opt
         self._params = np.array(params, dtype=np.float64, copy=True)
@@ -363,6 +391,9 @@ class SharedWeights:
         self._tmp = np.empty_like(self._delta)
         self.update_count = 0
         self.rejected_count = 0
+        self._rejected_in_a_row = 0
+        self._name_of = name_of
+        self._reject_limit = reject_limit
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
         self._log_file = log_file
 
@@ -378,12 +409,22 @@ class SharedWeights:
         """Apply one gradient; returns False (and logs) when the grad is rejected."""
         if kind not in (DISTILLING, AUTONOMOUS):
             raise InvalidInputError(f"unknown update kind {kind!r}")
-        if not np.all(np.isfinite(grad)):
+        finite = np.isfinite(grad)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
             self.rejected_count += 1
-            entry = {"rejected": True, "kind": kind, "reason": "non-finite gradient"}
+            self._rejected_in_a_row += 1
+            entry = {"rejected": True, "kind": kind, "reason": "non-finite gradient",
+                     "param": self._name_of(int(bad[0])), "nonfinite": int(bad.size)}
             entry.update(meta or {})
             self.log_entry(entry)
+            if self._reject_limit is not None and self._rejected_in_a_row >= self._reject_limit:
+                raise NumericError(
+                    f"{self._rejected_in_a_row} updates in a row rejected; the last gradient "
+                    f"has {bad.size} non-finite element(s), the first in {entry['param']}"
+                )
             return False
+        self._rejected_in_a_row = 0
         o = self.opt
         rl_scale = o.rl_scale if kind == AUTONOMOUS else None
         clip = None
@@ -610,7 +651,7 @@ def run_episode(
         loss, grad = window_gradient(
             model, theta, record, loss_kind,
             np.array([s.mu for s in steps]), np.array([s.value for s in steps]), caches,
-            advantages(record, cfg.gamma), returns(record, cfg.gamma, cfg.returns_mode),
+            cfg.gamma, cfg.returns_mode,
         )
         entry = {
             "worker": worker,
@@ -619,7 +660,13 @@ def run_episode(
             "video_id": chunk.video_id,
             "T_hat": episode.horizon,
         }
-        shared.update(grad, kind, entry)
+        try:
+            shared.update(grad, kind, entry)
+        except NumericError as e:
+            raise NumericError(
+                f"worker {worker} on {chunk.video_id} (chunk start {chunk.start}), "
+                f"window {len(records) - 1}: {e}"
+            ) from e
         del grad  # applied; gone before the next window's backward makes another
     return sum_r_student, sum_r_teacher, records
 
@@ -633,6 +680,7 @@ class TrainResult:
     log_path: str
     best_val_ao: Optional[float]
     updates: int
+    rejected: int
     val_history: List[Tuple[int, float]]
     deltas: Optional[List[np.ndarray]] = None
 
@@ -664,7 +712,8 @@ def train(
     order, and plays every episode under one snapshot of the parameters; with
     the curriculum on, a chunk's horizon is keyed by (video, teacher, start).
     ``train_log.jsonl`` gets every update, rejection and validation as it
-    happens.
+    happens. As many rejected updates in a row as there are workers end the
+    run with ``NumericError``.
 
     ``validate_fn`` maps a parameter vector to a held-out score (higher is
     better). It runs before the first turn and then between turns, once the
@@ -702,6 +751,7 @@ def train(
         shared = SharedWeights(
             model.init_params(settings.seed) if init_params is None else init_params,
             opt, record_deltas=settings.record_deltas, log_file=log_file,
+            name_of=model.param_name, reject_limit=settings.workers,
         )
 
         def validate() -> bool:
@@ -756,6 +806,7 @@ def train(
         log_path=log_path,
         best_val_ao=best_score,
         updates=shared.update_count,
+        rejected=shared.rejected_count,
         val_history=val_history,
         deltas=shared.deltas,
     )

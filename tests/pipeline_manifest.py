@@ -16,8 +16,9 @@ To rewrite that file from this tree, run from the repository root:
 
     PYTHONPATH=src python tests/pipeline_manifest.py
 
-A change that alters output bytes on purpose rewrites it and lists the
-files that changed.
+It prints what differs from the file it replaces: the changed file paths
+and command fields, one a line. A change that alters output bytes on
+purpose rewrites it and lists those entries.
 """
 
 import contextlib
@@ -125,8 +126,16 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run(tmp)
+    old = {"versions": {}, "commands": {}, "files": {}}
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST) as fh:
+            old = json.load(fh)
     with open(MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {MANIFEST}: {len(manifest['files'])} files, "
           f"{len(manifest['commands'])} commands")
+    changed = differences(old, manifest)
+    if old["versions"] != manifest["versions"]:
+        changed.insert(0, "versions")
+    print(f"{len(changed)} changed" + "".join(f"\n  {entry}" for entry in changed))

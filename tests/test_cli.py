@@ -17,6 +17,7 @@ from trackdistill import cli, mdp, transferset
 from trackdistill import video as videomod
 from trackdistill.cli import main
 from trackdistill.errors import InvalidInputError
+from trackdistill.model import StudentModel
 from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
 from trackdistill.trackers import read_trackrun
 from trackdistill.video import load_dataset
@@ -855,6 +856,42 @@ class TestTrainRun:
         assert captured.out == f"trained 30 updates -> {ckpt}\n"
         assert filecmp.cmp(ckpt, os.path.join(pipeline["train"], "student.ckpt"),
                            shallow=False)
+
+    @staticmethod
+    def poison_gradients(monkeypatch, poisoned):
+        """A NaN in the gradient of each window whose call index ``poisoned``
+        picks; more than 100 windows end the run with an AssertionError."""
+        backward, calls = StudentModel.backward_window, itertools.count()
+
+        def spy(model, params, caches, dmus, dvalues):
+            call = next(calls)
+            assert call < 100, "the run goes on after 100 windows"
+            grad = backward(model, params, caches, dmus, dvalues)
+            if poisoned(call):
+                grad[0] = float("nan")
+            return grad
+
+        monkeypatch.setattr(StudentModel, "backward_window", spy)
+
+    def test_rejected_updates_end_the_last_line(self, pipeline, tmp_path, monkeypatch, capsys):
+        self.poison_gradients(monkeypatch, lambda call: call == 1)
+        out = tmp_path / "t"
+        assert self.train(pipeline, out) == 0
+        ckpt = out / "student.ckpt"
+        assert capsys.readouterr().out == f"trained 30 updates -> {ckpt}, 1 rejected\n"
+
+    def test_every_gradient_rejected_exits_3(self, pipeline, tmp_path, monkeypatch, capsys):
+        self.poison_gradients(monkeypatch, lambda call: True)
+        out = tmp_path / "t"
+        assert self.train(pipeline, out) == 3
+        assert re.fullmatch(
+            r"error: worker \d on synth\d{3} \(chunk start \d+\), window \d: 2 updates in a "
+            r"row rejected; the last gradient has 1 non-finite element\(s\), the first in "
+            r"enc\.conv0\.W\[0\]\n",
+            capsys.readouterr().err.splitlines(keepends=True)[-1],
+        )
+        with open(out / "train_log.jsonl") as fh:
+            assert [json.loads(line)["rejected"] for line in fh] == [True, True]
 
 
 class TestGradcheck:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,119 @@ class TestWindowGradients:
             window_loss_fn(self.model, self.record, "l2")
 
 
+def per_step_objective(record, kind, mus, values, gamma, rl_scale):
+    """The window objective as per-step loops, with forward returns: the
+    reference window_terms must match bit for bit. Returns (loss before weight
+    decay, dmus, dvalues)."""
+    steps, n = record.steps, len(record.steps)
+    tail = 0.0 if record.terminated else record.bootstrap_value
+    recorded = [s.value for s in steps] + [tail]
+    adv = [s.reward + gamma * recorded[i + 1] - recorded[i] for i, s in enumerate(steps)]
+    targets, acc = np.empty(n), tail
+    for i in range(n - 1, -1, -1):
+        acc = steps[i].reward + gamma * acc
+        targets[i] = acc
+    dmus, dvalues, loss = np.zeros((n, 4)), np.zeros(n), 0.0
+    scale = rl_scale if kind == "combined" else 1.0
+    if kind in ("distill", "combined"):
+        part = 0.0
+        for i, s in enumerate(steps):
+            diff = mus[i] - s.teacher_action
+            part += s.mask * float(np.sum(np.abs(diff)))
+            dmus[i] += s.mask * np.sign(diff)
+        loss += part
+    if kind in ("policy", "rl", "combined"):
+        part = 0.0
+        for i, s in enumerate(steps):
+            z = (s.raw - mus[i]) / s.sigma
+            density = float(-0.5 * np.sum(np.log(2.0 * np.pi * s.sigma * s.sigma) + z * z))
+            part -= adv[i] * density
+            dmus[i] += scale * (-adv[i]) * (s.raw - mus[i]) / (s.sigma ** 2)
+        loss += scale * part
+    if kind in ("value", "rl", "combined"):
+        diff = values - targets
+        loss += scale * float(np.sum(0.5 * diff * diff))
+        dvalues += scale * diff
+    return loss, dmus, dvalues
+
+
+class TestWindowTerms:
+    """One statement of the objective, checked bitwise against per-step loops."""
+
+    # 9 steps is past numpy's 8-element pairwise-summation block; over the 8
+    # seeds, a pairwise sum of the masked-L1 or policy terms differs in its
+    # last bit from the step-by-step one on some 9-step window
+    @pytest.mark.parametrize("n_steps", [1, 5, 9])
+    @pytest.mark.parametrize("terminated", [False, True], ids=["cut", "terminated"])
+    @pytest.mark.parametrize("kind", training.LOSS_KINDS)
+    def test_gradient_path_is_bitwise_the_per_step_loops(
+        self, kind, terminated, n_steps, monkeypatch
+    ):
+        model = StudentModel(SMALL)
+        seen, backward = [], StudentModel.backward_window
+
+        def spy(self, params, caches, dmus, dvalues):
+            seen.append((dmus.copy(), dvalues.copy()))
+            return backward(self, params, caches, dmus, dvalues)
+
+        monkeypatch.setattr(StudentModel, "backward_window", spy)
+        gamma, rl_scale, weight_decay = 0.9, 1e-3, 1e-4
+        for seed in range(8):
+            params = model.init_params(seed) * 3.0
+            record = synthetic_record(model, params, n_steps, np.random.default_rng(seed))
+            record.terminated = terminated
+            loss, _ = window_loss_fn(
+                model, record, kind, gamma=gamma, rl_scale=rl_scale, weight_decay=weight_decay
+            )(params)
+            mus, values, _, _ = model.forward_window(params, record.states(), record.h0)
+            want, want_dmus, want_dvalues = per_step_objective(
+                record, kind, mus, values, gamma, rl_scale
+            )
+            if kind == "combined":
+                want += 0.5 * weight_decay * float(params @ params)
+            dmus, dvalues = seen.pop()
+            assert np.array_equal(dmus, want_dmus), seed
+            assert np.array_equal(dvalues, want_dvalues), seed
+            assert loss == float(want), seed
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("terminated", [False, True], ids=["cut", "terminated"])
+    def test_views_are_bitwise_the_per_step_loops(self, terminated, seed):
+        model = StudentModel(SMALL)
+        params = model.init_params(seed) * 3.0
+        record = synthetic_record(model, params, 9, np.random.default_rng(seed))
+        record.terminated = terminated
+        steps = record.steps
+        distill = 0.0
+        for s in steps:
+            distill += s.mask * float(np.sum(np.abs(s.teacher_action - s.mu)))
+        assert distill_loss(record) == distill
+        adv = advantages(record, 0.9)
+        policy = 0.0
+        for a, s in zip(adv, steps):
+            policy -= s.log_density * a
+        values = np.array([s.value for s in steps])
+        value = float(np.sum(0.5 * (returns(record, 0.9) - values) ** 2))
+        assert actor_critic_loss(record, 0.9) == (policy, value)
+
+    def test_parts_a_kind_leaves_out(self):
+        model = StudentModel(SMALL)
+        params = model.init_params(6)
+        record = synthetic_record(model, params, 3, np.random.default_rng(6))
+        mus = np.array([s.mu for s in record.steps])
+        values = np.array([s.value for s in record.steps])
+        terms = training.window_terms(record, "distill", mus, values, None, 1.0, "forward", 1.0)
+        assert terms.log_density is None and terms.advantage is None
+        assert terms.value_target is None and terms.value_error is None
+        assert terms.policy == terms.value == 0.0 and terms.loss == terms.distill
+        assert np.all(terms.dvalues == 0.0)
+        terms = training.window_terms(record, "value", mus, values, None, 1.0, "forward", 1.0)
+        assert terms.masked_l1 is None and terms.log_density is None
+        assert terms.distill == terms.policy == 0.0 and terms.loss == terms.value
+        assert np.all(terms.dmus == 0.0)
+        npt.assert_array_equal(terms.value_error, values - terms.value_target)
+
+
 def reference_radam(grads, lr, b1, b2, eps):
     """Straight transcription of the rectified update rule."""
     n = len(grads[0])
@@ -538,6 +652,22 @@ class TestSharedWeights:
         last = logged(log)[-1]
         assert last["rejected"] is True
         assert last["worker"] == 4
+        assert (last["param"], last["nonfinite"]) == ("1", 1)
+
+    def test_rejections_in_a_row_reach_the_limit(self):
+        log = io.StringIO()
+        sw = SharedWeights(
+            np.ones(3), OptimizerConfig(method="sgd"), log_file=log,
+            name_of=lambda i: f"p{i}", reject_limit=2,
+        )
+        bad = np.array([np.inf, 0.0, np.nan])
+        for grad in (bad, np.ones(3), bad):  # an applied update resets the count
+            sw.update(grad, DISTILLING)
+        with pytest.raises(NumericError, match=r"^2 updates in a row rejected; the last gradient "
+                                               r"has 2 non-finite element\(s\), the first in p0$"):
+            sw.update(bad, DISTILLING)
+        assert sw.rejected_count == 3
+        assert [e.get("param") for e in logged(log)] == ["p0", None, "p0", "p0"]
 
     def test_update_count_strictly_increases(self):
         log = io.StringIO()
@@ -1108,3 +1238,70 @@ class TestTrain:
         validations = [e for e in entries if e.get("validation")]
         assert [(e["update"], e["val_score"]) for e in validations] == res.val_history
         assert seen == validations
+
+
+class Sentinel(Exception):
+    """Raised by a spy once a run has taken more turns than it can take and end."""
+
+
+class TestRejectedUpdates:
+    """A non-finite gradient is rejected and logged with its first bad
+    parameter; as many rejections in a row as there are workers end the run.
+    A spy bounds each run by its backward calls, so a run that would spin
+    fails instead of hanging."""
+
+    def run(self, tmp_path, monkeypatch, poisoned, limit=40):
+        calls, backward = [], StudentModel.backward_window
+        self.model = StudentModel(SMALL)
+        self.bad = self.model.n_params // 2
+
+        def spy(model, params, caches, dmus, dvalues):
+            calls.append(len(calls))
+            if len(calls) > limit:
+                raise Sentinel(f"{limit} windows and the run goes on")
+            grad = backward(model, params, caches, dmus, dvalues)
+            if poisoned(calls[-1]):
+                grad[self.bad:self.bad + 3] = np.nan
+            return grad
+
+        monkeypatch.setattr(StudentModel, "backward_window", spy)
+        rng = np.random.default_rng(0)
+        self.log_path = tmp_path / "train_log.jsonl"
+        self.calls = calls
+        return train(
+            self.model, [make_chunk(rng, f"v{i}", n_frames=13) for i in range(2)],
+            TrainSettings(workers=2, max_updates=12, seed=0, curriculum=False),
+            WorkerConfig(t_max=5),
+            OptimizerConfig(method="sgd", lr=1e-4),
+            str(tmp_path),
+        )
+
+    def entries(self):
+        with open(self.log_path) as fh:
+            return [json.loads(line) for line in fh]
+
+    def test_one_rejection_is_logged_and_the_run_goes_on(self, tmp_path, monkeypatch):
+        res = self.run(tmp_path, monkeypatch, lambda call: call == 2)
+        # the rejection leaves the fourth turn one update short: a fifth runs
+        assert (res.updates, res.rejected, len(self.calls)) == (14, 1, 15)
+        entries = self.entries()
+        [at] = [i for i, e in enumerate(entries) if e.get("rejected")]
+        assert at == 2 and "update" in entries[at + 1]
+        rejection = entries[at]
+        assert rejection["param"] == self.model.param_name(self.bad)
+        assert rejection["nonfinite"] == 3
+        assert rejection["worker"] == 0
+
+    def test_every_rejection_ends_the_run(self, tmp_path, monkeypatch):
+        with pytest.raises(NumericError) as raised:
+            self.run(tmp_path, monkeypatch, lambda call: True)
+        name = self.model.param_name(self.bad)
+        assert re.fullmatch(
+            r"worker 0 on v\d \(chunk start 0\), window 1: 2 updates in a row rejected; "
+            r"the last gradient has 3 non-finite element\(s\), the first in " + re.escape(name),
+            str(raised.value),
+        )
+        assert len(self.calls) == 2
+        entries = self.entries()
+        assert [e["rejected"] for e in entries] == [True, True]
+        assert all(e["param"] == name and e["worker"] == 0 for e in entries)

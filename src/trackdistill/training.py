@@ -132,8 +132,7 @@ class EpisodeRecord:
     def states(self) -> List[State]:
         return [s.state for s in self.steps]
 
-    def tail_value(self) -> float:
-        """v after the last step: 0 once the episode terminated, else the bootstrap."""
+    def tail_value(self) -> float:  # v after the last step
         return 0.0 if self.terminated else self.bootstrap_value
 
 
@@ -147,9 +146,8 @@ def mask(reward_student: float, reward_teacher: float) -> int:
 
 def distill_loss(record: EpisodeRecord) -> float:
     """Masked L1 between recorded policy means and best-teacher actions."""
-    mus = np.array([s.mu for s in record.steps])
-    # gamma and the returns mode do not enter a distillation loss
-    return window_terms(record, "distill", mus, None, None, 1.0, "forward", 1.0).distill
+    return window_terms(record, "distill", _recorded(record.steps, "mu"), None, None,
+                        gamma=None, returns_mode=None, rl_scale=None).distill
 
 
 def gaussian_log_density(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -219,10 +217,7 @@ def advantages(record: EpisodeRecord, gamma: float) -> np.ndarray:
     return np.array([s.reward for s in record.steps]) + gamma * following - values
 
 
-WindowTerms = collections.namedtuple(
-    "WindowTerms", "masked_l1 log_density advantage value_target value_error "
-    "distill policy value loss dmus dvalues",
-)
+WindowTerms = collections.namedtuple("WindowTerms", "distill policy value loss dmus dvalues")
 
 
 def _recorded(steps: Sequence[StepRecord], field: str) -> np.ndarray:
@@ -233,27 +228,23 @@ def _recorded(steps: Sequence[StepRecord], field: str) -> np.ndarray:
 
 
 def window_terms(
-    record: EpisodeRecord, kind: str, mus: np.ndarray, values: Optional[np.ndarray],
-    log_density: Optional[np.ndarray], gamma: float, returns_mode: str, rl_scale: float,
+    record: EpisodeRecord, kind: str, mus: Optional[np.ndarray], values: Optional[np.ndarray],
+    log_density: Optional[np.ndarray], *, gamma: Optional[float],
+    returns_mode: Optional[str], rl_scale: Optional[float],
 ) -> WindowTerms:
-    """One window's objective under loss ``kind`` at policy means ``mus`` and
-    values ``values``: per step the masked L1, log density, advantage, value
-    target and value error (None where the kind leaves them out), their sums
-    (added step by step), the ``loss`` as the kind weighs them, and the loss's
-    derivatives ``dmus`` and ``dvalues``. Advantages read the recorded values.
-    A given ``log_density`` is a constant; without one, the densities are taken
-    at the recorded samples around ``mus`` and enter ``dmus``.
+    """A window's masked-L1, policy and value sums under loss ``kind``, their
+    weighted ``loss`` and its derivatives in ``mus`` and ``values``. Advantages
+    read the recorded values; a given ``log_density`` is held constant, else it
+    is taken at the recorded samples around ``mus``. Unread arguments may be None.
     """
     steps = record.steps
     scale = rl_scale if kind == "combined" else 1.0
     dmus, dvalues = np.zeros((len(steps), 4)), np.zeros(len(steps))
-    masked_l1 = adv = targets = errors = None
     distill = policy = value = 0.0
     if kind in ("distill", "combined"):
         diff = mus - _recorded(steps, "teacher_action")
         masks = np.array([s.mask for s in steps])
-        masked_l1 = masks * np.sum(np.abs(diff), axis=1)
-        distill = float(np.cumsum(np.append(0.0, masked_l1))[-1])
+        distill = float(np.cumsum(np.append(0.0, masks * np.sum(np.abs(diff), axis=1)))[-1])
         dmus += masks[:, None] * np.sign(diff)
     if kind in ("policy", "rl", "combined"):
         adv = advantages(record, gamma)
@@ -263,13 +254,11 @@ def window_terms(
             dmus += (scale * -adv)[:, None] * (raw - mus) / sigma ** 2
         policy = float(np.cumsum(np.append(0.0, -adv * log_density))[-1])
     if kind in ("value", "rl", "combined"):
-        targets = returns(record, gamma, returns_mode)
-        errors = values - targets
+        errors = values - returns(record, gamma, returns_mode)
         value = float(np.sum(0.5 * errors * errors))
         dvalues += scale * errors
-    loss = distill + scale * policy + scale * value
-    return WindowTerms(masked_l1, log_density, adv, targets, errors, distill, policy, value,
-                       loss, dmus, dvalues)
+    return WindowTerms(distill, policy, value, distill + scale * policy + scale * value,
+                       dmus, dvalues)
 
 
 def actor_critic_loss(
@@ -277,10 +266,9 @@ def actor_critic_loss(
 ) -> Tuple[float, float]:
     """(policy loss, value loss): the window's terms at the recorded values and
     log densities, the reporting view of what window_loss_fn differentiates."""
-    steps = record.steps
-    terms = window_terms(record, "rl", np.array([s.mu for s in steps]),
-                         np.array([s.value for s in steps]), _recorded(steps, "log_density"),
-                         gamma, returns_mode, 1.0)
+    values, densities = (_recorded(record.steps, f) for f in ("value", "log_density"))
+    terms = window_terms(record, "rl", None, values, densities, gamma=gamma,
+                         returns_mode=returns_mode, rl_scale=None)
     return terms.policy, terms.value
 
 
@@ -336,7 +324,8 @@ def window_gradient(
     ``forward_window`` or from the rollout's own ``forward`` calls. See
     ``window_terms`` for the objective and ``window_loss_fn`` for the kinds.
     """
-    terms = window_terms(record, kind, mus, values, None, gamma, returns_mode, rl_scale)
+    terms = window_terms(record, kind, mus, values, None, gamma=gamma,
+                         returns_mode=returns_mode, rl_scale=rl_scale)
     loss = terms.loss
     grad = model.backward_window(params, caches, terms.dmus, terms.dvalues)
     if kind == "combined" and weight_decay:
@@ -363,10 +352,9 @@ class SharedWeights:
     and flushed at once. With ``record_deltas`` every applied delta is kept so
     a replay can reproduce the final vector bitwise.
 
-    A gradient with a non-finite element is rejected. Its log entry counts
-    those elements and names the first through ``name_of`` (by default, its
-    index). With ``reject_limit``, that many rejections in a row raise
-    ``NumericError``.
+    A gradient with a non-finite element is rejected. Its log entry, also
+    kept as ``last_rejection``, counts those elements and names the first
+    through ``name_of``.
 
     The store holds three parameter-sized vectors (the parameters and the two
     moments) and two scratch buffers of one ``OPT_BLOCK``. An update runs
@@ -380,8 +368,8 @@ class SharedWeights:
         opt: OptimizerConfig,
         record_deltas: bool = False,
         log_file: Optional[TextIO] = None,
-        name_of: Callable[[int], str] = str,
-        reject_limit: Optional[int] = None,
+        *,
+        name_of: Callable[[int], str],
     ):
         self.opt = opt
         self._params = np.array(params, dtype=np.float64, copy=True)
@@ -391,9 +379,8 @@ class SharedWeights:
         self._tmp = np.empty_like(self._delta)
         self.update_count = 0
         self.rejected_count = 0
-        self._rejected_in_a_row = 0
+        self.last_rejection: Optional[dict] = None
         self._name_of = name_of
-        self._reject_limit = reject_limit
         self.deltas: Optional[List[np.ndarray]] = [] if record_deltas else None
         self._log_file = log_file
 
@@ -413,18 +400,12 @@ class SharedWeights:
         if not finite.all():
             bad = np.flatnonzero(~finite)
             self.rejected_count += 1
-            self._rejected_in_a_row += 1
             entry = {"rejected": True, "kind": kind, "reason": "non-finite gradient",
                      "param": self._name_of(int(bad[0])), "nonfinite": int(bad.size)}
             entry.update(meta or {})
             self.log_entry(entry)
-            if self._reject_limit is not None and self._rejected_in_a_row >= self._reject_limit:
-                raise NumericError(
-                    f"{self._rejected_in_a_row} updates in a row rejected; the last gradient "
-                    f"has {bad.size} non-finite element(s), the first in {entry['param']}"
-                )
+            self.last_rejection = entry
             return False
-        self._rejected_in_a_row = 0
         o = self.opt
         rl_scale = o.rl_scale if kind == AUTONOMOUS else None
         clip = None
@@ -660,13 +641,7 @@ def run_episode(
             "video_id": chunk.video_id,
             "T_hat": episode.horizon,
         }
-        try:
-            shared.update(grad, kind, entry)
-        except NumericError as e:
-            raise NumericError(
-                f"worker {worker} on {chunk.video_id} (chunk start {chunk.start}), "
-                f"window {len(records) - 1}: {e}"
-            ) from e
+        shared.update(grad, kind, entry)
         del grad  # applied; gone before the next window's backward makes another
     return sum_r_student, sum_r_teacher, records
 
@@ -712,8 +687,9 @@ def train(
     order, and plays every episode under one snapshot of the parameters; with
     the curriculum on, a chunk's horizon is keyed by (video, teacher, start).
     ``train_log.jsonl`` gets every update, rejection and validation as it
-    happens. As many rejected updates in a row as there are workers end the
-    run with ``NumericError``.
+    happens. A turn whose windows are all rejected applies no update; as
+    many such turns in a row as there are workers end the run with
+    ``NumericError``.
 
     ``validate_fn`` maps a parameter vector to a held-out score (higher is
     better). It runs before the first turn and then between turns, once the
@@ -751,7 +727,7 @@ def train(
         shared = SharedWeights(
             model.init_params(settings.seed) if init_params is None else init_params,
             opt, record_deltas=settings.record_deltas, log_file=log_file,
-            name_of=model.param_name, reject_limit=settings.workers,
+            name_of=model.param_name,
         )
 
         def validate() -> bool:
@@ -776,7 +752,7 @@ def train(
         if validate_fn is not None:
             validate()
         next_val = settings.val_every
-        bad_rounds = 0
+        bad_rounds = idle_turns = 0
         for w in itertools.cycle(range(settings.workers)):
             if shared.update_count >= settings.max_updates:
                 break
@@ -786,10 +762,20 @@ def train(
             key = (chunk.video_id, chunk.teacher_id, chunk.start)
             max_horizon = len(chunk) - 1
             horizon = curriculum.horizon(key, max_horizon) if curriculum else max_horizon
+            updates, rejected = shared.update_count, shared.rejected_count
             # [:2] drops the records now rather than holding them through the next turn
             sum_s, sum_t = run_episode(
                 model, shared.snapshot(), chunk, kind, worker_cfg, shared, rng, horizon, w
             )[:2]
+            idle_turns = idle_turns + 1 if shared.update_count == updates else 0
+            if idle_turns >= settings.workers:
+                last = shared.last_rejection
+                raise NumericError(
+                    f"worker {w} on {chunk.video_id} (chunk start {chunk.start}), window "
+                    f"{shared.rejected_count - rejected - 1}: {idle_turns} turns in a row applied "
+                    f"no update; the last gradient has {last['nonfinite']} non-finite "
+                    f"element(s), the first in {last['param']}"
+                )
             if curriculum is not None:
                 curriculum.update(key, max_horizon, sum_s, sum_t)
             if validate_fn is not None and shared.update_count >= next_val:

@@ -885,9 +885,9 @@ class TestTrainRun:
         out = tmp_path / "t"
         assert self.train(pipeline, out) == 3
         assert re.fullmatch(
-            r"error: worker \d on synth\d{3} \(chunk start \d+\), window \d: 2 updates in a "
-            r"row rejected; the last gradient has 1 non-finite element\(s\), the first in "
-            r"enc\.conv0\.W\[0\]\n",
+            r"error: worker \d on synth\d{3} \(chunk start \d+\), window \d: 2 turns in a "
+            r"row applied no update; the last gradient has 1 non-finite element\(s\), the "
+            r"first in enc\.conv0\.W\[0\]\n",
             capsys.readouterr().err.splitlines(keepends=True)[-1],
         )
         with open(out / "train_log.jsonl") as fh:

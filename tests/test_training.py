@@ -416,16 +416,17 @@ class TestWindowTerms:
         record = synthetic_record(model, params, 3, np.random.default_rng(6))
         mus = np.array([s.mu for s in record.steps])
         values = np.array([s.value for s in record.steps])
-        terms = training.window_terms(record, "distill", mus, values, None, 1.0, "forward", 1.0)
-        assert terms.log_density is None and terms.advantage is None
-        assert terms.value_target is None and terms.value_error is None
+        terms = training.window_terms(
+            record, "distill", mus, None, None, gamma=None, returns_mode=None, rl_scale=None
+        )
         assert terms.policy == terms.value == 0.0 and terms.loss == terms.distill
         assert np.all(terms.dvalues == 0.0)
-        terms = training.window_terms(record, "value", mus, values, None, 1.0, "forward", 1.0)
-        assert terms.masked_l1 is None and terms.log_density is None
+        terms = training.window_terms(
+            record, "value", None, values, None, gamma=0.9, returns_mode="forward", rl_scale=None
+        )
         assert terms.distill == terms.policy == 0.0 and terms.loss == terms.value
         assert np.all(terms.dmus == 0.0)
-        npt.assert_array_equal(terms.value_error, values - terms.value_target)
+        npt.assert_array_equal(terms.dvalues, values - returns(record, 0.9))
 
 
 def reference_radam(grads, lr, b1, b2, eps):
@@ -457,7 +458,9 @@ def reference_radam(grads, lr, b1, b2, eps):
 class TestOptimizers:
     def test_sgd_is_definitional(self):
         theta0 = np.array([1.0, -2.0, 3.0])
-        sw = SharedWeights(theta0, OptimizerConfig(method="sgd", lr=0.1, weight_decay=0.0))
+        sw = SharedWeights(
+            theta0, OptimizerConfig(method="sgd", lr=0.1, weight_decay=0.0), name_of=str
+        )
         g = np.array([0.5, 0.5, -1.0])
         sw.update(g, AUTONOMOUS if False else DISTILLING)
         npt.assert_array_equal(sw.snapshot(), theta0 - 0.1 * g)
@@ -467,6 +470,7 @@ class TestOptimizers:
         sw = SharedWeights(
             theta0,
             OptimizerConfig(method="sgd", lr=0.1, weight_decay=0.0, rl_scale=1e-3),
+            name_of=str,
         )
         g = np.array([1.0, 2.0, 3.0])
         sw.update(g, AUTONOMOUS)
@@ -475,7 +479,7 @@ class TestOptimizers:
     def test_decay_applies_to_distillation_only(self):
         theta0 = np.array([2.0, -4.0])
         cfg = OptimizerConfig(method="sgd", lr=0.1, weight_decay=0.5)
-        sw = SharedWeights(theta0, cfg)
+        sw = SharedWeights(theta0, cfg, name_of=str)
         sw.update(np.zeros(2), AUTONOMOUS)
         npt.assert_array_equal(sw.snapshot(), theta0)  # no decay on RL updates
         sw.update(np.zeros(2), DISTILLING)
@@ -484,7 +488,9 @@ class TestOptimizers:
     def test_zero_gradient_zero_decay_is_identity(self):
         theta0 = np.linspace(-1, 1, 7)
         for method in ("sgd", "adam", "radam"):
-            sw = SharedWeights(theta0, OptimizerConfig(method=method, weight_decay=0.0))
+            sw = SharedWeights(
+                theta0, OptimizerConfig(method=method, weight_decay=0.0), name_of=str
+            )
             for _ in range(3):
                 sw.update(np.zeros(7), DISTILLING)
             npt.assert_array_equal(sw.snapshot(), theta0)
@@ -493,7 +499,7 @@ class TestOptimizers:
         rng = np.random.default_rng(29)
         grads = [rng.normal(size=5) for _ in range(12)]
         cfg = OptimizerConfig(method="radam", lr=0.01, weight_decay=0.0)
-        sw = SharedWeights(np.zeros(5), cfg)
+        sw = SharedWeights(np.zeros(5), cfg, name_of=str)
         want = reference_radam(grads, 0.01, cfg.beta1, cfg.beta2, cfg.eps)
         for g, expect in zip(grads, want):
             sw.update(g, DISTILLING)
@@ -503,34 +509,34 @@ class TestOptimizers:
         # with beta2=0.999 the rectification gate stays closed at t=1..4,
         # so the first step must be exactly lr * g (bias-corrected momentum)
         cfg = OptimizerConfig(method="radam", lr=0.5, weight_decay=0.0)
-        sw = SharedWeights(np.zeros(2), cfg)
+        sw = SharedWeights(np.zeros(2), cfg, name_of=str)
         g = np.array([2.0, -2.0])
         sw.update(g, DISTILLING)
         npt.assert_allclose(sw.snapshot(), -0.5 * g, rtol=1e-15)
 
     def test_adam_first_step_is_signlike(self):
         cfg = OptimizerConfig(method="adam", lr=0.1, weight_decay=0.0, eps=1e-8)
-        sw = SharedWeights(np.zeros(2), cfg)
+        sw = SharedWeights(np.zeros(2), cfg, name_of=str)
         sw.update(np.array([3.0, -0.001]), DISTILLING)
         npt.assert_allclose(sw.snapshot(), [-0.1, 0.1], rtol=1e-4)
 
     def test_max_norm_clip(self):
         g = np.array([3.0, 4.0])  # norm 5
         cfg = OptimizerConfig(method="sgd", lr=1.0, weight_decay=0.0, grad_clip=1.0)
-        sw = SharedWeights(np.zeros(2), cfg)
+        sw = SharedWeights(np.zeros(2), cfg, name_of=str)
         sw.update(g, DISTILLING)
         npt.assert_allclose(sw.snapshot(), -g / 5.0, rtol=1e-15)
 
     def test_clip_leaves_small_gradients_alone(self):
         g = np.array([0.3, 0.4])
         cfg = OptimizerConfig(method="sgd", lr=1.0, weight_decay=0.0, grad_clip=1.0)
-        sw = SharedWeights(np.zeros(2), cfg)
+        sw = SharedWeights(np.zeros(2), cfg, name_of=str)
         sw.update(g, DISTILLING)
         npt.assert_array_equal(sw.snapshot(), -g)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
-            SharedWeights(np.zeros(2), OptimizerConfig(method="rmsprop"))
+            SharedWeights(np.zeros(2), OptimizerConfig(method="rmsprop"), name_of=str)
 
 
 class OutOfPlaceOptimizer:
@@ -597,7 +603,7 @@ class TestInPlaceOptimizer:
         rng = np.random.default_rng(61)
         theta0 = rng.normal(size=size)
         cfg = OptimizerConfig(method=method, lr=1e-2, weight_decay=0.05, grad_clip=grad_clip)
-        sw = SharedWeights(theta0, cfg, record_deltas=True)
+        sw = SharedWeights(theta0, cfg, record_deltas=True, name_of=str)
         ref = OutOfPlaceOptimizer(theta0, cfg)
         for i in range(12):
             g = rng.normal(size=size) * (10.0 if i % 3 == 0 else 1.0)
@@ -621,7 +627,7 @@ class TestSharedWeights:
         cfg = OptimizerConfig(method=method, lr=1e-2)
         tracemalloc.start()
         try:
-            sw = SharedWeights(theta0, cfg)
+            sw = SharedWeights(theta0, cfg, name_of=str)
             assert sw.update(grad, DISTILLING)
             held = tracemalloc.get_traced_memory()[0]
             # the parameters and two moments; the scratch is one block each
@@ -635,14 +641,16 @@ class TestSharedWeights:
             tracemalloc.stop()
 
     def test_snapshot_is_a_copy(self):
-        sw = SharedWeights(np.zeros(3), OptimizerConfig(method="sgd"))
+        sw = SharedWeights(np.zeros(3), OptimizerConfig(method="sgd"), name_of=str)
         snap = sw.snapshot()
         snap[:] = 99.0
         npt.assert_array_equal(sw.snapshot(), np.zeros(3))
 
     def test_nonfinite_gradient_rejected_and_logged(self):
         log = io.StringIO()
-        sw = SharedWeights(np.ones(3), OptimizerConfig(method="sgd"), log_file=log)
+        sw = SharedWeights(
+            np.ones(3), OptimizerConfig(method="sgd"), log_file=log, name_of=lambda i: f"p{i}"
+        )
         bad = np.array([1.0, np.nan, 0.0])
         ok = sw.update(bad, DISTILLING, {"worker": 4})
         assert not ok
@@ -652,27 +660,13 @@ class TestSharedWeights:
         last = logged(log)[-1]
         assert last["rejected"] is True
         assert last["worker"] == 4
-        assert (last["param"], last["nonfinite"]) == ("1", 1)
-
-    def test_rejections_in_a_row_reach_the_limit(self):
-        log = io.StringIO()
-        sw = SharedWeights(
-            np.ones(3), OptimizerConfig(method="sgd"), log_file=log,
-            name_of=lambda i: f"p{i}", reject_limit=2,
-        )
-        bad = np.array([np.inf, 0.0, np.nan])
-        for grad in (bad, np.ones(3), bad):  # an applied update resets the count
-            sw.update(grad, DISTILLING)
-        with pytest.raises(NumericError, match=r"^2 updates in a row rejected; the last gradient "
-                                               r"has 2 non-finite element\(s\), the first in p0$"):
-            sw.update(bad, DISTILLING)
-        assert sw.rejected_count == 3
-        assert [e.get("param") for e in logged(log)] == ["p0", None, "p0", "p0"]
+        assert (last["param"], last["nonfinite"]) == ("p1", 1)
+        assert sw.last_rejection == last
 
     def test_update_count_strictly_increases(self):
         log = io.StringIO()
         sw = SharedWeights(
-            np.zeros(2), OptimizerConfig(method="sgd", weight_decay=0.0), log_file=log
+            np.zeros(2), OptimizerConfig(method="sgd", weight_decay=0.0), log_file=log, name_of=str
         )
         for i in range(5):
             sw.update(np.ones(2), DISTILLING)
@@ -685,7 +679,7 @@ class TestSharedWeights:
         sw = SharedWeights(
             initial,
             OptimizerConfig(method="radam", lr=0.01),
-            record_deltas=True,
+            record_deltas=True, name_of=str,
         )
         for _ in range(60):
             kind = DISTILLING if rng.integers(2) == 0 else AUTONOMOUS
@@ -766,7 +760,7 @@ class TestRunEpisode:
     def test_window_boundaries_5_10_12(self):
         rng = np.random.default_rng(0)
         chunk = make_chunk(rng, n_frames=13)  # horizon 12
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1), horizon=12,
@@ -778,7 +772,7 @@ class TestRunEpisode:
     def test_terminal_window_bootstraps_zero(self):
         rng = np.random.default_rng(0)
         chunk = make_chunk(rng, n_frames=4)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(1),
@@ -792,7 +786,7 @@ class TestRunEpisode:
         # hidden chain has to land on the same numbers or gradients lie
         rng = np.random.default_rng(7)
         chunk = make_chunk(rng, n_frames=13)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
@@ -808,7 +802,7 @@ class TestRunEpisode:
     def test_distilling_worker_executes_own_policy(self):
         rng = np.random.default_rng(5)
         chunk = make_chunk(rng, n_frames=6)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1),
@@ -821,7 +815,7 @@ class TestRunEpisode:
     def test_autonomous_worker_executes_clamped_samples(self):
         rng = np.random.default_rng(5)
         chunk = make_chunk(rng, n_frames=6)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(1),
@@ -840,7 +834,7 @@ class TestRunEpisode:
         # on every step and any imperfect student step is masked in
         rng = np.random.default_rng(9)
         chunk = make_chunk(rng, n_frames=6)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         sum_s, sum_t, records = run_episode(
             self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1),
@@ -854,7 +848,7 @@ class TestRunEpisode:
     def test_horizon_limits_steps(self):
         rng = np.random.default_rng(0)
         chunk = make_chunk(rng, n_frames=13)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, DISTILLING, self.cfg, sw,
             np.random.default_rng(1), horizon=1,
@@ -864,7 +858,7 @@ class TestRunEpisode:
 
     def test_default_worker_config_follows_model_patch_size(self):
         # a 16-px model under a default WorkerConfig crops 16-px patches
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4), name_of=str)
         rng = np.random.default_rng(0)
         for kind in (DISTILLING, AUTONOMOUS):
             for i in range(2):
@@ -876,7 +870,7 @@ class TestRunEpisode:
         assert sw.update_count == 4  # 5 steps -> one window per episode
 
     def test_autonomous_worker_needs_rng(self):
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4), name_of=str)
         with pytest.raises(ConfigError, match="rng"):
             run_episode(
                 self.model, self.params, make_chunk(np.random.default_rng(0)), AUTONOMOUS,
@@ -885,7 +879,7 @@ class TestRunEpisode:
         assert sw.update_count == 0
 
     def test_unknown_kind(self):
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-4), name_of=str)
         with pytest.raises(ConfigError, match="observer"):
             run_episode(
                 self.model, self.params, make_chunk(np.random.default_rng(0)), "observer",
@@ -898,7 +892,7 @@ class TestRunEpisode:
             log = io.StringIO()
             sw = SharedWeights(
                 self.params, OptimizerConfig(method="radam", lr=1e-3, weight_decay=0.0),
-                log_file=log,
+                log_file=log, name_of=str,
             )
             chunk_rng, rng = np.random.default_rng(5), np.random.default_rng(77)
             for i in range(3):
@@ -949,7 +943,7 @@ class TestRolloutGradients:
     @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
     def test_sent_gradient_equals_reference(self, kind):
         chunk = make_chunk(np.random.default_rng(7), n_frames=13)
-        sw = RecordingShared(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = RecordingShared(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, kind, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
@@ -963,7 +957,7 @@ class TestRolloutGradients:
 
     def test_bootstrap_is_next_window_first_value(self):
         chunk = make_chunk(np.random.default_rng(7), n_frames=13)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             self.model, self.params, chunk, AUTONOMOUS, self.cfg, sw,
             np.random.default_rng(2), horizon=12,
@@ -973,7 +967,7 @@ class TestRolloutGradients:
 
     def test_one_forward_per_env_step(self):
         model = CountingModel(SMALL)
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         _, _, records = run_episode(
             model, self.params, make_chunk(np.random.default_rng(7), n_frames=13), DISTILLING,
             self.cfg, sw, np.random.default_rng(2), horizon=12,
@@ -984,7 +978,7 @@ class TestRolloutGradients:
     def test_nonfinite_output_raises_where_it_appears(self):
         params = self.params.copy()
         self.model.view(params, "policy.b")[0] = np.nan
-        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12))
+        sw = SharedWeights(self.params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
         with pytest.raises(NumericError, match="step 1 .* on v0"):
             run_episode(
                 self.model, params, make_chunk(np.random.default_rng(7), n_frames=13), DISTILLING,
@@ -1246,9 +1240,10 @@ class Sentinel(Exception):
 
 class TestRejectedUpdates:
     """A non-finite gradient is rejected and logged with its first bad
-    parameter; as many rejections in a row as there are workers end the run.
-    A spy bounds each run by its backward calls, so a run that would spin
-    fails instead of hanging."""
+    parameter; as many turns in a row as there are workers with every window
+    rejected end the run. Each turn here is one 12-step episode in three
+    windows (5, 5, 2), the workers alternating. A spy bounds each run by its
+    backward calls, so a run that would spin fails instead of hanging."""
 
     def run(self, tmp_path, monkeypatch, poisoned, limit=40):
         calls, backward = [], StudentModel.backward_window
@@ -1292,16 +1287,24 @@ class TestRejectedUpdates:
         assert rejection["nonfinite"] == 3
         assert rejection["worker"] == 0
 
+    def test_one_stuck_worker_does_not_end_the_run(self, tmp_path, monkeypatch):
+        # every window of worker 0's turns: its three in a row are one turn
+        res = self.run(tmp_path, monkeypatch, lambda call: call // 3 % 2 == 0)
+        assert (res.updates, res.rejected, len(self.calls)) == (12, 12, 24)
+        entries = self.entries()
+        assert {e["worker"] for e in entries if e.get("rejected")} == {0}
+        assert {e["worker"] for e in entries if not e.get("rejected")} == {1}
+
     def test_every_rejection_ends_the_run(self, tmp_path, monkeypatch):
         with pytest.raises(NumericError) as raised:
             self.run(tmp_path, monkeypatch, lambda call: True)
         name = self.model.param_name(self.bad)
         assert re.fullmatch(
-            r"worker 0 on v\d \(chunk start 0\), window 1: 2 updates in a row rejected; "
+            r"worker 1 on v\d \(chunk start 0\), window 2: 2 turns in a row applied no update; "
             r"the last gradient has 3 non-finite element\(s\), the first in " + re.escape(name),
             str(raised.value),
         )
-        assert len(self.calls) == 2
+        assert len(self.calls) == 6
         entries = self.entries()
-        assert [e["rejected"] for e in entries] == [True, True]
-        assert all(e["param"] == name and e["worker"] == 0 for e in entries)
+        assert [(e["rejected"], e["worker"]) for e in entries] == [(True, 0)] * 3 + [(True, 1)] * 3
+        assert all(e["param"] == name for e in entries)

@@ -209,22 +209,22 @@ def cmd_track(args, config: cfgmod.Config) -> int:
         pool = _parse_pool(args.pool or config.pipeline.pool, args.seed)
         track = lambda v: trasfust(v, v.ground_truth[0], model, params, pool, context, evaluator)
     cfgmod.echo_config(config, args.out)
+    ok = 0
     try:
-        runs = [track(video) for video in videos]
+        for video in videos:  # each run is written as soon as it is done
+            run = track(video)
+            if run.partial:
+                write_trackrun(os.path.join(_failed_dir(args.out), f"{run.video_id}.csv"), run)
+                print(
+                    f"warning: {run.tracker} aborted on {run.video_id}: {run.error}; "
+                    f"quarantined",
+                    file=sys.stderr,
+                )
+            else:
+                write_trackrun(os.path.join(args.out, f"{run.video_id}.csv"), run)
+                ok += 1
     finally:
         close_all(pool)
-    ok = 0
-    for run in runs:
-        if run.partial:
-            write_trackrun(os.path.join(_failed_dir(args.out), f"{run.video_id}.csv"), run)
-            print(
-                f"warning: {run.tracker} aborted on {run.video_id}: {run.error}; "
-                f"quarantined",
-                file=sys.stderr,
-            )
-        else:
-            write_trackrun(os.path.join(args.out, f"{run.video_id}.csv"), run)
-            ok += 1
     verb = "fused" if args.mode == "trasfust" else "tracked"
     print(f"{args.mode}: {ok}/{len(videos)} videos {verb} into {args.out}")
     return 0
@@ -232,12 +232,20 @@ def cmd_track(args, config: cfgmod.Config) -> int:
 
 def cmd_eval(args, config: cfgmod.Config) -> int:
     videos = _load_videos(args)
+    dirs = {}  # tracker id -> the run directory it names
+    for runs_dir in args.runs:
+        tracker_id = os.path.basename(os.path.normpath(runs_dir))
+        if tracker_id in dirs:
+            raise InvalidInputError(
+                f"run directories {dirs[tracker_id]!r} and {runs_dir!r} share the "
+                f"tracker id {tracker_id!r}"
+            )
+        dirs[tracker_id] = runs_dir
     results = []
     with warnings.catch_warnings():  # ope_run's warnings as warning: lines
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        for runs_dir in args.runs:
-            tracker_id = os.path.basename(os.path.normpath(runs_dir))
+        for tracker_id, runs_dir in dirs.items():
 
             def stored(video: Video) -> TrackRun:
                 path = os.path.join(runs_dir, f"{video.video_id}.csv")

@@ -147,10 +147,11 @@ def load_config(path: Optional[str] = None) -> Config:
         raise ConfigError(f"{path}: {e}")
 
 
-def echo_config(config: Config, out_dir: str, name: str = "config.ini") -> str:
-    """Write the full effective configuration; rerunning from it reproduces the run."""
+def echo_config(config: Config, out_dir: str) -> str:
+    """Write the full effective configuration to ``<out_dir>/config.ini``;
+    rerunning from it reproduces the run."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, "config.ini")
     sections: Dict[str, Dict[str, str]] = {}
     for part in fields(config):
         values = getattr(config, part.name)

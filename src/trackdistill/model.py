@@ -1,6 +1,6 @@
 """The compact recurrent policy/value model, with exact gradients.
 
-Architecture: two weight-shared patch encoders -> concat -> two fully
+Architecture: two weight-shared conv patch encoders -> concat -> two fully
 connected layers -> recurrent cell -> twin heads (bounded action, linear
 value). Everything is float64 numpy with hand-derived reverse-mode gradients,
 so finite-difference verification can be made tight.
@@ -30,41 +30,32 @@ HIDDEN_RESET_PERIOD = 32
 
 @dataclass(frozen=True)
 class StudentConfig:
-    """Architecture knobs. ``encoder`` is "conv" (stride-2 stages) or "pool"
-    (average pool + one fully connected layer, the smallest configuration)."""
+    """Architecture knobs: the patch side, the output channels of each stride-2
+    3x3 conv stage of the encoder, the width of the two fuse layers and the
+    recurrent cell's hidden size."""
 
     patch_size: int = 32
-    encoder: str = "conv"
     conv_channels: Tuple[int, ...] = (8, 16, 32)
-    pool_factor: int = 4
-    pool_dim: int = 32
     fc_dim: int = 64
     hidden_dim: int = 64
 
     def __post_init__(self) -> None:
-        if self.encoder not in ("conv", "pool"):
-            raise ConfigError(f"unknown encoder {self.encoder!r}")
         if min(self.patch_size, self.fc_dim, self.hidden_dim) <= 0:
             raise ConfigError("sizes must be positive")
-        if self.encoder == "conv":
-            if not self.conv_channels:
-                raise ConfigError("conv encoder needs at least one stage")
-            if self.patch_size % (2 ** len(self.conv_channels)) != 0:
-                raise ConfigError(
-                    f"patch size {self.patch_size} not divisible by "
-                    f"2^{len(self.conv_channels)} stride-2 stages"
-                )
-        else:
-            if self.pool_factor <= 0 or self.patch_size % self.pool_factor != 0:
-                raise ConfigError(
-                    f"patch size {self.patch_size} not divisible by pool factor "
-                    f"{self.pool_factor}"
-                )
-            if self.pool_dim <= 0:
-                raise ConfigError("pool_dim must be positive")
+        if not self.conv_channels:
+            raise ConfigError("conv encoder needs at least one stage")
+        if min(self.conv_channels) < 1:
+            raise ConfigError(f"conv stages need at least 1 channel, got {self.conv_channels}")
+        if self.patch_size % (2 ** len(self.conv_channels)) != 0:
+            raise ConfigError(
+                f"patch size {self.patch_size} not divisible by "
+                f"2^{len(self.conv_channels)} stride-2 stages"
+            )
 
     def fingerprint(self) -> bytes:
-        payload = json.dumps(asdict(self), sort_keys=True).encode("ascii")
+        # the retired encoder keys, at the values every checkpoint so far recorded
+        keys = dict(asdict(self), encoder="conv", pool_dim=32, pool_factor=4)
+        payload = json.dumps(keys, sort_keys=True).encode("ascii")
         return hashlib.sha256(payload).digest()
 
 
@@ -122,24 +113,17 @@ class StudentModel:
             self._layout.append((name, shape, offset))
             offset += int(np.prod(shape))
 
-        p = config.patch_size
         self._conv_stages: List[Tuple[int, int]] = []  # (side, channels) into each stage
         self._gathers: List[np.ndarray] = []  # each stage's im2col index into one padded map
-        if config.encoder == "conv":
-            side, cin = p, 3
-            for k, cout in enumerate(config.conv_channels):
-                add(f"enc.conv{k}.W", (cout, cin, 3, 3))
-                add(f"enc.conv{k}.b", (cout,))
-                self._conv_stages.append((side, cin))
-                self._gathers.append(_gather_index(side, cin))
-                side //= 2
-                cin = cout
-            self.feature_dim = side * side * cin
-        else:
-            side = p // config.pool_factor
-            add("enc.fc.W", (config.pool_dim, side * side * 3))
-            add("enc.fc.b", (config.pool_dim,))
-            self.feature_dim = config.pool_dim
+        side, cin = config.patch_size, 3
+        for k, cout in enumerate(config.conv_channels):
+            add(f"enc.conv{k}.W", (cout, cin, 3, 3))
+            add(f"enc.conv{k}.b", (cout,))
+            self._conv_stages.append((side, cin))
+            self._gathers.append(_gather_index(side, cin))
+            side //= 2
+            cin = cout
+        self.feature_dim = side * side * cin
 
         f, hdim = config.fc_dim, config.hidden_dim
         add("fuse1.W", (f, 2 * self.feature_dim))
@@ -208,13 +192,11 @@ class StudentModel:
 
     def _workspace(self, n: int) -> List[np.ndarray]:
         """Fresh encoder buffers for n patches: the (n, p, p, 3) normalised patches,
-        then for the conv encoder, per stage, its padded input (the border zero),
-        its (n, half², cin·9) columns and its (n, half², cout) pre-activations,
-        and last the (n, feature_dim) features."""
+        then per conv stage its padded input (the border zero), its (n, half²,
+        cin·9) columns and its (n, half², cout) pre-activations, and last the
+        (n, feature_dim) features."""
         p = self.config.patch_size
         bufs = [np.empty((n, p, p, 3))]
-        if self.config.encoder == "pool":
-            return bufs
         for (side, cin), cout in zip(self._conv_stages, self.config.conv_channels):
             half = side // 2
             bufs += [
@@ -254,58 +236,45 @@ class StudentModel:
         for j, patch in enumerate(patches):
             np.divide(patch, 255.0, out=x[j])
         x -= 0.5
-        if self.config.encoder == "conv":
-            bufs[1][:, 1:-1, 1:-1] = x
-            stage_caches = []
-            last = len(self._gathers) - 1
-            for k, ((side, cin), idx) in enumerate(zip(self._conv_stages, self._gathers)):
-                # nxt: the next stage's padded input, after the last stage the features
-                xpad, cols, pre, nxt = bufs[3 * k + 1 : 3 * k + 5]
-                W = v[f"enc.conv{k}.W"]
-                cout, half = W.shape[0], side // 2
-                # mode="clip" writes straight into cols; "raise" would buffer it
-                np.take(xpad.reshape(n, -1), idx, axis=1, out=cols, mode="clip")
-                # a matmul per patch, so rows round as in a one-patch call
-                np.matmul(cols, W.reshape(cout, -1).T, out=pre)
-                pre += v[f"enc.conv{k}.b"]
-                stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, cout)))
-                act = pre.reshape(n, half, half, cout)
-                out = nxt[:, 1:-1, 1:-1] if k < last else nxt.reshape(act.shape)
-                np.maximum(act, 0.0, out=out)
-            return bufs[-1], stage_caches
-        side = self.config.patch_size // self.config.pool_factor
-        f = self.config.pool_factor
-        pooled = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4))
-        flat = pooled.reshape(n, -1)
-        pre = _matvecs(v["enc.fc.W"], flat) + v["enc.fc.b"]
-        return np.maximum(pre, 0.0), (flat, pre)
+        bufs[1][:, 1:-1, 1:-1] = x
+        stage_caches = []
+        last = len(self._gathers) - 1
+        for k, ((side, cin), idx) in enumerate(zip(self._conv_stages, self._gathers)):
+            # nxt: the next stage's padded input, after the last stage the features
+            xpad, cols, pre, nxt = bufs[3 * k + 1 : 3 * k + 5]
+            W = v[f"enc.conv{k}.W"]
+            cout, half = W.shape[0], side // 2
+            # mode="clip" writes straight into cols; "raise" would buffer it
+            np.take(xpad.reshape(n, -1), idx, axis=1, out=cols, mode="clip")
+            # a matmul per patch, so rows round as in a one-patch call
+            np.matmul(cols, W.reshape(cout, -1).T, out=pre)
+            pre += v[f"enc.conv{k}.b"]
+            stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, cout)))
+            act = pre.reshape(n, half, half, cout)
+            out = nxt[:, 1:-1, 1:-1] if k < last else nxt.reshape(act.shape)
+            np.maximum(act, 0.0, out=out)
+        return bufs[-1], stage_caches
 
     def _encode_backward(self, v, g, dfeat: np.ndarray, cache) -> None:
         # Input-patch gradients are never needed (patches are data), so the
         # first stage skips the scatter back to pixels.
-        if self.config.encoder == "conv":
-            dx = dfeat
-            for k in range(len(self._conv_stages) - 1, -1, -1):
-                side, cin = self._conv_stages[k]
-                W = v[f"enc.conv{k}.W"]
-                cols, pre = cache[k]
-                cout = W.shape[0]
-                dpre = dx.reshape(-1, cout) * (pre > 0)
-                g[f"enc.conv{k}.W"] += (dpre.T @ cols).reshape(W.shape)
-                g[f"enc.conv{k}.b"] += dpre.sum(axis=0)
-                if k == 0:
-                    break
-                dcols = (dpre @ W.reshape(cout, -1)).reshape(-1, side // 2, side // 2, cin, 3, 3)
-                dxpad = np.zeros((dcols.shape[0], side + 2, side + 2, cin))
-                for ky in range(3):  # col2im: the adjoint of the im2col gather
-                    for kx in range(3):
-                        dxpad[:, ky : ky + side : 2, kx : kx + side : 2] += dcols[..., ky, kx]
-                dx = dxpad[:, 1:-1, 1:-1]
-            return
-        flat, pre = cache
-        dpre = dfeat * (pre > 0)
-        g["enc.fc.W"] += dpre.T @ flat
-        g["enc.fc.b"] += dpre.sum(axis=0)
+        dx = dfeat
+        for k in range(len(self._conv_stages) - 1, -1, -1):
+            side, cin = self._conv_stages[k]
+            W = v[f"enc.conv{k}.W"]
+            cols, pre = cache[k]
+            cout = W.shape[0]
+            dpre = dx.reshape(-1, cout) * (pre > 0)
+            g[f"enc.conv{k}.W"] += (dpre.T @ cols).reshape(W.shape)
+            g[f"enc.conv{k}.b"] += dpre.sum(axis=0)
+            if k == 0:
+                break
+            dcols = (dpre @ W.reshape(cout, -1)).reshape(-1, side // 2, side // 2, cin, 3, 3)
+            dxpad = np.zeros((dcols.shape[0], side + 2, side + 2, cin))
+            for ky in range(3):  # col2im: the adjoint of the im2col gather
+                for kx in range(3):
+                    dxpad[:, ky : ky + side : 2, kx : kx + side : 2] += dcols[..., ky, kx]
+            dx = dxpad[:, 1:-1, 1:-1]
 
     # -- forward --------------------------------------------------------------
 

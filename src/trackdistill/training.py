@@ -96,6 +96,8 @@ class TrainSettings:
             raise ConfigError("max_updates must be positive")
         if self.val_every < 1:
             raise ConfigError("val_every must be positive")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.initial_horizon < 1:
             raise ConfigError("initial horizon must be >= 1")
 
@@ -284,12 +286,14 @@ def window_loss_fn(
     rl_scale: float = OptimizerConfig.rl_scale,
     weight_decay: float = OptimizerConfig.weight_decay,
 ) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
-    """A differentiable view of one window's loss, for updates and verification.
+    """A differentiable view of one window's loss, for verification.
 
     Everything recorded (advantages, value targets, samples, sigmas, masks) is
     held constant; only the policy mean and value are re-evaluated at the
     given parameters. "combined" is rl_scale*(policy+value) + distill +
-    0.5*weight_decay*||theta||^2, the full objective a mixed update sees.
+    0.5*weight_decay*||theta||^2, the objective gradcheck verifies; no update
+    applies it, since ``SharedWeights.update`` scales an autonomous gradient by
+    rl_scale and applies weight decay to a distilling one as a decoupled step.
     """
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}")

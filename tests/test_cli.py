@@ -16,7 +16,7 @@ import pytest
 from trackdistill import cli, mdp, transferset
 from trackdistill import video as videomod
 from trackdistill.cli import main
-from trackdistill.errors import InvalidInputError
+from trackdistill.errors import InvalidInputError, NumericError
 from trackdistill.model import StudentModel
 from trackdistill.teachers import load_trace, run_teacher_on_video, save_trace, trace_path
 from trackdistill.trackers import read_trackrun
@@ -223,6 +223,15 @@ class TestDataErrors:
         ("train", "env.context", "0.0", "context must be positive, got 0.0"),
         ("track", "env.context", "0.0", "context must be positive, got 0.0"),
         ("gen-data", "env.num_videos", "-3", "num_videos must be >= 1, got -3"),
+        ("track", "model.conv_channels", "-4,8", "conv stages need at least 1 channel, "
+                                                 "got (-4, 8)"),
+        ("train", "model.conv_channels", "0,8", "conv stages need at least 1 channel, "
+                                                "got (0, 8)"),
+        ("train", "train.patience", "0", "patience must be >= 1, got 0"),
+        # the keys of the retired pool encoder
+        ("gen-data", "model.encoder", "conv", "unknown config key 'model.encoder'"),
+        ("train", "model.pool_factor", "4", "unknown config key 'model.pool_factor'"),
+        ("track", "model.pool_dim", "32", "unknown config key 'model.pool_dim'"),
         ("filter", "short-trace", "", None),
     ], ids=lambda case: f"{case[0]}:{case[1]}")
     def test_bad_value_writes_nothing(self, tmp_path, pipeline, capsys, case):
@@ -635,6 +644,37 @@ class TestTrainAndTrack:
             assert printed == f"{aggregate[column]:.4f}"
             assert stored == f"{aggregate[column]:.6f}"
             assert abs(float(printed) - float(stored)) <= 0.5e-4 + 0.5e-6
+
+    def test_eval_rejects_runs_that_share_a_tracker_id(self, pipeline, tmp_path, capsys):
+        # two rows named tras, and the second run's plot files over the first's
+        other = tmp_path / "b" / "tras"
+        shutil.copytree(pipeline["tras"], other)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", pipeline["ini"], "--out", str(out),
+                     pipeline["data"], pipeline["tras"], f"{other}/"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run directories {pipeline['tras']!r} and '{other}/' share the "
+            f"tracker id 'tras'\n"
+        )
+        assert not out.exists()
+
+    def test_track_writes_each_run_when_it_is_done(self, pipeline, tmp_path, monkeypatch,
+                                                   capsys):
+        real, calls = cli.tras, itertools.count()
+
+        def failing_third(video, *args):
+            if next(calls) == 2:
+                raise NumericError(f"injected on {video.video_id}")
+            return real(video, *args)
+
+        monkeypatch.setattr(cli, "tras", failing_third)
+        out = tmp_path / "tras"
+        assert main(["track", "--config", pipeline["ini"], "--out", str(out),
+                     os.path.join(pipeline["train"], "student.ckpt"), pipeline["data"]]) == 3
+        assert capsys.readouterr().err == "error: injected on synth002\n"
+        assert sorted(os.listdir(out)) == ["config.ini", "synth000.csv", "synth001.csv"]
+        for name in ("synth000.csv", "synth001.csv"):
+            assert filecmp.cmp(out / name, os.path.join(pipeline["tras"], name), shallow=False)
 
     def eval_edited_run(self, pipeline, tmp_path, capsys, edit):
         """Exit code and stderr of eval over the tras runs, with synth002's

@@ -42,12 +42,9 @@ evaluator = value
 
 [model]
 conv_channels = 8,16,32
-encoder = conv
 fc_dim = 64
 hidden_dim = 64
 patch_size = 32
-pool_dim = 32
-pool_factor = 4
 
 [teachers]
 pool = oracle:0.9
@@ -119,8 +116,7 @@ class TestSchema:
                 "motion", "max_step", "scale_drift", "background", "context",
             )]
             + ["model." + k for k in (
-                "patch_size", "encoder", "conv_channels", "pool_factor", "pool_dim",
-                "fc_dim", "hidden_dim",
+                "patch_size", "conv_channels", "fc_dim", "hidden_dim",
             )]
             + ["train." + k for k in (
                 "workers", "t_max", "gamma", "optimizer", "lr", "weight_decay",
@@ -129,7 +125,7 @@ class TestSchema:
             )]
             + ["teachers.pool", "eval.beta", "eval.evaluator", "eval.dataset_id"]
         )
-        assert len(SCHEMA) == 38
+        assert len(SCHEMA) == 35
 
     @pytest.mark.parametrize("key", sorted(k for k, v in SCHEMA.items() if type(v) is float))
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " NaN ", "-Infinity"])
@@ -210,6 +206,19 @@ class TestLoadAndEcho:
         with open(echo_config(load_config(), str(tmp_path))) as fh:
             assert fh.read() == DEFAULT_INI
 
+    def test_echo_naming_the_retired_encoder_fails_until_those_lines_go(self, tmp_path):
+        # the default config.ini with the keys it had while the pool encoder existed
+        old = DEFAULT_INI.replace("[model]\n", "[model]\nencoder = conv\npool_dim = 32\n"
+                                  "pool_factor = 4\n")
+        ini = tmp_path / "config.ini"
+        ini.write_text(old)
+        with pytest.raises(ConfigError, match=re.escape(
+            f"{ini}: unknown config key 'model.encoder'"
+        )):
+            load_config(str(ini))
+        ini.write_text(re.sub(r"^(encoder|pool_dim|pool_factor) = .*\n", "", old, flags=re.M))
+        assert load_config(str(ini)) == Config()
+
     def test_echo_is_deterministic(self, tmp_path):
         c = load_config()
         with open(echo_config(c, str(tmp_path / "a"))) as fa:
@@ -220,7 +229,7 @@ class TestLoadAndEcho:
 # a valid alternative to each string default, and to beta's 0.5, which halved
 # would fall below its range
 OTHER_CHOICE = {
-    "conv": "pool", "random-walk": "linear", "noise": "flat", "radam": "adam",
+    "random-walk": "linear", "noise": "flat", "radam": "adam",
     "forward": "prefix-sum", "oracle:0.9": "oracle:0.8", "value": "oracle",
     "dataset": "otb", 0.5: "0.75",
 }
@@ -228,15 +237,15 @@ OTHER_CHOICE = {
 
 def _other(value):
     """An INI text for a value of the same type as ``value`` but unequal to
-    it. Each class stays valid with all its keys set so: ints grow by 3 (the
-    pool encoder's patch 35 divides by pool factor 7), and floats halve, or
+    it. Each class stays valid with all its keys set so: ints grow by 4 (patch
+    36 divides by 2^2 for the two conv stages "4,8"), and floats halve, or
     become 0.5 from 0, so that gamma stays in (0, 1]."""
     if isinstance(value, bool):
         return "false" if value else "true"
     if isinstance(value, tuple):
         return "4,8"
     if isinstance(value, int):
-        return str(value + 3)
+        return str(value + 4)
     if isinstance(value, float):
         return OTHER_CHOICE.get(value, str(value / 2 or 0.5))
     return OTHER_CHOICE[value]

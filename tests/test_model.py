@@ -21,7 +21,6 @@ from trackdistill.model import (
 )
 
 SMALL = StudentConfig(patch_size=16, conv_channels=(4, 8), fc_dim=16, hidden_dim=12)
-POOL = StudentConfig(patch_size=16, encoder="pool", pool_factor=4, pool_dim=12, fc_dim=16, hidden_dim=12)
 
 
 def random_state(rng, patch_size=16):
@@ -103,13 +102,6 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.forward(params, bad, model.zero_hidden())
 
-    def test_pool_encoder_runs(self):
-        rng = np.random.default_rng(107)
-        model = StudentModel(POOL)
-        params = model.init_params(seed=4)
-        out, _ = model.forward(params, random_state(rng), model.zero_hidden())
-        assert out.action.shape == (4,)
-
     def test_nonfinite_params_detected(self):
         rng = np.random.default_rng(108)
         model = StudentModel(SMALL)
@@ -124,10 +116,13 @@ class TestForward:
     def test_bad_configs_rejected(self):
         with pytest.raises(ConfigError):
             StudentModel(StudentConfig(patch_size=30))  # not divisible by 2^3
-        with pytest.raises(ConfigError):
-            StudentModel(StudentConfig(encoder="mlp"))
-        with pytest.raises(ConfigError):
-            StudentModel(StudentConfig(encoder="pool", patch_size=30, pool_factor=4))
+
+    @pytest.mark.parametrize("channels", [(0, 8), (-4, 8), (4, 0)])
+    def test_stage_without_channels_rejected(self, channels):
+        with pytest.raises(ConfigError, match=re.escape(
+            f"conv stages need at least 1 channel, got {channels}"
+        )):
+            StudentConfig(patch_size=16, conv_channels=channels)
 
 
 class TestParamViewCache:
@@ -223,9 +218,7 @@ def assert_lanes_equal_forward(model, params, states, hidden):
 
 
 class TestForwardLanes:
-    @pytest.mark.parametrize(
-        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
-    )
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
     def test_rows_equal_per_lane_forward(self, config, k):
         rng = np.random.default_rng(140 + k)
@@ -237,9 +230,7 @@ class TestForwardLanes:
         states = ([distinct[0], distinct[1], distinct[0]] + extra)[:k]
         assert_lanes_equal_forward(model, params, states, random_hiddens(rng, config, k))
 
-    @pytest.mark.parametrize(
-        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
-    )
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_one_row_state_starts_every_lane(self, config, k):
         """A one-row state is broadcast to every lane: each row is bitwise a
@@ -257,9 +248,7 @@ class TestForwardLanes:
         )
         assert_trees_bitwise([mu1, v1, h1.h, h1.c], [mu, v, h.h, h.c])
 
-    @pytest.mark.parametrize(
-        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
-    )
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     def test_rows_stay_bitwise_as_lane_counts_change(self, config):
         """One model through growing and shrinking stacks: a dirty border or a
         stale row in the reused encoder buffers would change some lane's row."""
@@ -328,7 +317,7 @@ class TestGradients:
         report = grad_check(np.ones(10), loss_fn, samples=10)
         assert report.max_rel_error == 0.0
 
-    @pytest.mark.parametrize("config", [SMALL, POOL], ids=["conv", "pool"])
+    @pytest.mark.parametrize("config", [SMALL], ids=["conv"])
     def test_full_model_window_fd(self, config):
         rng = np.random.default_rng(112)
         model = StudentModel(config)
@@ -383,30 +372,23 @@ def conv_reference(x, W, b):
 def nine_copy_encode(model, v, patches):
     """The im2col encoder with nine strided copies per conv stage into fresh
     buffers: the bitwise reference for ``StudentModel._encode``."""
-    config = model.config
     n = patches.shape[0]
     x = patches / 255.0 - 0.5
-    if config.encoder == "conv":
-        stage_caches = []
-        for k, (side, cin) in enumerate(model._conv_stages):
-            W = v[f"enc.conv{k}.W"]
-            half = side // 2
-            xpad = np.zeros((n, side + 2, side + 2, cin))
-            xpad[:, 1:-1, 1:-1] = x
-            cols = np.empty((n, half, half, cin, 3, 3))
-            for ky in range(3):
-                for kx in range(3):
-                    cols[..., ky, kx] = xpad[:, ky : ky + side : 2, kx : kx + side : 2]
-            cols = cols.reshape(n, half * half, cin * 9)
-            pre = cols @ W.reshape(W.shape[0], -1).T + v[f"enc.conv{k}.b"]
-            stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, W.shape[0])))
-            x = np.maximum(pre, 0.0).reshape(n, half, half, W.shape[0])
-        return x.reshape(n, -1), stage_caches
-    side = config.patch_size // config.pool_factor
-    f = config.pool_factor
-    flat = x.reshape(n, side, f, side, f, 3).mean(axis=(2, 4)).reshape(n, -1)
-    pre = (v["enc.fc.W"] @ flat[:, :, None])[:, :, 0] + v["enc.fc.b"]
-    return np.maximum(pre, 0.0), (flat, pre)
+    stage_caches = []
+    for k, (side, cin) in enumerate(model._conv_stages):
+        W = v[f"enc.conv{k}.W"]
+        half = side // 2
+        xpad = np.zeros((n, side + 2, side + 2, cin))
+        xpad[:, 1:-1, 1:-1] = x
+        cols = np.empty((n, half, half, cin, 3, 3))
+        for ky in range(3):
+            for kx in range(3):
+                cols[..., ky, kx] = xpad[:, ky : ky + side : 2, kx : kx + side : 2]
+        cols = cols.reshape(n, half * half, cin * 9)
+        pre = cols @ W.reshape(W.shape[0], -1).T + v[f"enc.conv{k}.b"]
+        stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, W.shape[0])))
+        x = np.maximum(pre, 0.0).reshape(n, half, half, W.shape[0])
+    return x.reshape(n, -1), stage_caches
 
 
 def arrays_in(tree):
@@ -424,9 +406,7 @@ def assert_trees_bitwise(got, want):
 
 
 class TestGatherEncoder:
-    @pytest.mark.parametrize(
-        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
-    )
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     def test_bitwise_nine_copy_reference(self, config):
         """Fresh and reused buffers, through growing and shrinking stacks on one model."""
         rng = np.random.default_rng(160)
@@ -473,9 +453,7 @@ class TestGatherEncoder:
 
 
 class TestBatchedEncoder:
-    @pytest.mark.parametrize(
-        "config", [SMALL, POOL, StudentConfig()], ids=["conv", "pool", "default"]
-    )
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     def test_rows_equal_single_patch_features(self, config):
         rng = np.random.default_rng(115)
         model = StudentModel(config)

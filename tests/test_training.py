@@ -734,6 +734,11 @@ class TestCurriculum:
         with pytest.raises(ConfigError, match="initial horizon must be >= 1"):
             TrainSettings(initial_horizon=0)
 
+    def test_patience_below_one_rejected(self):
+        # patience 0 would stop a run at its first validation after the start
+        with pytest.raises(ConfigError, match=re.escape("patience must be >= 1, got 0")):
+            TrainSettings(patience=0)
+
 
 def logged(log_file):
     """The entries a SharedWeights wrote to an in-memory log file."""

@@ -164,19 +164,18 @@ def cmd_train(args, config: cfgmod.Config) -> int:
     else:
         print(
             "warning: no held-out videos (every video has a chunk in the index): "
-            "validation, progress lines and early stopping are off; "
-            "the final parameters are saved",
+            "validation and early stopping are off; the final parameters are saved",
             file=sys.stderr,
         )
     started = time.perf_counter()
 
     def progress(entry: dict) -> None:
         rate = entry["update"] / (time.perf_counter() - started)
-        print(
-            f"update {entry['update']}: val AO {entry['val_score']:.4f}, "
-            f"best {entry['best_val_score']:.4f}, {rate:.1f} upd/s",
-            flush=True,
+        score = (
+            f"val AO {entry['val_score']:.4f}, best {entry['best_val_score']:.4f}, "
+            if "val_score" in entry else ""
         )
+        print(f"update {entry['update']}: {score}{rate:.1f} upd/s", flush=True)
 
     result = train(
         model, chunks, config.train, config.worker, config.optimizer,

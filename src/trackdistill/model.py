@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -513,15 +514,19 @@ def grad_check(
 
 
 def save_params(path: str, config: StudentConfig, params: np.ndarray) -> None:
+    """Write a checkpoint through a temporary file that then replaces ``path``,
+    so an interrupted write never leaves a truncated checkpoint behind."""
     if params.size and not np.all(np.isfinite(params)):
         raise NumericError("refusing to checkpoint non-finite parameters")
     data = np.ascontiguousarray(params, dtype="<f8")
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(config.fingerprint())
         fh.write(struct.pack("<Q", data.size))
         fh.write(data.tobytes())
+    os.replace(tmp, path)
 
 
 def load_params(path: str, config: StudentConfig) -> np.ndarray:

@@ -358,7 +358,10 @@ class SharedWeights:
 
     A gradient with a non-finite element is rejected. Its log entry, also
     kept as ``last_rejection``, counts those elements and names the first
-    through ``name_of``.
+    through ``name_of``. A finite gradient whose step comes out non-finite
+    (from a non-finite optimizer moment) raises ``NumericError`` naming the
+    update, the kind, the first such parameter and its non-finite moments,
+    before that block's step is applied; earlier blocks are already applied.
 
     The store holds three parameter-sized vectors (the parameters and the two
     moments) and two scratch buffers of one ``OPT_BLOCK``. An update runs
@@ -395,6 +398,15 @@ class SharedWeights:
         if self._log_file is not None:
             self._log_file.write(json.dumps(entry) + "\n")
             self._log_file.flush()
+
+    def _nonfinite_step(self, index: int, kind: str) -> None:
+        bad = [name for name, a in (("first", self._m), ("second", self._v))
+               if not math.isfinite(a[index])]
+        which = {0: "neither moment is", 1: f"its {bad[0]} moment is"}.get(len(bad), "both moments are")
+        raise NumericError(
+            f"update {self.update_count} ({kind}): non-finite step for "
+            f"{self._name_of(index)}; {which} non-finite"
+        )
 
     def update(self, grad: np.ndarray, kind: str, meta: Optional[dict] = None) -> bool:
         """Apply one gradient; returns False (and logs) when the grad is rejected."""
@@ -463,6 +475,8 @@ class SharedWeights:
             np.negative(d, out=d)
             if decay is not None:
                 d -= np.multiply(params, decay, out=tmp)
+            if not np.isfinite(d).all():
+                self._nonfinite_step(s + int(np.flatnonzero(~np.isfinite(d))[0]), kind)
             params += d
             if delta is not None:
                 delta[s:s + OPT_BLOCK] = d
@@ -698,8 +712,10 @@ def train(
     ``validate_fn`` maps a parameter vector to a held-out score (higher is
     better). It runs before the first turn and then between turns, once the
     update count reaches the next ``val_every`` mark; ``progress`` receives
-    each validation's log entry. The best-scoring snapshot is checkpointed.
-    Without ``validate_fn`` the final parameters are saved.
+    each validation's log entry. Each new best snapshot is checkpointed when
+    it is scored, so an error later in the run leaves it on disk. Without
+    ``validate_fn`` ``progress`` receives ``{"update": n}`` at each mark, and
+    the final parameters are saved.
     """
     if not chunks:
         raise ConfigError("no training chunks; transfer set is empty")
@@ -722,6 +738,7 @@ def train(
         for w in range(settings.workers)
     ]
     log_path = os.path.join(out_dir, "train_log.jsonl")
+    ckpt = os.path.join(out_dir, "student.ckpt")
     val_history: List[Tuple[int, float]] = []
     best_score: Optional[float] = None
     best_params: Optional[np.ndarray] = None
@@ -742,8 +759,9 @@ def train(
             score = float(validate_fn(snap))
             val_history.append((at, score))
             improved = best_score is None or score > best_score
-            if improved:
+            if improved:  # on disk at once, so a later failure keeps it
                 best_score, best_params = score, snap
+                save_params(ckpt, model.config, snap)
             entry = {
                 "validation": True, "update": at, "val_score": score,
                 "best_val_score": best_score,
@@ -782,15 +800,17 @@ def train(
                 )
             if curriculum is not None:
                 curriculum.update(key, max_horizon, sum_s, sum_t)
-            if validate_fn is not None and shared.update_count >= next_val:
-                bad_rounds = 0 if validate() else bad_rounds + 1
+            if shared.update_count >= next_val:
                 next_val = shared.update_count + settings.val_every
-                if bad_rounds >= settings.patience:
-                    break
+                if validate_fn is not None:
+                    bad_rounds = 0 if validate() else bad_rounds + 1
+                    if bad_rounds >= settings.patience:
+                        break
+                elif progress is not None:
+                    progress({"update": shared.update_count})
 
-    final_params = shared.snapshot() if best_params is None else best_params
-    ckpt = os.path.join(out_dir, "student.ckpt")
-    save_params(ckpt, model.config, final_params)
+    if best_params is None:
+        save_params(ckpt, model.config, shared.snapshot())
     return TrainResult(
         checkpoint_path=ckpt,
         log_path=log_path,

@@ -3,7 +3,9 @@
 ``run(workspace)`` runs every command in process through ``cli.main``:
 gen-data; run-teachers with two oracles and the echo ``extern:`` teacher;
 filter at a beta that leaves a video without a chunk, so that train
-validates; train; track with tras, then with trast and the echo teacher;
+validates; train; filter at the default beta, which keeps a chunk of every
+video, and train on that index, which saves the parameters its updates
+moved; track with tras, then with trast and the echo teacher;
 fuse over all three teachers; eval of the three run directories;
 gradcheck; and a failing leg, a teacher that dies at frame 3 run through
 run-teachers and fuse. It returns the manifest: the sha256 of every file
@@ -69,6 +71,10 @@ def commands(ws: str) -> list:
                     o("data"), o("traces")]),
         ("train", ["train", *cfg, "--seed", "3", "--out", o("train"), o("data"), o("traces"),
                    o("filter", "chunks.json")]),
+        ("filter-all", ["filter", *cfg, "--pool", pool, "--out", o("filter-all"), o("data"),
+                        o("traces")]),
+        ("train-all", ["train", *cfg, "--seed", "3", "--out", o("train-all"), o("data"),
+                       o("traces"), o("filter-all", "chunks.json")]),
         ("track-tras", ["track", *cfg, "--out", o("runs", "tras"), ckpt, o("data")]),
         ("track-trast", ["track", *cfg, "--mode", "trast", "--teacher", teacher("echo"),
                          "--out", o("runs", "trast"), ckpt, o("data")]),

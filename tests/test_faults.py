@@ -13,7 +13,7 @@ import pytest
 
 from trackdistill import training
 from trackdistill.errors import NumericError
-from trackdistill.model import StudentModel
+from trackdistill.model import StudentModel, load_params
 from trackdistill.training import OptimizerConfig, SharedWeights, TrainSettings, WorkerConfig
 
 from test_training import SMALL, Sentinel, make_chunk
@@ -62,9 +62,9 @@ class FaultRun:
             return [json.loads(line) for line in fh]
 
 
-def test_nan_in_a_moment_fails_the_next_turn(tmp_path, monkeypatch):
-    # a NaN written into the first moment after update 5 reaches the parameters
-    # at update 6; the next turn's first forward names its step and its video
+def test_nan_in_a_moment_fails_its_update(tmp_path, monkeypatch):
+    # a NaN written into the first moment after update 5 makes update 6's step
+    # non-finite; the update names itself before it applies that step
     run = FaultRun(tmp_path, monkeypatch)
     update = SharedWeights.update
 
@@ -77,12 +77,13 @@ def test_nan_in_a_moment_fails_the_next_turn(tmp_path, monkeypatch):
     monkeypatch.setattr(SharedWeights, "update", poisoning)
     with pytest.raises(NumericError) as raised:
         run.train()
-    assert len(run.videos) == 3
+    assert len(run.videos) == 2  # the second turn is worker 1's, an autonomous one
     assert str(raised.value) == (
-        f"non-finite model output at step 1 of an episode on {run.videos[-1]}"
+        "update 6 (autonomous): non-finite step for enc.conv0.W[7]; "
+        "its first moment is non-finite"
     )
-    assert [e["update"] for e in run.entries()] == [1, 2, 3, 4, 5, 6]
-    assert not np.isfinite(run.stores[0].snapshot()).all()
+    assert [e["update"] for e in run.entries()] == [1, 2, 3, 4, 5]
+    assert np.isfinite(run.stores[0].snapshot()).all()
 
 
 def test_failing_validation_leaves_train(tmp_path, monkeypatch):
@@ -105,4 +106,7 @@ def test_failing_validation_leaves_train(tmp_path, monkeypatch):
                           "best_val_score": 0.5}
     assert [e["update"] for e in entries[1:]] == [1, 2, 3, 4, 5, 6]
     assert all("kind" in e for e in entries[1:])
-    assert not (tmp_path / "student.ckpt").exists()
+    # the first validation's best, the update-0 snapshot, was saved when it was scored
+    model = StudentModel(SMALL)
+    assert np.array_equal(load_params(str(tmp_path / "student.ckpt"), SMALL), model.init_params(0))
+    assert not (tmp_path / "student.ckpt.tmp").exists()

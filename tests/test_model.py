@@ -1,5 +1,6 @@
 """Forward determinism, weight sharing, exact gradients, checkpoints."""
 
+import os
 import re
 import weakref
 
@@ -579,6 +580,20 @@ class TestCheckpoints:
         save_params(p, SMALL, params)
         back = load_params(p, SMALL)
         assert back.tobytes() == params.tobytes()
+
+    def test_save_replaces_through_a_temporary_file(self, tmp_path, monkeypatch):
+        model = StudentModel(SMALL)
+        p = tmp_path / "m.ckpt"
+        save_params(str(p), SMALL, model.init_params(seed=1))
+        # a write that fails part-way leaves the earlier checkpoint whole
+        monkeypatch.setattr(StudentConfig, "fingerprint", lambda self: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            save_params(str(p), SMALL, model.init_params(seed=2))
+        monkeypatch.undo()
+        assert load_params(str(p), SMALL).tobytes() == model.init_params(seed=1).tobytes()
+        save_params(str(p), SMALL, model.init_params(seed=2))
+        assert load_params(str(p), SMALL).tobytes() == model.init_params(seed=2).tobytes()
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_fingerprint_mismatch(self, tmp_path):
         model = StudentModel(SMALL)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -12,7 +13,7 @@ from trackdistill import training
 from trackdistill.errors import ConfigError, InvalidInputError, NumericError
 from trackdistill.geometry import Box
 from trackdistill.mdp import State
-from trackdistill.model import StudentConfig, StudentModel, grad_check
+from trackdistill.model import StudentConfig, StudentModel, grad_check, load_params
 from trackdistill.training import (
     AUTONOMOUS,
     DISTILLING,
@@ -663,6 +664,29 @@ class TestSharedWeights:
         assert (last["param"], last["nonfinite"]) == ("p1", 1)
         assert sw.last_rejection == last
 
+    @pytest.mark.parametrize("moment,which", [
+        ("_m", "its first moment is"), ("_v", "its second moment is"),
+        (None, "both moments are"),
+    ])
+    def test_nonfinite_step_names_its_update(self, moment, which):
+        log = io.StringIO()
+        n = OPT_BLOCK + 10
+        sw = SharedWeights(np.ones(n), OptimizerConfig(method="adam", lr=1e-2), log_file=log,
+                           name_of=lambda i: f"p{i}")
+        assert sw.update(np.ones(n), AUTONOMOUS)
+        for name in ([moment] if moment else ["_m", "_v"]):
+            getattr(sw, name)[OPT_BLOCK + 3] = np.nan
+        before = sw.snapshot()
+        with pytest.raises(NumericError, match=re.escape(
+            f"update 2 (distilling): non-finite step for p{OPT_BLOCK + 3}; {which} non-finite"
+        )):
+            sw.update(np.ones(n), DISTILLING)
+        assert [e["update"] for e in logged(log)] == [1]
+        after = sw.snapshot()
+        # the first block was applied before the second block's step was checked
+        assert not np.array_equal(after[:OPT_BLOCK], before[:OPT_BLOCK])
+        npt.assert_array_equal(after[OPT_BLOCK:], before[OPT_BLOCK:])
+
     def test_update_count_strictly_increases(self):
         log = io.StringIO()
         sw = SharedWeights(
@@ -1237,6 +1261,44 @@ class TestTrain:
         validations = [e for e in entries if e.get("validation")]
         assert [(e["update"], e["val_score"]) for e in validations] == res.val_history
         assert seen == validations
+
+    def test_progress_without_validation(self, tmp_path):
+        # one entry between turns each time the update count passes the next
+        # val_every mark, which then moves val_every past it
+        seen = []
+        res = train(
+            StudentModel(SMALL), [make_chunk(np.random.default_rng(1), "v0")],
+            TrainSettings(workers=2, max_updates=8, val_every=4, seed=2),
+            WorkerConfig(t_max=5),
+            OptimizerConfig(method="sgd", lr=1e-5),
+            str(tmp_path), progress=seen.append,
+        )
+        updates = [e["update"] for e in seen]
+        assert all(set(e) == {"update"} for e in seen)
+        assert updates[0] >= 4 and updates[-1] == res.updates >= 8
+        assert all(b - a >= 4 for a, b in zip(updates, updates[1:]))
+
+    def test_each_new_best_is_on_disk_when_scored(self, tmp_path):
+        model, scores, on_disk = StudentModel(SMALL), iter([0.1, 0.3, 0.2, 0.4]), []
+        ckpt = tmp_path / "student.ckpt"
+
+        def validate_fn(params):
+            on_disk.append(load_params(str(ckpt), SMALL) if ckpt.exists() else None)
+            return next(scores)
+
+        res = train(
+            model, [make_chunk(np.random.default_rng(1), "v0")],
+            TrainSettings(workers=2, max_updates=9, val_every=3, seed=2, patience=5),
+            WorkerConfig(t_max=5), OptimizerConfig(method="sgd", lr=1e-3),
+            str(tmp_path), validate_fn=validate_fn,
+        )
+        assert [s for _, s in res.val_history] == [0.1, 0.3, 0.2, 0.4]
+        assert on_disk[0] is None
+        # each validation sees the best before it: the first, then the second twice
+        assert np.array_equal(on_disk[1], model.init_params(2))
+        assert np.array_equal(on_disk[2], on_disk[3])
+        assert not np.array_equal(on_disk[1], on_disk[2])
+        assert sorted(os.listdir(tmp_path)) == ["student.ckpt", "train_log.jsonl"]
 
 
 class Sentinel(Exception):

@@ -5,6 +5,12 @@ connected layers -> recurrent cell -> twin heads (bounded action, linear
 value). Everything is float64 numpy with hand-derived reverse-mode gradients,
 so finite-difference verification can be made tight.
 
+Training runs ``forward`` once per step into a ``WindowCache``: each step's
+encoder columns, pre-activations and features land in the window's rows 2i
+and 2i + 1. ``backward_window`` then runs only the recurrent deltas step by
+step and takes every weight's gradient as one product over the window, the
+encoder's over all 2n patches, reading the window's buffers in place.
+
 Parameters live in one flat vector partitioned into named tensors; training
 code treats it as an opaque array, which keeps shared-weight updates and
 delta replay bitwise-exact.
@@ -71,7 +77,8 @@ class HiddenState:
 @dataclass(frozen=True)
 class StudentOutput:
     """One step's outputs, plus the intermediates ``backward_window`` needs
-    to differentiate through this step (one entry of its ``caches``)."""
+    to differentiate through this step (one entry of its ``caches``); the
+    encoder's are views of the step's ``WindowCache`` buffers."""
 
     action: np.ndarray  # in (-1, 1)^4
     value: float
@@ -146,6 +153,7 @@ class StudentModel:
         self._views_of: Optional[np.ndarray] = None  # the vector _views were built on
         self._views: Dict[str, np.ndarray] = {}
         self._arena_bufs = self._workspace(0)
+        self._col2im_bufs = [np.empty((0, s + 2, s + 2, cin)) for s, cin in self._conv_stages]
 
     # -- parameter vector plumbing -------------------------------------------
 
@@ -192,26 +200,33 @@ class StudentModel:
     # -- encoder --------------------------------------------------------------
 
     def _workspace(self, n: int) -> List[np.ndarray]:
-        """Fresh encoder buffers for n patches: the (n, p, p, 3) normalised patches,
-        then per conv stage its padded input (the border zero), its (n, half²,
-        cin·9) columns and its (n, half², cout) pre-activations, and last the
-        (n, feature_dim) features."""
+        """Fresh encoder buffers for n patches: the (n, p, p, 3) normalised patches
+        and each conv stage's padded input (the border zero), the scratch of one
+        call; then what ``_kept`` lists."""
         p = self.config.patch_size
-        bufs = [np.empty((n, p, p, 3))]
+        scratch = [np.empty((n, p, p, 3))]
+        scratch += [np.zeros((n, side + 2, side + 2, cin)) for side, cin in self._conv_stages]
+        return scratch + self._kept(n)
+
+    def _kept(self, n: int) -> List[np.ndarray]:
+        """Fresh buffers for what backpropagation reads of n patches' encoding:
+        per conv stage its (n, half², cin·9) columns and (n, half², cout)
+        pre-activations, then the (n, feature_dim) features."""
+        bufs = []
         for (side, cin), cout in zip(self._conv_stages, self.config.conv_channels):
             half = side // 2
-            bufs += [
-                np.zeros((n, side + 2, side + 2, cin)),
-                np.empty((n, half * half, cin * 9)),
-                np.empty((n, half * half, cout)),
-            ]
+            bufs += [np.empty((n, half * half, cin * 9)), np.empty((n, half * half, cout))]
         return bufs + [np.empty((n, self.feature_dim))]
 
+    def window(self, steps: int) -> WindowCache:
+        """An empty cache for up to ``steps`` consecutive ``forward`` steps."""
+        return WindowCache(self._kept(2 * steps))
+
     def _arena(self, n: int) -> List[np.ndarray]:
-        """The leading n rows of the model's own encoder buffers, for callers that
-        drop the cache before the next call. They grow to the largest n asked
-        for and are otherwise reused; no call writes a padded border, so it
-        stays zero."""
+        """The leading n rows of the model's own encoder buffers, for what a call
+        drops before the next: ``forward``'s scratch, all of ``forward_lanes``'s.
+        They grow to the largest n asked for and are otherwise reused; no call
+        writes a padded border, so it stays zero."""
         if len(self._arena_bufs[0]) < n:
             self._arena_bufs = self._workspace(n)
         return [b[:n] for b in self._arena_bufs]
@@ -224,58 +239,77 @@ class StudentModel:
     ):
         """(n, feature_dim) features of n (p, p, 3) patches, and their cache.
 
-        ``workspace(n)`` supplies the buffers (``_workspace`` or ``_arena``), and
-        the features and the cache are views of them: the caller decides who
-        owns them. Each stage's im2col is one ``take`` of a precomputed index,
+        ``workspace(n)`` supplies the buffers in ``_workspace``'s layout (from
+        ``_workspace``, ``_arena`` or, for ``forward``, both scratch from the arena
+        and a window's rows), and the features and the cache are views of them:
+        the caller decides who owns them. Each stage's im2col is one ``take`` of a precomputed index,
         and each stage's ReLU writes into the next stage's padded input; the
         arithmetic is the nine-copy encoder's, so every value is bitwise its.
         """
-        n = len(patches)
+        n, stages = len(patches), len(self._gathers)
         bufs = workspace(n)
+        x, xpads, kept = bufs[0], bufs[1 : stages + 1], bufs[stages + 1 :]
         # normalised in a contiguous buffer: a ufunc writing a strided view is slower
-        x = bufs[0]
         for j, patch in enumerate(patches):
             np.divide(patch, 255.0, out=x[j])
         x -= 0.5
-        bufs[1][:, 1:-1, 1:-1] = x
-        stage_caches = []
-        last = len(self._gathers) - 1
+        xpads[0][:, 1:-1, 1:-1] = x
         for k, ((side, cin), idx) in enumerate(zip(self._conv_stages, self._gathers)):
-            # nxt: the next stage's padded input, after the last stage the features
-            xpad, cols, pre, nxt = bufs[3 * k + 1 : 3 * k + 5]
+            cols, pre = kept[2 * k : 2 * k + 2]
             W = v[f"enc.conv{k}.W"]
             cout, half = W.shape[0], side // 2
             # mode="clip" writes straight into cols; "raise" would buffer it
-            np.take(xpad.reshape(n, -1), idx, axis=1, out=cols, mode="clip")
+            np.take(xpads[k].reshape(n, -1), idx, axis=1, out=cols, mode="clip")
             # a matmul per patch, so rows round as in a one-patch call
             np.matmul(cols, W.reshape(cout, -1).T, out=pre)
             pre += v[f"enc.conv{k}.b"]
-            stage_caches.append((cols.reshape(-1, cin * 9), pre.reshape(-1, cout)))
             act = pre.reshape(n, half, half, cout)
-            out = nxt[:, 1:-1, 1:-1] if k < last else nxt.reshape(act.shape)
+            # into the next stage's padded input; after the last stage, the features
+            out = xpads[k + 1][:, 1:-1, 1:-1] if k + 1 < stages else kept[-1].reshape(act.shape)
             np.maximum(act, 0.0, out=out)
-        return bufs[-1], stage_caches
+        return self._encoding(kept, n)
+
+    def _encoding(self, kept: List[np.ndarray], n: int):
+        """The features and per-stage (columns, pre-activations) of the first n
+        patches in ``kept`` buffers, as (n, feature_dim) and (n·half², ·) views."""
+        stages = [
+            (cols[:n].reshape(-1, cols.shape[-1]), pre[:n].reshape(-1, pre.shape[-1]))
+            for cols, pre in zip(kept[0:-1:2], kept[1:-1:2])
+        ]
+        return kept[-1][:n], stages
 
     def _encode_backward(self, v, g, dfeat: np.ndarray, cache) -> None:
-        # Input-patch gradients are never needed (patches are data), so the
-        # first stage skips the scatter back to pixels.
+        """Set the encoder's gradient in ``g`` from the (n, feature_dim) ``dfeat`` of
+        n patches whose ``_encode`` cache is ``cache``: one product per conv weight
+        over all n patches. Input-patch gradients are never needed (patches are
+        data), so the first stage skips the scatter back to pixels."""
         dx = dfeat
         for k in range(len(self._conv_stages) - 1, -1, -1):
             side, cin = self._conv_stages[k]
             W = v[f"enc.conv{k}.W"]
             cols, pre = cache[k]
             cout = W.shape[0]
-            dpre = dx.reshape(-1, cout) * (pre > 0)
-            g[f"enc.conv{k}.W"] += (dpre.T @ cols).reshape(W.shape)
-            g[f"enc.conv{k}.b"] += dpre.sum(axis=0)
+            dpre = (dx * (pre.reshape(dx.shape) > 0)).reshape(-1, cout)
+            np.matmul(dpre.T, cols, out=g[f"enc.conv{k}.W"].reshape(cout, -1))
+            np.sum(dpre, axis=0, out=g[f"enc.conv{k}.b"])
             if k == 0:
                 break
             dcols = (dpre @ W.reshape(cout, -1)).reshape(-1, side // 2, side // 2, cin, 3, 3)
-            dxpad = np.zeros((dcols.shape[0], side + 2, side + 2, cin))
+            dxpad = self._col2im_target(k, len(dcols))
             for ky in range(3):  # col2im: the adjoint of the im2col gather
                 for kx in range(3):
                     dxpad[:, ky : ky + side : 2, kx : kx + side : 2] += dcols[..., ky, kx]
             dx = dxpad[:, 1:-1, 1:-1]
+
+    def _col2im_target(self, k: int, n: int) -> np.ndarray:
+        """Stage k's (n, side + 2, side + 2, cin) col2im target, zeroed: the leading
+        n rows of a buffer the model keeps, grown to the largest n asked for."""
+        if len(self._col2im_bufs[k]) < n:
+            side, cin = self._conv_stages[k]
+            self._col2im_bufs[k] = np.empty((n, side + 2, side + 2, cin))
+        target = self._col2im_bufs[k][:n]
+        target.fill(0.0)
+        return target
 
     # -- forward --------------------------------------------------------------
 
@@ -293,11 +327,11 @@ class StudentModel:
     ):
         """Advance K lanes: lane k reads states[k] and row k of the (K, hidden) h_prev
         and c_prev; lanes given one State object share its encoding. Each lane's rows are
-        bitwise a one-lane step's. Returns (mu, value, h, c, encoder cache, (K, ...) rows).
-        The encoder cache and the ``z`` rows are views of the buffers ``workspace``
-        supplies (see ``_encode``); every other array is fresh."""
+        bitwise a one-lane step's. Returns (mu, value, h, c, (K, ...) rows). The encoder
+        writes into the buffers ``workspace`` supplies (see ``_encode``); every returned
+        array is fresh."""
         distinct = list({id(s): s for s in states}.values())
-        feats, enc_cache = self._encode(
+        feats, _ = self._encode(
             v, [p for s in distinct for p in (s.patch_prev, s.patch_cur)], workspace
         )
         z = feats.reshape(len(distinct), -1)
@@ -320,18 +354,35 @@ class StudentModel:
 
         mu = np.tanh(_matvecs(v["policy.W"], h) + v["policy.b"])
         value = (h[:, None, :] @ v["value.W"][0][:, None])[:, 0, 0] + v["value.b"][0]
-        rows = (z, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, c, tc, h, mu)
-        return mu, value, h, c, enc_cache, rows
+        rows = (pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu)
+        return mu, value, h, c, rows
 
-    def forward(self, params: np.ndarray, state: State, hidden: HiddenState):
-        """One prediction, with its backward cache; purely functional in (params, state, hidden).
-        The encoder writes into fresh buffers that only the returned cache holds, so no
-        later call overwrites a cache before ``backward_window`` reads it."""
+    def forward(
+        self, params: np.ndarray, state: State, hidden: HiddenState, window: WindowCache
+    ):
+        """One prediction, with its backward cache; the outputs are a pure function of
+        (params, state, hidden).
+
+        The step is the next one of ``window`` (from ``window(n)``): it writes what
+        backpropagation reads of its encoding into the window's rows 2i and 2i + 1,
+        and the cache views the window's rows up to its own. No later call writes a
+        window's filled rows, so a cache stays valid until ``backward_window`` reads
+        it. The encoder's scratch is the model's own buffers (``_arena``), so a model
+        runs one call at a time."""
         self._check_state(state)
-        mu, value, h, c, enc_cache, rows = self._step(
-            self._param_views(params), (state,), hidden.h[None], hidden.c[None], self._workspace
+        i, scratch = window.steps, len(self._conv_stages) + 1
+        if 2 * i == len(window.kept[-1]):
+            raise ValueError(f"the window is full at {i} steps")
+
+        def workspace(n: int) -> List[np.ndarray]:
+            return self._arena(n)[:scratch] + [b[2 * i : 2 * i + n] for b in window.kept]
+
+        mu, value, h, c, rows = self._step(
+            self._param_views(params), (state,), hidden.h[None], hidden.c[None], workspace
         )
-        cache = (enc_cache,) + tuple(r[0] for r in rows)
+        window.steps += 1
+        feats, enc_cache = self._encoding(window.kept, 2 * i + 2)
+        cache = (enc_cache, feats) + tuple(r[0] for r in rows)
         return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
 
     def forward_lanes(self, params: np.ndarray, states: Sequence[State], hidden: HiddenState):
@@ -344,19 +395,20 @@ class StudentModel:
         for state in states:
             self._check_state(state)
         h, c = np.atleast_2d(hidden.h), np.atleast_2d(hidden.c)
-        mu, value, h, c, _, _ = self._step(self._param_views(params), states, h, c, self._arena)
+        mu, value, h, c, _ = self._step(self._param_views(params), states, h, c, self._arena)
         return mu, value, HiddenState(h, c)
 
     def forward_window(
         self, params: np.ndarray, states: Sequence[State], hidden: HiddenState
     ):
-        """Run consecutive steps, keeping every intermediate for backward.
+        """Run consecutive steps in one window, keeping every intermediate for backward.
 
-        Returns (mus (n,4), values (n,), final HiddenState, cache).
+        Returns (mus (n,4), values (n,), final HiddenState, caches).
         """
         mus, values, caches = [], [], []
+        window = self.window(len(states))
         for i, state in enumerate(states):
-            out, hidden = self.forward(params, state, hidden)
+            out, hidden = self.forward(params, state, hidden, window)
             if not (np.all(np.isfinite(out.action)) and np.isfinite(out.value)):
                 raise NumericError(f"non-finite model output at window step {i}")
             mus.append(out.action)
@@ -375,58 +427,76 @@ class StudentModel:
     ) -> np.ndarray:
         """Exact gradient of sum_i (dmus[i].mu_i + dvalues[i].v_i) w.r.t. params.
 
-        dmus/dvalues are the loss derivatives at each step's outputs;
-        backpropagation runs through time across the whole window.
+        ``caches`` are the caches of one window's steps 0..n-1, in order, and
+        dmus/dvalues the loss derivatives at each step's outputs. Only the
+        recurrent deltas run step by step, backwards through the window; each
+        weight's gradient is then one product over the window's n steps, and
+        the encoder's one backward pass over its 2n patches, read in place
+        from the window's buffers.
         """
+        n = len(caches)
+        enc_cache, feats = caches[-1][:2]  # the last step's views cover the whole window
+        if len(feats) != 2 * n:
+            raise ValueError(
+                f"{n} step caches, but the last is step {len(feats) // 2} of its window"
+            )
+        (pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu) = (
+            np.stack(rows) for rows in zip(*(cache[2:] for cache in caches))
+        )
         v = self._param_views(params)
         grad = np.zeros(self.n_params)
         g = self.views(grad)
         hdim = self.config.hidden_dim
+
+        dza = dmus * (1.0 - mu * mu)
+        dh_out = dza @ v["policy.W"] + dvalues[:, None] * v["value.W"][0]  # through the heads
+        dtc = go * (1.0 - tc * tc)
+        # dgates = (dc, dc, dc, dh) times these, block by block (i, f, g, o)
+        factors = np.concatenate(
+            [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), gi * (1.0 - gg * gg),
+             tc * go * (1.0 - go)],
+            axis=1,
+        )
+        dgates = np.empty((n, 4 * hdim))
         dh_carry = np.zeros(hdim)
         dc_carry = np.zeros(hdim)
+        for i in range(n - 1, -1, -1):
+            dh = dh_carry + dh_out[i]
+            dc = dc_carry + dh * dtc[i]
+            np.multiply(factors[i, : 3 * hdim].reshape(3, hdim), dc,
+                        out=dgates[i, : 3 * hdim].reshape(3, hdim))
+            np.multiply(factors[i, 3 * hdim :], dh, out=dgates[i, 3 * hdim :])
+            dc_carry = dc * gf[i]
+            dh_carry = dgates[i] @ v["rnn.Wh"]
 
-        for i in range(len(caches) - 1, -1, -1):
-            (enc_cache, z, pre1, a1, pre2, a2, h_prev, c_prev,
-             gi, gf, gg, go, c, tc, h, mu) = caches[i]
-
-            dza = dmus[i] * (1.0 - mu * mu)
-            g["policy.W"] += np.outer(dza, h)
-            g["policy.b"] += dza
-            dv = float(dvalues[i])
-            g["value.W"] += dv * h[None, :]
-            g["value.b"] += dv
-            dh = dh_carry + v["policy.W"].T @ dza + dv * v["value.W"][0]
-
-            do = dh * tc
-            dc = dc_carry + dh * go * (1.0 - tc * tc)
-            df = dc * c_prev
-            di = dc * gg
-            dgg = dc * gi
-            dc_carry = dc * gf
-            dgates = np.concatenate(
-                [
-                    di * gi * (1.0 - gi),
-                    df * gf * (1.0 - gf),
-                    dgg * (1.0 - gg * gg),
-                    do * go * (1.0 - go),
-                ]
-            )
-            g["rnn.Wx"] += np.outer(dgates, a2)
-            g["rnn.Wh"] += np.outer(dgates, h_prev)
-            g["rnn.b"] += dgates
-            dh_carry = v["rnn.Wh"].T @ dgates
-
-            da2 = v["rnn.Wx"].T @ dgates
-            dpre2 = da2 * (pre2 > 0)
-            g["fuse2.W"] += np.outer(dpre2, a1)
-            g["fuse2.b"] += dpre2
-            da1 = v["fuse2.W"].T @ dpre2
-            dpre1 = da1 * (pre1 > 0)
-            g["fuse1.W"] += np.outer(dpre1, z)
-            g["fuse1.b"] += dpre1
-            dz = v["fuse1.W"].T @ dpre1
-            self._encode_backward(v, g, dz.reshape(2, -1), enc_cache)
+        np.matmul(dza.T, h, out=g["policy.W"])
+        np.sum(dza, axis=0, out=g["policy.b"])
+        np.matmul(dvalues[None], h, out=g["value.W"])
+        g["value.b"][0] = np.sum(dvalues)
+        np.matmul(dgates.T, a2, out=g["rnn.Wx"])
+        np.matmul(dgates.T, h_prev, out=g["rnn.Wh"])
+        np.sum(dgates, axis=0, out=g["rnn.b"])
+        dpre2 = (dgates @ v["rnn.Wx"]) * (pre2 > 0)
+        np.matmul(dpre2.T, a1, out=g["fuse2.W"])
+        np.sum(dpre2, axis=0, out=g["fuse2.b"])
+        dpre1 = (dpre2 @ v["fuse2.W"]) * (pre1 > 0)
+        np.matmul(dpre1.T, feats.reshape(n, -1), out=g["fuse1.W"])
+        np.sum(dpre1, axis=0, out=g["fuse1.b"])
+        dz = dpre1 @ v["fuse1.W"]
+        self._encode_backward(v, g, dz.reshape(2 * n, -1), enc_cache)
         return grad
+
+
+class WindowCache:
+    """What backpropagation reads of the encoding of up to ``len(kept[-1]) // 2``
+    consecutive ``forward`` steps, in ``StudentModel._kept`` buffers: step i
+    writes its two patches into rows 2i and 2i + 1, and ``steps`` counts the
+    steps written. Step i's cache views rows 0 to 2i + 1, so the last step's
+    cache covers the window and ``backward_window`` reads it without a copy."""
+
+    def __init__(self, kept: List[np.ndarray]):
+        self.kept = kept
+        self.steps = 0
 
 
 # -- hidden-state schedule ----------------------------------------------------

@@ -402,7 +402,8 @@ class SharedWeights:
     def _nonfinite_step(self, index: int, kind: str) -> None:
         bad = [name for name, a in (("first", self._m), ("second", self._v))
                if not math.isfinite(a[index])]
-        which = {0: "neither moment is", 1: f"its {bad[0]} moment is"}.get(len(bad), "both moments are")
+        which = {0: "neither moment is", 1: f"its {bad[0]} moment is"}.get(
+            len(bad), "both moments are")
         raise NumericError(
             f"update {self.update_count} ({kind}): non-finite step for "
             f"{self._name_of(index)}; {which} non-finite"
@@ -570,9 +571,10 @@ def run_episode(
     The teacher target of each step is the action from the student's current
     box to the chunk's teacher box on the next frame. ``rng`` draws the autonomous worker's action
     samples; a distilling worker draws none. The model runs forward exactly
-    once per env step. A window's gradient backpropagates through those same
-    steps' caches, and the step that gives a cut window its bootstrap value is
-    the next window's first step.
+    once per env step, into the window the step belongs to (``model.window``).
+    A window's gradient backpropagates through those same steps' caches, and
+    the step that gives a cut window its bootstrap value is the next window's
+    first step.
 
     Returns (sum of student rewards, sum of teacher own rewards, records).
     """
@@ -585,8 +587,8 @@ def run_episode(
     )
     loss_kind = "distill" if kind == DISTILLING else "rl"
 
-    def predict(state: State, hidden: HiddenState):
-        out, hidden = model.forward(theta, state, hidden)
+    def predict(state: State, hidden: HiddenState, window):
+        out, hidden = model.forward(theta, state, hidden, window)
         if not (np.all(np.isfinite(out.action)) and math.isfinite(out.value)):
             raise NumericError(
                 f"non-finite model output at step {episode.t + 1} of an episode "
@@ -596,7 +598,8 @@ def run_episode(
 
     state = episode.reset()
     hidden = model.zero_hidden()
-    pending = predict(state, hidden)
+    window = model.window(cfg.t_max)  # where each step's forward keeps its cache
+    pending = predict(state, hidden, window)
     sum_r_student = 0.0
     sum_r_teacher = 0.0
     records: List[EpisodeRecord] = []
@@ -639,7 +642,9 @@ def run_episode(
             caches.append(out.cache)
             state = next_state
             if not done:
-                pending = predict(state, hidden)
+                if len(steps) == cfg.t_max:  # the next step opens the next window
+                    window = model.window(cfg.t_max)
+                pending = predict(state, hidden, window)
         record = EpisodeRecord(
             steps=steps,
             h0=h0,

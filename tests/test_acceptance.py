@@ -388,7 +388,7 @@ def test_gate_08_handoff_selection(capsys, tmp_path):
                     model.config.patch_size,
                 )
                 hidden = sched.before(t)
-                out, hidden = model.forward(params, state, hidden)
+                out, hidden = model.forward(params, state, hidden, model.window(1))
                 sched.after(t, hidden)
                 cand = apply_action(out.action, box)
                 gt = video.ground_truth[t]

@@ -39,8 +39,8 @@ class TestForward:
         params = model.init_params(seed=1)
         s = random_state(rng)
         h = model.zero_hidden()
-        out1, h1 = model.forward(params, s, h)
-        out2, h2 = model.forward(params, s, h)
+        out1, h1 = model.forward(params, s, h, model.window(1))
+        out2, h2 = model.forward(params, s, h, model.window(1))
         np.testing.assert_array_equal(out1.action, out2.action)
         assert out1.value == out2.value
         np.testing.assert_array_equal(h1.h, h2.h)
@@ -50,14 +50,14 @@ class TestForward:
         model = StudentModel(SMALL)
         for seed in range(5):
             params = model.init_params(seed) * 10.0  # exaggerate pre-activations
-            out, _ = model.forward(params, random_state(rng), model.zero_hidden())
+            out, _ = model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
             assert np.all(np.abs(out.action) < 1.0)
 
     def test_zero_params_zero_outputs(self):
         rng = np.random.default_rng(103)
         model = StudentModel(SMALL)
         params = np.zeros(model.n_params)
-        out, hidden = model.forward(params, random_state(rng), model.zero_hidden())
+        out, hidden = model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
         np.testing.assert_array_equal(out.action, np.zeros(4))
         assert out.value == 0.0
         np.testing.assert_array_equal(hidden.h, np.zeros(12))
@@ -67,8 +67,8 @@ class TestForward:
         model = StudentModel(SMALL)
         params = model.init_params(seed=2)
         s = random_state(rng)
-        out_cold, h1 = model.forward(params, s, model.zero_hidden())
-        out_warm, _ = model.forward(params, s, h1)
+        out_cold, h1 = model.forward(params, s, model.zero_hidden(), model.window(1))
+        out_warm, _ = model.forward(params, s, h1, model.window(1))
         assert not np.array_equal(out_cold.action, out_warm.action)
 
     def test_weight_sharing_across_branches(self):
@@ -84,7 +84,7 @@ class TestForward:
         sba = State(b, a)
         mus = {}
         for tag, st in (("ab", sab), ("ba", sba)):
-            out, _ = model.forward(params, st, model.zero_hidden())
+            out, _ = model.forward(params, st, model.zero_hidden(), model.window(1))
             mus[tag] = out.action
         # swapping inputs changes the output only via concat order, never via
         # per-branch weights: rebuild both orders from the same two features
@@ -101,7 +101,7 @@ class TestForward:
         params = model.init_params(seed=1)
         bad = random_state(rng, patch_size=8)
         with pytest.raises(ConfigError):
-            model.forward(params, bad, model.zero_hidden())
+            model.forward(params, bad, model.zero_hidden(), model.window(1))
 
     def test_nonfinite_params_detected(self):
         rng = np.random.default_rng(108)
@@ -145,14 +145,14 @@ class TestParamViewCache:
         assert [c is params for c in calls] == [True]
         # backward reads the cached views; its fresh gradient's views are not kept
         model.backward_window(params, caches, np.ones((3, 4)), np.ones(3))
-        model.forward(params, states[0], model.zero_hidden())
+        model.forward(params, states[0], model.zero_hidden(), model.window(1))
         assert [c is params for c in calls] == [True, False]
 
     def test_cache_holds_its_vector(self):
         rng = np.random.default_rng(112)
         model = StudentModel(SMALL)
         params = model.init_params(seed=1)
-        model.forward(params, random_state(rng), model.zero_hidden())
+        model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
         ref = weakref.ref(params)
         del params
         assert ref() is not None  # so no later vector can take its id
@@ -163,12 +163,12 @@ class TestParamViewCache:
         s, h = random_state(rng), model.zero_hidden()
         p, q = model.init_params(seed=1), model.init_params(seed=2)
         for params in (p, q.copy(), p):
-            got, _ = model.forward(params, s, h)
-            want, _ = fresh.forward(params.copy(), s, h)
+            got, _ = model.forward(params, s, h, model.window(1))
+            want, _ = fresh.forward(params.copy(), s, h, fresh.window(1))
             assert np.array_equal(got.action, want.action) and got.value == want.value
         p[:] = q  # an in-place update shows through the cached views
-        got, _ = model.forward(p, s, h)
-        want, _ = fresh.forward(q, s, h)
+        got, _ = model.forward(p, s, h, model.window(1))
+        want, _ = fresh.forward(q, s, h, fresh.window(1))
         assert np.array_equal(got.action, want.action) and got.value == want.value
 
 
@@ -211,7 +211,9 @@ def assert_lanes_equal_forward(model, params, states, hidden):
     assert new_hidden.h.shape == new_hidden.c.shape == (k, model.config.hidden_dim)
     hs, cs = (np.broadcast_to(x, (k, model.config.hidden_dim)) for x in (hidden.h, hidden.c))
     for lane in range(k):  # bitwise: batching and sharing must not change the rounding
-        out, h = model.forward(params, states[lane], HiddenState(hs[lane], cs[lane]))
+        out, h = model.forward(
+            params, states[lane], HiddenState(hs[lane], cs[lane]), model.window(1)
+        )
         np.testing.assert_array_equal(actions[lane], out.action)
         assert values[lane] == out.value
         np.testing.assert_array_equal(new_hidden.h[lane], h.h)
@@ -435,7 +437,7 @@ class TestGatherEncoder:
 
         model.forward_lanes(params, *lanes())  # the reused buffers are at full size
         states = [random_state(rng, p) for _ in range(3)]
-        out, _ = model.forward(params, states[0], h0)
+        out, _ = model.forward(params, states[0], h0, model.window(1))
         _, _, _, caches = model.forward_window(params, states, h0)
         kept = [a.copy() for a in arrays_in([out.cache, caches])]
         dmus, dvalues = rng.normal(size=(3, 4)), rng.normal(size=3)
@@ -443,7 +445,7 @@ class TestGatherEncoder:
         grad_one = model.backward_window(params, [out.cache], dmus[:1], dvalues[:1])
 
         model.forward_lanes(params, *lanes())
-        model.forward(params, random_state(rng, p), h0)
+        model.forward(params, random_state(rng, p), h0, model.window(1))
         assert_trees_bitwise([out.cache, caches], kept)
         assert model.backward_window(params, caches, dmus, dvalues).tobytes() == grad.tobytes()
         assert model.backward_window(params, [out.cache], dmus[:1], dvalues[:1]).tobytes() == (
@@ -544,7 +546,7 @@ class TestHiddenSchedule:
         state = random_state(rng)
         for t in range(1, 35):
             h = sched.before(t)
-            out, h_next = model.forward(params, state, h)
+            out, h_next = model.forward(params, state, h, model.window(1))
             sched.after(t, h_next)
             seen[t] = h
             if t == 1:
@@ -565,7 +567,7 @@ class TestHiddenSchedule:
         for t in range(1, 14):
             h = sched.before(t)
             fetched[t] = h
-            _, h_next = model.forward(params, state, h)
+            _, h_next = model.forward(params, state, h, model.window(1))
             sched.after(t, h_next)
         snap = fetched[2]  # state entering step 2 is the post-step-1 snapshot
         for t in (5, 9, 13):

@@ -328,7 +328,9 @@ class RefLane:
         state = make_state(
             video.frames[t - 1], video.frames[t], anchor, 1.5, self.model.config.patch_size
         )
-        out, hidden = self.model.forward(self.params, state, self.sched.before(t))
+        out, hidden = self.model.forward(
+            self.params, state, self.sched.before(t), self.model.window(1)
+        )
         self.sched.after(t, hidden)
         return out
 

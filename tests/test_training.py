@@ -951,9 +951,9 @@ class CountingModel(StudentModel):
         self.forward_calls = 0
         self.window_calls = 0
 
-    def forward(self, params, state, hidden):
+    def forward(self, params, state, hidden, window):
         self.forward_calls += 1
-        return super().forward(params, state, hidden)
+        return super().forward(params, state, hidden, window)
 
     def forward_window(self, params, states, hidden):
         self.window_calls += 1
@@ -1014,6 +1014,117 @@ class TestRolloutGradients:
                 self.cfg, sw, np.random.default_rng(2), horizon=12,
             )
         assert sw.update_count == 0
+
+
+def per_step_backward(model, params, caches, dmus, dvalues):
+    """The reference for ``backward_window``: the whole backward pass one step
+    at a time, an outer product per weight and an encoder backward over each
+    step's two patches, read from its rows of the window's buffers."""
+    v = model.views(params)
+    grad = np.zeros(model.n_params)
+    g = model.views(grad)
+    dh_carry = dc_carry = np.zeros(model.config.hidden_dim)
+    for i in range(len(caches) - 1, -1, -1):
+        stages, feats, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu = caches[i]
+        dza = dmus[i] * (1.0 - mu * mu)
+        g["policy.W"] += np.outer(dza, h)
+        g["policy.b"] += dza
+        g["value.W"] += dvalues[i] * h[None, :]
+        g["value.b"] += dvalues[i]
+        dh = dh_carry + v["policy.W"].T @ dza + dvalues[i] * v["value.W"][0]
+        dc = dc_carry + dh * go * (1.0 - tc * tc)
+        dgates = np.concatenate([
+            dc * gg * gi * (1.0 - gi), dc * c_prev * gf * (1.0 - gf),
+            dc * gi * (1.0 - gg * gg), dh * tc * go * (1.0 - go),
+        ])
+        dc_carry = dc * gf
+        g["rnn.Wx"] += np.outer(dgates, a2)
+        g["rnn.Wh"] += np.outer(dgates, h_prev)
+        g["rnn.b"] += dgates
+        dh_carry = v["rnn.Wh"].T @ dgates
+        dpre2 = (v["rnn.Wx"].T @ dgates) * (pre2 > 0)
+        g["fuse2.W"] += np.outer(dpre2, a1)
+        g["fuse2.b"] += dpre2
+        dpre1 = (v["fuse2.W"].T @ dpre2) * (pre1 > 0)
+        g["fuse1.W"] += np.outer(dpre1, feats[2 * i : 2 * i + 2].reshape(-1))
+        g["fuse1.b"] += dpre1
+        dx = (v["fuse1.W"].T @ dpre1).reshape(2, -1)
+        for k in range(len(stages) - 1, -1, -1):  # the encoder over this step's patches
+            side, cin = model._conv_stages[k]
+            W = v[f"enc.conv{k}.W"]
+            cout = W.shape[0]
+            cols, pre = (a.reshape(len(feats), -1, a.shape[-1])[2 * i : 2 * i + 2]
+                         for a in stages[k])
+            dpre = dx.reshape(-1, cout) * (pre.reshape(-1, cout) > 0)
+            g[f"enc.conv{k}.W"] += (dpre.T @ cols.reshape(-1, cin * 9)).reshape(W.shape)
+            g[f"enc.conv{k}.b"] += dpre.sum(axis=0)
+            dcols = (dpre @ W.reshape(cout, -1)).reshape(2, side // 2, side // 2, cin, 3, 3)
+            dxpad = np.zeros((2, side + 2, side + 2, cin))
+            for ky in range(3):
+                for kx in range(3):
+                    dxpad[:, ky : ky + side : 2, kx : kx + side : 2] += dcols[..., ky, kx]
+            dx = dxpad[:, 1:-1, 1:-1]
+    return grad
+
+
+class TestBatchedBackward:
+    """``backward_window`` batches a window's products; the per-step loop it
+    replaced is the reference, to 1e-12 of the gradient's largest element."""
+
+    @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["small", "default"])
+    @pytest.mark.parametrize("t_max", [1, 5])
+    @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
+    def test_rollout_windows_match_the_per_step_loop(self, config, t_max, kind, monkeypatch):
+        # a 12-step episode: t_max 5 gives windows of 5, 5 and 2 steps, the
+        # last one terminated and the others cut; t_max 1 gives 12 one-step windows
+        model = StudentModel(config)
+        params = model.init_params(3) * 2.0
+        backward, encode_backward = StudentModel.backward_window, StudentModel._encode_backward
+        windows, encoder_calls = [], []
+
+        def spy(self, params, caches, dmus, dvalues):
+            grad = backward(self, params, caches, dmus, dvalues)
+            windows.append((len(caches), grad,
+                            per_step_backward(self, params, caches, dmus, dvalues)))
+            return grad
+
+        def encoder_spy(self, v, g, dfeat, cache):
+            encoder_calls.append(len(dfeat))
+            return encode_backward(self, v, g, dfeat, cache)
+
+        monkeypatch.setattr(StudentModel, "backward_window", spy)
+        monkeypatch.setattr(StudentModel, "_encode_backward", encoder_spy)
+        sw = SharedWeights(params, OptimizerConfig(method="sgd", lr=1e-12), name_of=str)
+        _, _, records = run_episode(
+            model, params, make_chunk(np.random.default_rng(7), n_frames=13), kind,
+            WorkerConfig(t_max=t_max), sw, np.random.default_rng(2), horizon=12,
+        )
+        sizes = [5, 5, 2] if t_max == 5 else [1] * 12
+        assert [len(r.steps) for r in records] == sizes
+        assert [r.terminated for r in records] == [False] * (len(sizes) - 1) + [True]
+        assert [n for n, *_ in windows] == sizes
+        # one encoder backward per window, over its 2n patches
+        assert encoder_calls == [2 * n for n in sizes]
+        for _, got, want in windows:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_caches_must_be_one_whole_window(self):
+        model = StudentModel(SMALL)
+        params = model.init_params(3)
+        rng = np.random.default_rng(8)
+        states = [State(rng.uniform(0, 255, (16, 16, 3)), rng.uniform(0, 255, (16, 16, 3)))
+                  for _ in range(3)]
+        _, _, hidden, caches = model.forward_window(params, states, model.zero_hidden())
+        with pytest.raises(ValueError, match="2 step caches, but the last is step 3"):
+            model.backward_window(params, caches[1:], np.ones((2, 4)), np.ones(2))
+        # the leading steps of a window are a window of their own
+        got = model.backward_window(params, caches[:2], np.ones((2, 4)), np.ones(2))
+        want = per_step_backward(model, params, caches[:2], np.ones((2, 4)), np.ones(2))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        window = model.window(1)
+        model.forward(params, states[0], hidden, window)
+        with pytest.raises(ValueError, match="the window is full at 1 steps"):
+            model.forward(params, states[1], hidden, window)
 
 
 class TestTrain:

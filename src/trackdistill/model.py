@@ -441,7 +441,7 @@ class StudentModel:
                 f"{n} step caches, but the last is step {len(feats) // 2} of its window"
             )
         (pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu) = (
-            np.stack(rows) for rows in zip(*(cache[2:] for cache in caches))
+            np.array(rows) for rows in zip(*(cache[2:] for cache in caches))
         )
         v = self._param_views(params)
         grad = np.zeros(self.n_params)

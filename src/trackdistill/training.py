@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, NumericError
 from .geometry import apply_action, infer_action
 from .mdp import State, TrackingEpisode, reward
-from .model import HiddenState, StudentModel, save_params
+from .model import HiddenState, StudentModel, WindowCache, save_params
 from .transferset import TransferChunk
 
 DISTILLING = "distilling"
@@ -587,7 +587,7 @@ def run_episode(
     )
     loss_kind = "distill" if kind == DISTILLING else "rl"
 
-    def predict(state: State, hidden: HiddenState, window):
+    def predict(state: State, hidden: HiddenState, window: WindowCache):
         out, hidden = model.forward(theta, state, hidden, window)
         if not (np.all(np.isfinite(out.action)) and math.isfinite(out.value)):
             raise NumericError(
@@ -746,7 +746,6 @@ def train(
     ckpt = os.path.join(out_dir, "student.ckpt")
     val_history: List[Tuple[int, float]] = []
     best_score: Optional[float] = None
-    best_params: Optional[np.ndarray] = None
 
     with open(log_path, "w") as log_file:
         # the store keeps its own copy; no reference to the initial vector stays behind
@@ -758,14 +757,14 @@ def train(
 
         def validate() -> bool:
             """Score the current parameters; True when they are the new best."""
-            nonlocal best_score, best_params
+            nonlocal best_score
             at = shared.update_count
             snap = shared.snapshot()
             score = float(validate_fn(snap))
             val_history.append((at, score))
             improved = best_score is None or score > best_score
             if improved:  # on disk at once, so a later failure keeps it
-                best_score, best_params = score, snap
+                best_score = score
                 save_params(ckpt, model.config, snap)
             entry = {
                 "validation": True, "update": at, "val_score": score,
@@ -814,7 +813,7 @@ def train(
                 elif progress is not None:
                     progress({"update": shared.update_count})
 
-    if best_params is None:
+    if best_score is None:  # no validation: the final parameters
         save_params(ckpt, model.config, shared.snapshot())
     return TrainResult(
         checkpoint_path=ckpt,

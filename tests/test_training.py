@@ -1386,7 +1386,7 @@ class TestTrain:
         )
         updates = [e["update"] for e in seen]
         assert all(set(e) == {"update"} for e in seen)
-        assert updates[0] >= 4 and updates[-1] == res.updates >= 8
+        assert updates and updates[0] >= 4 and updates[-1] <= res.updates
         assert all(b - a >= 4 for a, b in zip(updates, updates[1:]))
 
     def test_each_new_best_is_on_disk_when_scored(self, tmp_path):

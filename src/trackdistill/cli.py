@@ -291,6 +291,13 @@ def cmd_gradcheck(args, config: cfgmod.Config) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: numpy seeds only with non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trackdistill",
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed_required=False):
         p.add_argument("--config", help="INI config file")
         p.add_argument(
-            "--seed", type=int, required=seed_required,
+            "--seed", type=_seed, required=seed_required,
             default=None if seed_required else 0,
             help="random seed" + (" (required)" if seed_required else ""),
         )

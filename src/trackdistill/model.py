@@ -5,11 +5,13 @@ connected layers -> recurrent cell -> twin heads (bounded action, linear
 value). Everything is float64 numpy with hand-derived reverse-mode gradients,
 so finite-difference verification can be made tight.
 
-Training runs ``forward`` once per step into a ``WindowCache``: each step's
-encoder columns, pre-activations and features land in the window's rows 2i
-and 2i + 1. ``backward_window`` then runs only the recurrent deltas step by
-step and takes every weight's gradient as one product over the window, the
-encoder's over all 2n patches, reading the window's buffers in place.
+Training runs ``forward`` once per step into a ``WindowCache``, the one
+object ``backward_window`` reads: each step's encoder columns, pre-activations
+and features land in the window's rows 2i and 2i + 1, and its recurrent rows
+are appended to the window's list. ``backward_window`` then runs only the
+recurrent deltas step by step and takes every weight's gradient as one
+product over the window, the encoder's over all 2n patches, reading the
+window's buffers in place.
 
 Parameters live in one flat vector partitioned into named tensors; training
 code treats it as an opaque array, which keeps shared-weight updates and
@@ -22,7 +24,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,13 +78,10 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class StudentOutput:
-    """One step's outputs, plus the intermediates ``backward_window`` needs
-    to differentiate through this step (one entry of its ``caches``); the
-    encoder's are views of the step's ``WindowCache`` buffers."""
+    """One step's outputs; what backpropagation reads of it is in its window."""
 
     action: np.ndarray  # in (-1, 1)^4
     value: float
-    cache: tuple = field(default=(), repr=False, compare=False)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -235,20 +234,21 @@ class StudentModel:
         self,
         v: Dict[str, np.ndarray],
         patches: Sequence[np.ndarray],
-        workspace: Callable[[int], List[np.ndarray]],
-    ):
-        """(n, feature_dim) features of n (p, p, 3) patches, and their cache.
+        kept: Optional[List[np.ndarray]],
+    ) -> np.ndarray:
+        """(n, feature_dim) features of n (p, p, 3) patches.
 
-        ``workspace(n)`` supplies the buffers in ``_workspace``'s layout (from
-        ``_workspace``, ``_arena`` or, for ``forward``, both scratch from the arena
-        and a window's rows), and the features and the cache are views of them:
-        the caller decides who owns them. Each stage's im2col is one ``take`` of a precomputed index,
-        and each stage's ReLU writes into the next stage's padded input; the
-        arithmetic is the nine-copy encoder's, so every value is bitwise its.
+        What backpropagation reads goes into ``kept``, n rows of each buffer in
+        ``_kept``'s layout (a window's rows), or with None into the arena; the
+        features are a view of it. The scratch is the arena's. Each stage's im2col
+        is one ``take`` of a precomputed index, and each stage's ReLU writes into
+        the next stage's padded input; the arithmetic is the nine-copy encoder's,
+        so every value is bitwise its.
         """
         n, stages = len(patches), len(self._gathers)
-        bufs = workspace(n)
-        x, xpads, kept = bufs[0], bufs[1 : stages + 1], bufs[stages + 1 :]
+        bufs = self._arena(n)
+        x, xpads = bufs[0], bufs[1 : stages + 1]
+        kept = bufs[stages + 1 :] if kept is None else kept
         # normalised in a contiguous buffer: a ufunc writing a strided view is slower
         for j, patch in enumerate(patches):
             np.divide(patch, 255.0, out=x[j])
@@ -267,27 +267,18 @@ class StudentModel:
             # into the next stage's padded input; after the last stage, the features
             out = xpads[k + 1][:, 1:-1, 1:-1] if k + 1 < stages else kept[-1].reshape(act.shape)
             np.maximum(act, 0.0, out=out)
-        return self._encoding(kept, n)
+        return kept[-1]
 
-    def _encoding(self, kept: List[np.ndarray], n: int):
-        """The features and per-stage (columns, pre-activations) of the first n
-        patches in ``kept`` buffers, as (n, feature_dim) and (n·half², ·) views."""
-        stages = [
-            (cols[:n].reshape(-1, cols.shape[-1]), pre[:n].reshape(-1, pre.shape[-1]))
-            for cols, pre in zip(kept[0:-1:2], kept[1:-1:2])
-        ]
-        return kept[-1][:n], stages
-
-    def _encode_backward(self, v, g, dfeat: np.ndarray, cache) -> None:
+    def _encode_backward(self, v, g, dfeat: np.ndarray, kept: List[np.ndarray]) -> None:
         """Set the encoder's gradient in ``g`` from the (n, feature_dim) ``dfeat`` of
-        n patches whose ``_encode`` cache is ``cache``: one product per conv weight
+        n patches whose ``_encode`` rows are ``kept``: one product per conv weight
         over all n patches. Input-patch gradients are never needed (patches are
         data), so the first stage skips the scatter back to pixels."""
         dx = dfeat
         for k in range(len(self._conv_stages) - 1, -1, -1):
             side, cin = self._conv_stages[k]
             W = v[f"enc.conv{k}.W"]
-            cols, pre = cache[k]
+            cols, pre = (a.reshape(-1, a.shape[-1]) for a in kept[2 * k : 2 * k + 2])
             cout = W.shape[0]
             dpre = (dx * (pre.reshape(dx.shape) > 0)).reshape(-1, cout)
             np.matmul(dpre.T, cols, out=g[f"enc.conv{k}.W"].reshape(cout, -1))
@@ -323,17 +314,14 @@ class StudentModel:
             )
 
     def _step(
-        self, v: Dict[str, np.ndarray], states: Sequence[State], h_prev, c_prev, workspace
+        self, v: Dict[str, np.ndarray], states: Sequence[State], h_prev, c_prev, kept
     ):
         """Advance K lanes: lane k reads states[k] and row k of the (K, hidden) h_prev
         and c_prev; lanes given one State object share its encoding. Each lane's rows are
         bitwise a one-lane step's. Returns (mu, value, h, c, (K, ...) rows). The encoder
-        writes into the buffers ``workspace`` supplies (see ``_encode``); every returned
-        array is fresh."""
+        keeps its rows in ``kept`` (see ``_encode``); every returned array is fresh."""
         distinct = list({id(s): s for s in states}.values())
-        feats, _ = self._encode(
-            v, [p for s in distinct for p in (s.patch_prev, s.patch_cur)], workspace
-        )
+        feats = self._encode(v, [p for s in distinct for p in (s.patch_prev, s.patch_cur)], kept)
         z = feats.reshape(len(distinct), -1)
         pre1 = _matvecs(v["fuse1.W"], z) + v["fuse1.b"]
         a1 = np.maximum(pre1, 0.0)
@@ -360,42 +348,37 @@ class StudentModel:
     def forward(
         self, params: np.ndarray, state: State, hidden: HiddenState, window: WindowCache
     ):
-        """One prediction, with its backward cache; the outputs are a pure function of
-        (params, state, hidden).
+        """One prediction; the outputs are a pure function of (params, state, hidden).
 
-        The step is the next one of ``window`` (from ``window(n)``): it writes what
-        backpropagation reads of its encoding into the window's rows 2i and 2i + 1,
-        and the cache views the window's rows up to its own. No later call writes a
-        window's filled rows, so a cache stays valid until ``backward_window`` reads
-        it. The encoder's scratch is the model's own buffers (``_arena``), so a model
-        runs one call at a time."""
+        The step is the next one of ``window`` (from ``window(n)``), and leaves there
+        all that backpropagation reads of it: its encoding in the window's rows 2i
+        and 2i + 1, its recurrent rows appended to ``window.rows``. No later call
+        writes a window's filled rows, so the window stays valid until
+        ``backward_window`` reads it. The encoder's scratch is the model's own
+        buffers (``_arena``), so a model runs one call at a time."""
         self._check_state(state)
-        i, scratch = window.steps, len(self._conv_stages) + 1
+        i = window.steps
         if 2 * i == len(window.kept[-1]):
             raise ValueError(f"the window is full at {i} steps")
-
-        def workspace(n: int) -> List[np.ndarray]:
-            return self._arena(n)[:scratch] + [b[2 * i : 2 * i + n] for b in window.kept]
-
         mu, value, h, c, rows = self._step(
-            self._param_views(params), (state,), hidden.h[None], hidden.c[None], workspace
+            self._param_views(params), (state,), hidden.h[None], hidden.c[None],
+            [b[2 * i : 2 * i + 2] for b in window.kept],
         )
-        window.steps += 1
-        feats, enc_cache = self._encoding(window.kept, 2 * i + 2)
-        cache = (enc_cache, feats) + tuple(r[0] for r in rows)
-        return StudentOutput(mu[0], float(value[0]), cache), HiddenState(h[0], c[0])
+        window.rows.append(tuple(r[0] for r in rows))
+        return StudentOutput(mu[0], float(value[0])), HiddenState(h[0], c[0])
 
     def forward_lanes(self, params: np.ndarray, states: Sequence[State], hidden: HiddenState):
         """One batched prediction for K lanes: lane k reads states[k] and row k of ``hidden``,
         whose h and c are (K, hidden); a one-row state, such as ``zero_hidden()``, starts every
         lane from that row. Lanes passing one State object share its encoding. Row k is bitwise
         ``forward`` from lane k's row. Returns (actions (K, 4), values (K,), one HiddenState of
-        (K, hidden) rows). The cache is dropped, so the encoder reuses the model's own buffers
-        (``_arena``): the call must not overlap another ``forward_lanes`` on the same model."""
+        (K, hidden) rows). Nothing is kept for backward, so the encoder reuses the model's own
+        buffers (``_arena``): the call must not overlap another ``forward_lanes`` on the same
+        model."""
         for state in states:
             self._check_state(state)
         h, c = np.atleast_2d(hidden.h), np.atleast_2d(hidden.c)
-        mu, value, h, c, _ = self._step(self._param_views(params), states, h, c, self._arena)
+        mu, value, h, c, _ = self._step(self._param_views(params), states, h, c, None)
         return mu, value, HiddenState(h, c)
 
     def forward_window(
@@ -403,9 +386,9 @@ class StudentModel:
     ):
         """Run consecutive steps in one window, keeping every intermediate for backward.
 
-        Returns (mus (n,4), values (n,), final HiddenState, caches).
+        Returns (mus (n,4), values (n,), final HiddenState, the ``WindowCache``).
         """
-        mus, values, caches = [], [], []
+        mus, values = [], []
         window = self.window(len(states))
         for i, state in enumerate(states):
             out, hidden = self.forward(params, state, hidden, window)
@@ -413,35 +396,34 @@ class StudentModel:
                 raise NumericError(f"non-finite model output at window step {i}")
             mus.append(out.action)
             values.append(out.value)
-            caches.append(out.cache)
-        return np.array(mus), np.array(values), hidden, caches
+        return np.array(mus), np.array(values), hidden, window
 
     # -- backward -------------------------------------------------------------
 
     def backward_window(
         self,
         params: np.ndarray,
-        caches: list,
+        window: WindowCache,
         dmus: np.ndarray,
         dvalues: np.ndarray,
     ) -> np.ndarray:
         """Exact gradient of sum_i (dmus[i].mu_i + dvalues[i].v_i) w.r.t. params.
 
-        ``caches`` are the caches of one window's steps 0..n-1, in order, and
-        dmus/dvalues the loss derivatives at each step's outputs. Only the
+        ``window`` holds the n steps that ``forward`` ran into it, and dmus/dvalues
+        the loss derivatives at each step's outputs, one row per step. Only the
         recurrent deltas run step by step, backwards through the window; each
         weight's gradient is then one product over the window's n steps, and
         the encoder's one backward pass over its 2n patches, read in place
         from the window's buffers.
         """
-        n = len(caches)
-        enc_cache, feats = caches[-1][:2]  # the last step's views cover the whole window
-        if len(feats) != 2 * n:
+        n = window.steps
+        if len(dmus) != n or len(dvalues) != n:
             raise ValueError(
-                f"{n} step caches, but the last is step {len(feats) // 2} of its window"
+                f"{len(dmus)} action and {len(dvalues)} value derivatives for {n} window steps"
             )
+        kept = [b[: 2 * n] for b in window.kept]
         (pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu) = (
-            np.array(rows) for rows in zip(*(cache[2:] for cache in caches))
+            np.array(rows) for rows in zip(*window.rows)
         )
         v = self._param_views(params)
         grad = np.zeros(self.n_params)
@@ -480,23 +462,28 @@ class StudentModel:
         np.matmul(dpre2.T, a1, out=g["fuse2.W"])
         np.sum(dpre2, axis=0, out=g["fuse2.b"])
         dpre1 = (dpre2 @ v["fuse2.W"]) * (pre1 > 0)
-        np.matmul(dpre1.T, feats.reshape(n, -1), out=g["fuse1.W"])
+        np.matmul(dpre1.T, kept[-1].reshape(n, -1), out=g["fuse1.W"])
         np.sum(dpre1, axis=0, out=g["fuse1.b"])
         dz = dpre1 @ v["fuse1.W"]
-        self._encode_backward(v, g, dz.reshape(2 * n, -1), enc_cache)
+        self._encode_backward(v, g, dz.reshape(2 * n, -1), kept)
         return grad
 
 
 class WindowCache:
-    """What backpropagation reads of the encoding of up to ``len(kept[-1]) // 2``
-    consecutive ``forward`` steps, in ``StudentModel._kept`` buffers: step i
-    writes its two patches into rows 2i and 2i + 1, and ``steps`` counts the
-    steps written. Step i's cache views rows 0 to 2i + 1, so the last step's
-    cache covers the window and ``backward_window`` reads it without a copy."""
+    """Everything ``backward_window`` reads of up to ``len(kept[-1]) // 2``
+    consecutive ``forward`` steps. Step i writes its two patches' encoding into
+    rows 2i and 2i + 1 of the ``StudentModel._kept`` buffers ``kept``, and
+    appends its recurrent rows (``_step``'s, one lane's) to ``rows``; backward
+    reads both in place."""
 
     def __init__(self, kept: List[np.ndarray]):
         self.kept = kept
-        self.steps = 0
+        self.rows: List[tuple] = []
+
+    @property
+    def steps(self) -> int:
+        """The steps written so far."""
+        return len(self.rows)
 
 
 # -- hidden-state schedule ----------------------------------------------------

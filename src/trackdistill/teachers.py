@@ -204,6 +204,8 @@ class OracleNoiseFactory(TeacherFactory):
         super().__init__(teacher_id)
         self.target_iou = _check_target(float(target_iou))
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidInputError(f"oracle seed must be non-negative, got {self.seed}")
 
     @functools.cached_property
     def kappa(self) -> float:

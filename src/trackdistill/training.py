@@ -6,12 +6,13 @@ workers execute their own policy and regress masked L1 toward that teacher's
 action; autonomous workers execute Gaussian samples around the policy mean
 (spread set by the distance to the ground-truth action) and optimize an
 advantage actor-critic objective. ``window_terms`` states a window's objective
-once; the reported losses and every window's gradient read its terms. Every
-window's gradient goes to one shared parameter store. A worker is a (kind,
-rng, shuffled chunk order) triple: ``train`` interleaves the workers on the
-calling thread, one whole episode per turn in a fixed round-robin order, so a
-run is a pure function of its inputs and seed, and an error in any episode
-propagates out of ``train``.
+once; the reported losses and every window's gradient read its terms. A
+window's steps run forward into one ``WindowCache``, the one object its
+gradient backpropagates through. Every window's gradient goes to one shared
+parameter store. A worker is a (kind, rng, shuffled chunk order) triple:
+``train`` interleaves the workers on the calling thread, one whole episode
+per turn in a fixed round-robin order, so a run is a pure function of its
+inputs and seed, and an error in any episode propagates out of ``train``.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def window_loss_fn(
     states = record.states()
 
     def fn(params: np.ndarray) -> Tuple[float, np.ndarray]:
-        mus, values, _, caches = model.forward_window(params, states, record.h0)
+        mus, values, _, window = model.forward_window(params, states, record.h0)
         return window_gradient(
-            model, params, record, kind, mus, values, caches, gamma, returns_mode,
+            model, params, record, kind, mus, values, window, gamma, returns_mode,
             rl_scale, weight_decay,
         )
 
@@ -316,7 +317,7 @@ def window_gradient(
     kind: str,
     mus: np.ndarray,
     values: np.ndarray,
-    caches: list,
+    window: WindowCache,
     gamma: float,
     returns_mode: str,
     rl_scale: float = 1.0,
@@ -324,14 +325,15 @@ def window_gradient(
 ) -> Tuple[float, np.ndarray]:
     """Loss and exact gradient of one window from its forward pass at params.
 
-    ``mus``, ``values`` and ``caches`` are that pass's per-step outputs, from
-    ``forward_window`` or from the rollout's own ``forward`` calls. See
-    ``window_terms`` for the objective and ``window_loss_fn`` for the kinds.
+    ``mus`` and ``values`` are that pass's per-step outputs and ``window`` the
+    ``WindowCache`` it ran into, from ``forward_window`` or from the rollout's
+    own ``forward`` calls. See ``window_terms`` for the objective and
+    ``window_loss_fn`` for the kinds.
     """
     terms = window_terms(record, kind, mus, values, None, gamma=gamma,
                          returns_mode=returns_mode, rl_scale=rl_scale)
     loss = terms.loss
-    grad = model.backward_window(params, caches, terms.dmus, terms.dvalues)
+    grad = model.backward_window(params, window, terms.dmus, terms.dvalues)
     if kind == "combined" and weight_decay:
         loss += 0.5 * weight_decay * float(params @ params)
         grad = grad + weight_decay * params
@@ -358,10 +360,11 @@ class SharedWeights:
 
     A gradient with a non-finite element is rejected. Its log entry, also
     kept as ``last_rejection``, counts those elements and names the first
-    through ``name_of``. A finite gradient whose step comes out non-finite
-    (from a non-finite optimizer moment) raises ``NumericError`` naming the
-    update, the kind, the first such parameter and its non-finite moments,
-    before that block's step is applied; earlier blocks are already applied.
+    through ``name_of``. A finite gradient whose step or second moment comes
+    out non-finite (from a non-finite moment, or from an overflow) raises
+    ``NumericError`` naming the update, the kind, the first such parameter and
+    its non-finite moments, before that block's step is applied; earlier
+    blocks are already applied.
 
     The store holds three parameter-sized vectors (the parameters and the two
     moments) and two scratch buffers of one ``OPT_BLOCK``. An update runs
@@ -399,13 +402,15 @@ class SharedWeights:
             self._log_file.write(json.dumps(entry) + "\n")
             self._log_file.flush()
 
-    def _nonfinite_step(self, index: int, kind: str) -> None:
+    def _nonfinite(self, block: np.ndarray, start: int, kind: str, what: str) -> None:
+        """Raise for the first non-finite element of ``block``, at ``start``."""
+        index = start + int(np.flatnonzero(~np.isfinite(block))[0])
         bad = [name for name, a in (("first", self._m), ("second", self._v))
                if not math.isfinite(a[index])]
         which = {0: "neither moment is", 1: f"its {bad[0]} moment is"}.get(
             len(bad), "both moments are")
         raise NumericError(
-            f"update {self.update_count} ({kind}): non-finite step for "
+            f"update {self.update_count} ({kind}): non-finite {what} for "
             f"{self._name_of(index)}; {which} non-finite"
         )
 
@@ -448,39 +453,45 @@ class SharedWeights:
                 )
         decay = o.lr * o.weight_decay if kind == DISTILLING and o.weight_decay > 0.0 else None
         delta = None if self.deltas is None else np.empty_like(self._params)
-        for s in range(0, self._params.size, OPT_BLOCK):
-            params, m, v = (a[s:s + OPT_BLOCK] for a in (self._params, self._m, self._v))
-            d, tmp = self._delta[:params.size], self._tmp[:params.size]
-            g = grad[s:s + OPT_BLOCK]
-            if rl_scale is not None:
-                g = np.multiply(g, rl_scale, out=d)
-            if clip is not None:
-                g = np.multiply(g, clip, out=d)
-            if o.method == "sgd":
-                np.multiply(g, o.lr, out=d)
-            else:
-                # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-                m *= o.beta1
-                m += np.multiply(g, 1.0 - o.beta1, out=tmp)
-                v *= o.beta2
-                np.multiply(g, 1.0 - o.beta2, out=tmp)
-                tmp *= g
-                v += tmp
-                np.divide(m, c1, out=d)  # m_hat
-                d *= scale
-                if adaptive:
-                    np.divide(v, c2, out=tmp)
-                    np.sqrt(tmp, out=tmp)
-                    tmp += o.eps
-                    d /= tmp
-            np.negative(d, out=d)
-            if decay is not None:
-                d -= np.multiply(params, decay, out=tmp)
-            if not np.isfinite(d).all():
-                self._nonfinite_step(s + int(np.flatnonzero(~np.isfinite(d))[0]), kind)
-            params += d
-            if delta is not None:
-                delta[s:s + OPT_BLOCK] = d
+        # an overflow is raised below as a non-finite step or moment, with its parameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, self._params.size, OPT_BLOCK):
+                params, m, v = (a[s:s + OPT_BLOCK] for a in (self._params, self._m, self._v))
+                d, tmp = self._delta[:params.size], self._tmp[:params.size]
+                g = grad[s:s + OPT_BLOCK]
+                if rl_scale is not None:
+                    g = np.multiply(g, rl_scale, out=d)
+                if clip is not None:
+                    g = np.multiply(g, clip, out=d)
+                if o.method == "sgd":
+                    np.multiply(g, o.lr, out=d)
+                else:
+                    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+                    m *= o.beta1
+                    m += np.multiply(g, 1.0 - o.beta1, out=tmp)
+                    v *= o.beta2
+                    np.multiply(g, 1.0 - o.beta2, out=tmp)
+                    tmp *= g
+                    v += tmp
+                    np.divide(m, c1, out=d)  # m_hat
+                    d *= scale
+                    if adaptive:
+                        np.divide(v, c2, out=tmp)
+                        np.sqrt(tmp, out=tmp)
+                        tmp += o.eps
+                        d /= tmp
+                np.negative(d, out=d)
+                if decay is not None:
+                    d -= np.multiply(params, decay, out=tmp)
+                if not np.isfinite(d).all():
+                    self._nonfinite(d, s, kind, "step")
+                # a non-finite second moment alone can leave the step finite:
+                # m / inf is 0, and RAdam's early steps do not read v
+                if o.method != "sgd" and not np.isfinite(v).all():
+                    self._nonfinite(v, s, kind, "moment")
+                params += d
+                if delta is not None:
+                    delta[s:s + OPT_BLOCK] = d
         if delta is not None:
             self.deltas.append(delta)
         entry = {"update": self.update_count, "kind": kind}
@@ -572,9 +583,9 @@ def run_episode(
     box to the chunk's teacher box on the next frame. ``rng`` draws the autonomous worker's action
     samples; a distilling worker draws none. The model runs forward exactly
     once per env step, into the window the step belongs to (``model.window``).
-    A window's gradient backpropagates through those same steps' caches, and
-    the step that gives a cut window its bootstrap value is the next window's
-    first step.
+    A window's gradient backpropagates through that same window, and the step
+    that gives a cut window its bootstrap value is the next window's first
+    step.
 
     Returns (sum of student rewards, sum of teacher own rewards, records).
     """
@@ -598,16 +609,15 @@ def run_episode(
 
     state = episode.reset()
     hidden = model.zero_hidden()
-    window = model.window(cfg.t_max)  # where each step's forward keeps its cache
+    window = model.window(cfg.t_max)  # where each step's forward keeps what backward reads
     pending = predict(state, hidden, window)
     sum_r_student = 0.0
     sum_r_teacher = 0.0
     records: List[EpisodeRecord] = []
     done = False
     while not done:
-        h0 = hidden
+        h0, filled = hidden, window  # the window this record's steps run into
         steps: List[StepRecord] = []
-        caches = []
         while len(steps) < cfg.t_max and not done:
             out, hidden = pending
             t_next = episode.t + 1
@@ -639,7 +649,6 @@ def run_episode(
                     mask=mask(r, reward(apply_action(ta, b_prev), gt)),
                 )
             )
-            caches.append(out.cache)
             state = next_state
             if not done:
                 if len(steps) == cfg.t_max:  # the next step opens the next window
@@ -654,7 +663,7 @@ def run_episode(
         records.append(record)
         loss, grad = window_gradient(
             model, theta, record, loss_kind,
-            np.array([s.mu for s in steps]), np.array([s.value for s in steps]), caches,
+            np.array([s.mu for s in steps]), np.array([s.value for s in steps]), filled,
             cfg.gamma, cfg.returns_mode,
         )
         entry = {

@@ -140,12 +140,36 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command,seed", [
+        ("gen-data", "-1"), ("gradcheck", "-2"), ("run-teachers", "-3"), ("train", "x"),
+    ])
+    def test_bad_seed_writes_nothing(self, tmp_path, capsys, command, seed):
+        out = str(tmp_path / "out")
+        argv = {
+            "gen-data": ["gen-data", "--out", out],
+            "gradcheck": ["gradcheck"],
+            "run-teachers": ["run-teachers", "--out", out, str(tmp_path)],
+            "train": ["train", "--out", out, "a", "b", "c"],
+        }[command]
+        assert main([*argv, "--seed", seed]) == 1
+        assert (f"argument --seed: expected a non-negative integer, got '{seed}'"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
 
 class TestDataErrors:
     def test_missing_dataset(self, tmp_path):
         code = main(["run-teachers", "--out", str(tmp_path / "t"),
                      str(tmp_path / "absent")])
         assert code == 2
+
+    def test_negative_oracle_seed_writes_nothing(self, tmp_path, pipeline, capsys):
+        out = str(tmp_path / "out")
+        code = main(["run-teachers", "--config", pipeline["ini"], "--out", out,
+                     "--pool", "oracle:0.9:-5", pipeline["data"]])
+        assert code == 2
+        assert capsys.readouterr().err == "error: oracle seed must be non-negative, got -5\n"
+        assert not os.path.exists(out)
 
     def test_bad_config_key(self, tmp_path):
         ini = tmp_path / "bad.ini"

@@ -79,7 +79,7 @@ class TestForward:
         a = rng.uniform(0, 255, (16, 16, 3))
         b = rng.uniform(0, 255, (16, 16, 3))
         v = model.views(params)
-        fa, fb = (model._encode(v, patch[None], model._workspace)[0][0] for patch in (a, b))
+        fa, fb = (model._encode(v, patch[None], model._kept(1))[0] for patch in (a, b))
         sab = State(a, b)
         sba = State(b, a)
         mus = {}
@@ -139,12 +139,12 @@ class TestParamViewCache:
         calls = self.counting(model)
         params = model.init_params(seed=1)
         states = [random_state(rng) for _ in range(3)]
-        _, _, _, caches = model.forward_window(params, states, model.zero_hidden())
+        _, _, _, window = model.forward_window(params, states, model.zero_hidden())
         model.forward_lanes(params, states[:2], model.zero_hidden())
-        model._encode(model._param_views(params), states[0].patch_cur[None], model._workspace)
+        model._encode(model._param_views(params), states[0].patch_cur[None], None)
         assert [c is params for c in calls] == [True]
         # backward reads the cached views; its fresh gradient's views are not kept
-        model.backward_window(params, caches, np.ones((3, 4)), np.ones(3))
+        model.backward_window(params, window, np.ones((3, 4)), np.ones(3))
         model.forward(params, states[0], model.zero_hidden(), model.window(1))
         assert [c is params for c in calls] == [True, False]
 
@@ -394,6 +394,14 @@ def nine_copy_encode(model, v, patches):
     return x.reshape(n, -1), stage_caches
 
 
+def encoding(kept):
+    """The features and per-stage (columns, pre-activations) in ``_kept`` buffers,
+    as (n, feature_dim) and (n·half², ·) views: ``nine_copy_encode``'s layout."""
+    stages = [(cols.reshape(-1, cols.shape[-1]), pre.reshape(-1, pre.shape[-1]))
+              for cols, pre in zip(kept[0:-1:2], kept[1:-1:2])]
+    return kept[-1], stages
+
+
 def arrays_in(tree):
     """Every array of a nested tuple/list, in order."""
     if isinstance(tree, np.ndarray):
@@ -420,12 +428,15 @@ class TestGatherEncoder:
         for n in (8, 1, 16, 3, 2, 6):
             patches = rng.uniform(0, 255, (n, p, p, 3))
             want = nine_copy_encode(model, v, patches)
-            for workspace in (model._workspace, model._arena):
-                assert_trees_bitwise(model._encode(v, list(patches), workspace), want)
+            fresh = model._kept(n)
+            model._encode(v, list(patches), fresh)
+            assert_trees_bitwise(encoding(fresh), want)
+            model._encode(v, list(patches), None)
+            assert_trees_bitwise(encoding(model._arena(n)[len(config.conv_channels) + 1 :]), want)
 
     @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     def test_forward_caches_outlive_lane_calls(self, config):
-        """A ``forward`` cache owns its buffers: ``forward_lanes`` and later
+        """A ``forward`` window owns its buffers: ``forward_lanes`` and later
         ``forward`` calls leave its bytes and its gradient as they were."""
         rng = np.random.default_rng(161)
         model, fresh = StudentModel(config), StudentModel(config)
@@ -437,18 +448,20 @@ class TestGatherEncoder:
 
         model.forward_lanes(params, *lanes())  # the reused buffers are at full size
         states = [random_state(rng, p) for _ in range(3)]
-        out, _ = model.forward(params, states[0], h0, model.window(1))
-        _, _, _, caches = model.forward_window(params, states, h0)
-        kept = [a.copy() for a in arrays_in([out.cache, caches])]
+        one = model.window(1)
+        model.forward(params, states[0], h0, one)
+        _, _, _, window = model.forward_window(params, states, h0)
+        rows = [[w.kept, w.rows] for w in (one, window)]
+        kept = [a.copy() for a in arrays_in(rows)]
         dmus, dvalues = rng.normal(size=(3, 4)), rng.normal(size=3)
-        grad = model.backward_window(params, caches, dmus, dvalues)
-        grad_one = model.backward_window(params, [out.cache], dmus[:1], dvalues[:1])
+        grad = model.backward_window(params, window, dmus, dvalues)
+        grad_one = model.backward_window(params, one, dmus[:1], dvalues[:1])
 
         model.forward_lanes(params, *lanes())
         model.forward(params, random_state(rng, p), h0, model.window(1))
-        assert_trees_bitwise([out.cache, caches], kept)
-        assert model.backward_window(params, caches, dmus, dvalues).tobytes() == grad.tobytes()
-        assert model.backward_window(params, [out.cache], dmus[:1], dvalues[:1]).tobytes() == (
+        assert_trees_bitwise(rows, kept)
+        assert model.backward_window(params, window, dmus, dvalues).tobytes() == grad.tobytes()
+        assert model.backward_window(params, one, dmus[:1], dvalues[:1]).tobytes() == (
             grad_one.tobytes()
         )
         _, _, _, own = fresh.forward_window(params, states, h0)
@@ -463,10 +476,10 @@ class TestBatchedEncoder:
         params = model.init_params(seed=11)
         p = config.patch_size
         patches = rng.uniform(0, 255, (4, p, p, 3))
-        feats, _ = model._encode(model.views(params), patches, model._workspace)
+        feats = model._encode(model.views(params), patches, model._kept(4))
         assert feats.shape == (4, model.feature_dim)
         for k in range(4):  # bitwise: batching must not change the rounding
-            one, _ = model._encode(model.views(params), patches[k : k + 1], model._workspace)
+            one = model._encode(model.views(params), patches[k : k + 1], model._kept(1))
             np.testing.assert_array_equal(feats[k], one[0])
 
     def test_conv_features_match_direct_convolution(self):
@@ -478,7 +491,7 @@ class TestBatchedEncoder:
         x = patch / 255.0 - 0.5
         for k in range(len(SMALL.conv_channels)):
             x = conv_reference(x, v[f"enc.conv{k}.W"], v[f"enc.conv{k}.b"])
-        feats, _ = model._encode(v, patch[None], model._workspace)
+        feats = model._encode(v, patch[None], model._kept(1))
         np.testing.assert_allclose(feats[0], x.reshape(-1), atol=1e-12)
 
     def test_every_conv_coordinate_fd(self):
@@ -491,11 +504,11 @@ class TestBatchedEncoder:
         h0 = model.zero_hidden()
         fn = window_sum_loss(model, states, h0, rng.normal(size=(2, 4)), rng.normal(size=2))
         _, grad = fn(params)
-        # Every ReLU input (encoder stages; fuse1/fuse2 at cache entries 2, 4)
+        # Every ReLU input (encoder stages; fuse1/fuse2 at step rows 0, 2)
         # this far from its kink cannot flip under a 1e-6 step, so the loss
         # is smooth along every probe.
-        _, _, _, caches = model.forward_window(params, states, h0)
-        relu_inputs = [pre for c in caches for _, pre in c[0]] + [c[i] for c in caches for i in (2, 4)]
+        _, _, _, window = model.forward_window(params, states, h0)
+        relu_inputs = window.kept[1:-1:2] + [r[i] for r in window.rows for i in (0, 2)]
         assert min(np.abs(p).min() for p in relu_inputs) > 1e-5
         coords = np.concatenate([
             np.arange(model.n_params)[sl]

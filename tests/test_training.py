@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -687,6 +688,30 @@ class TestSharedWeights:
         assert not np.array_equal(after[:OPT_BLOCK], before[:OPT_BLOCK])
         npt.assert_array_equal(after[OPT_BLOCK:], before[OPT_BLOCK:])
 
+    @pytest.mark.parametrize("method", ["adam", "radam"])
+    @pytest.mark.parametrize("cause", ["inf-moment", "overflow"])
+    def test_nonfinite_second_moment_fails_the_update(self, method, cause):
+        """An infinite second moment gives parameter 3 a step of exactly 0, which
+        no step check sees; a gradient of 1e160 overflows g * g into one."""
+        log = io.StringIO()
+        sw = SharedWeights(np.ones(8), OptimizerConfig(method=method, lr=1e-2), log_file=log,
+                           name_of=lambda i: f"p{i}")
+        assert sw.update(np.ones(8), DISTILLING)
+        grad = np.ones(8)
+        if cause == "inf-moment":
+            sw._v[3] = np.inf
+        else:
+            grad[3] = 1e160
+        before = sw.snapshot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow warns nowhere
+            with pytest.raises(NumericError, match=re.escape(
+                "update 2 (autonomous): non-finite moment for p3; its second moment is non-finite"
+            )):
+                sw.update(grad, AUTONOMOUS)
+        assert [e["update"] for e in logged(log)] == [1]
+        npt.assert_array_equal(sw.snapshot(), before)
+
     def test_update_count_strictly_increases(self):
         log = io.StringIO()
         sw = SharedWeights(
@@ -1016,7 +1041,7 @@ class TestRolloutGradients:
         assert sw.update_count == 0
 
 
-def per_step_backward(model, params, caches, dmus, dvalues):
+def per_step_backward(model, params, window, dmus, dvalues):
     """The reference for ``backward_window``: the whole backward pass one step
     at a time, an outer product per weight and an encoder backward over each
     step's two patches, read from its rows of the window's buffers."""
@@ -1024,8 +1049,9 @@ def per_step_backward(model, params, caches, dmus, dvalues):
     grad = np.zeros(model.n_params)
     g = model.views(grad)
     dh_carry = dc_carry = np.zeros(model.config.hidden_dim)
-    for i in range(len(caches) - 1, -1, -1):
-        stages, feats, pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu = caches[i]
+    stages, feats = list(zip(window.kept[0:-1:2], window.kept[1:-1:2])), window.kept[-1]
+    for i in range(window.steps - 1, -1, -1):
+        pre1, a1, pre2, a2, h_prev, c_prev, gi, gf, gg, go, tc, h, mu = window.rows[i]
         dza = dmus[i] * (1.0 - mu * mu)
         g["policy.W"] += np.outer(dza, h)
         g["policy.b"] += dza
@@ -1082,15 +1108,15 @@ class TestBatchedBackward:
         backward, encode_backward = StudentModel.backward_window, StudentModel._encode_backward
         windows, encoder_calls = [], []
 
-        def spy(self, params, caches, dmus, dvalues):
-            grad = backward(self, params, caches, dmus, dvalues)
-            windows.append((len(caches), grad,
-                            per_step_backward(self, params, caches, dmus, dvalues)))
+        def spy(self, params, window, dmus, dvalues):
+            grad = backward(self, params, window, dmus, dvalues)
+            windows.append((window.steps, grad,
+                            per_step_backward(self, params, window, dmus, dvalues)))
             return grad
 
-        def encoder_spy(self, v, g, dfeat, cache):
+        def encoder_spy(self, v, g, dfeat, kept):
             encoder_calls.append(len(dfeat))
-            return encode_backward(self, v, g, dfeat, cache)
+            return encode_backward(self, v, g, dfeat, kept)
 
         monkeypatch.setattr(StudentModel, "backward_window", spy)
         monkeypatch.setattr(StudentModel, "_encode_backward", encoder_spy)
@@ -1108,20 +1134,33 @@ class TestBatchedBackward:
         for _, got, want in windows:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_caches_must_be_one_whole_window(self):
+    def test_derivatives_must_match_the_window_steps(self):
         model = StudentModel(SMALL)
         params = model.init_params(3)
         rng = np.random.default_rng(8)
         states = [State(rng.uniform(0, 255, (16, 16, 3)), rng.uniform(0, 255, (16, 16, 3)))
                   for _ in range(3)]
-        _, _, hidden, caches = model.forward_window(params, states, model.zero_hidden())
-        with pytest.raises(ValueError, match="2 step caches, but the last is step 3"):
-            model.backward_window(params, caches[1:], np.ones((2, 4)), np.ones(2))
-        # the leading steps of a window are a window of their own
-        got = model.backward_window(params, caches[:2], np.ones((2, 4)), np.ones(2))
-        want = per_step_backward(model, params, caches[:2], np.ones((2, 4)), np.ones(2))
+        _, _, hidden, window = model.forward_window(params, states, model.zero_hidden())
+        # a (1, 4) row would broadcast over the 3 steps without the check
+        with pytest.raises(ValueError, match="1 action and 3 value derivatives for 3 window"):
+            model.backward_window(params, window, np.ones((1, 4)), np.ones(3))
+        with pytest.raises(ValueError, match="3 action and 2 value derivatives for 3 window"):
+            model.backward_window(params, window, np.ones((3, 4)), np.ones(2))
+        # a window that is not full is backpropagated over the steps it holds
+        part = model.window(3)
+        for state in states[:2]:
+            _, hidden = model.forward(params, state, hidden, part)
+        got = model.backward_window(params, part, np.ones((2, 4)), np.ones(2))
+        want = per_step_backward(model, params, part, np.ones((2, 4)), np.ones(2))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        window = model.window(1)
+
+    def test_a_full_window_takes_no_more_steps(self):
+        model = StudentModel(SMALL)
+        params = model.init_params(3)
+        rng = np.random.default_rng(8)
+        states = [State(rng.uniform(0, 255, (16, 16, 3)), rng.uniform(0, 255, (16, 16, 3)))
+                  for _ in range(2)]
+        window, hidden = model.window(1), model.zero_hidden()
         model.forward(params, states[0], hidden, window)
         with pytest.raises(ValueError, match="the window is full at 1 steps"):
             model.forward(params, states[1], hidden, window)

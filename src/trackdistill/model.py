@@ -5,13 +5,14 @@ connected layers -> recurrent cell -> twin heads (bounded action, linear
 value). Everything is float64 numpy with hand-derived reverse-mode gradients,
 so finite-difference verification can be made tight.
 
-Training runs ``forward`` once per step into a ``WindowCache``, the one
-object ``backward_window`` reads: each step's encoder columns, pre-activations
-and features land in the window's rows 2i and 2i + 1, and its recurrent rows
-are appended to the window's list. ``backward_window`` then runs only the
-recurrent deltas step by step and takes every weight's gradient as one
-product over the window, the encoder's over all 2n patches, reading the
-window's buffers in place.
+``forward`` is the one step call: it steps K lanes, and tracking runs it
+without a window. Training runs it once per step, one lane, into a
+``WindowCache``, the one object ``backward_window`` reads: each step's encoder
+columns, pre-activations and features land in the window's rows 2i and
+2i + 1, and its recurrent rows are appended to the window's list.
+``backward_window`` then runs only the recurrent deltas step by step and
+takes every weight's gradient as one product over the window, the encoder's
+over all 2n patches, reading the window's buffers in place.
 
 Parameters live in one flat vector partitioned into named tensors; training
 code treats it as an opaque array, which keeps shared-weight updates and
@@ -74,14 +75,6 @@ class HiddenState:
 
     h: np.ndarray
     c: np.ndarray
-
-
-@dataclass(frozen=True)
-class StudentOutput:
-    """One step's outputs; what backpropagation reads of it is in its window."""
-
-    action: np.ndarray  # in (-1, 1)^4
-    value: float
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -223,7 +216,8 @@ class StudentModel:
 
     def _arena(self, n: int) -> List[np.ndarray]:
         """The leading n rows of the model's own encoder buffers, for what a call
-        drops before the next: ``forward``'s scratch, all of ``forward_lanes``'s.
+        drops before the next: ``forward``'s scratch, and without a window all it
+        encodes.
         They grow to the largest n asked for and are otherwise reused; no call
         writes a padded border, so it stays zero."""
         if len(self._arena_bufs[0]) < n:
@@ -346,39 +340,38 @@ class StudentModel:
         return mu, value, h, c, rows
 
     def forward(
-        self, params: np.ndarray, state: State, hidden: HiddenState, window: WindowCache
+        self, params: np.ndarray, states: Sequence[State], hidden: HiddenState,
+        window: Optional[WindowCache] = None,
     ):
-        """One prediction; the outputs are a pure function of (params, state, hidden).
+        """One prediction for K lanes: lane k reads states[k] and row k of ``hidden``, whose h
+        and c are (K, hidden); a one-row state, such as ``zero_hidden()``, starts every lane
+        from that row. Lanes passing one State object share its encoding. Returns (actions
+        (K, 4), values (K,), one HiddenState of (K, hidden) rows), a pure function of
+        (params, states, hidden); row k is bitwise a one-lane call's from lane k's row.
 
-        The step is the next one of ``window`` (from ``window(n)``), and leaves there
-        all that backpropagation reads of it: its encoding in the window's rows 2i
-        and 2i + 1, its recurrent rows appended to ``window.rows``. No later call
-        writes a window's filled rows, so the window stays valid until
-        ``backward_window`` reads it. The encoder's scratch is the model's own
-        buffers (``_arena``), so a model runs one call at a time."""
-        self._check_state(state)
-        i = window.steps
-        if 2 * i == len(window.kept[-1]):
-            raise ValueError(f"the window is full at {i} steps")
-        mu, value, h, c, rows = self._step(
-            self._param_views(params), (state,), hidden.h[None], hidden.c[None],
-            [b[2 * i : 2 * i + 2] for b in window.kept],
-        )
-        window.rows.append(tuple(r[0] for r in rows))
-        return StudentOutput(mu[0], float(value[0])), HiddenState(h[0], c[0])
-
-    def forward_lanes(self, params: np.ndarray, states: Sequence[State], hidden: HiddenState):
-        """One batched prediction for K lanes: lane k reads states[k] and row k of ``hidden``,
-        whose h and c are (K, hidden); a one-row state, such as ``zero_hidden()``, starts every
-        lane from that row. Lanes passing one State object share its encoding. Row k is bitwise
-        ``forward`` from lane k's row. Returns (actions (K, 4), values (K,), one HiddenState of
-        (K, hidden) rows). Nothing is kept for backward, so the encoder reuses the model's own
-        buffers (``_arena``): the call must not overlap another ``forward_lanes`` on the same
-        model."""
+        With a ``window`` (from ``window(n)``) the call is one lane, one state and a one-row
+        ``hidden``, and is the window's next step; it raises ValueError, before writing
+        anything, for more lanes or a full window. It leaves in the window all that
+        backpropagation reads of the step: its encoding in the window's rows 2i and 2i + 1,
+        its recurrent rows appended to ``window.rows``. No later call writes a window's
+        filled rows, so the window stays valid until ``backward_window`` reads it. The
+        encoder's scratch, and without a window all it writes, is the model's own buffers
+        (``_arena``), so a model runs one call at a time."""
         for state in states:
             self._check_state(state)
         h, c = np.atleast_2d(hidden.h), np.atleast_2d(hidden.c)
-        mu, value, h, c, _ = self._step(self._param_views(params), states, h, c, None)
+        kept = None
+        if window is not None:
+            lanes = max(len(states), len(h))  # a one-row state starts every lane
+            if lanes != 1:
+                raise ValueError(f"a window takes one lane per step, not {lanes}")
+            i = window.steps
+            if 2 * i == len(window.kept[-1]):
+                raise ValueError(f"the window is full at {i} steps")
+            kept = [b[2 * i : 2 * i + 2] for b in window.kept]
+        mu, value, h, c, rows = self._step(self._param_views(params), states, h, c, kept)
+        if window is not None:
+            window.rows.append(tuple(r[0] for r in rows))
         return mu, value, HiddenState(h, c)
 
     def forward_window(
@@ -391,11 +384,11 @@ class StudentModel:
         mus, values = [], []
         window = self.window(len(states))
         for i, state in enumerate(states):
-            out, hidden = self.forward(params, state, hidden, window)
-            if not (np.all(np.isfinite(out.action)) and np.isfinite(out.value)):
+            mu, value, hidden = self.forward(params, [state], hidden, window)
+            if not (np.all(np.isfinite(mu)) and np.isfinite(value[0])):
                 raise NumericError(f"non-finite model output at window step {i}")
-            mus.append(out.action)
-            values.append(out.value)
+            mus.append(mu[0])
+            values.append(value[0])
         return np.array(mus), np.array(values), hidden, window
 
     # -- backward -------------------------------------------------------------
@@ -492,7 +485,7 @@ class WindowCache:
 class HiddenSchedule:
     """The inference-time reset rule: every ``period`` frames the hidden state
     returns to the snapshot taken after the first prediction. A state may hold
-    K lanes' (K, hidden) rows, as ``forward_lanes`` takes and returns them.
+    K lanes' (K, hidden) rows, as ``forward`` takes and returns them.
 
     Use ``before(t)`` to fetch the state for 1-based prediction step t and
     ``after(t, hidden)`` to record the advanced state.

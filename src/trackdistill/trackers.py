@@ -10,8 +10,8 @@ tras the empty pool plus a student lane, trasfust the pool alone. A teacher
 never sees the student's box, so the pool runs first, through
 ``teachers.run_pool_on_video``, and the loop reads its traces. Each value
 judgement is a lane, and a lane is one row of a single hidden state: every
-protocol steps all lanes of a frame in one ``forward_lanes`` call, with each
-distinct anchor cropped once, in one call per frame, and all lanes reset
+protocol steps all lanes of a frame in one window-less ``forward`` call, with
+each distinct anchor cropped once, in one call per frame, and all lanes reset
 together under one ``HiddenSchedule``. Non-finite student output raises
 NumericError. The crop context defaults to ``WorkerConfig.context``, the one
 the student trained with.
@@ -67,7 +67,7 @@ def _track(
 
     The pool runs first, through ``run_pool_on_video`` from the video's first
     ground-truth box; no member sees the student's box. Per frame t, one
-    ``forward_lanes`` call steps the student's lane, anchored on the output
+    ``forward`` call steps the student's lane, anchored on the output
     box, and under the value evaluator one judge lane per member, anchored on
     that member's box at t - 1. The lanes are the rows of one hidden state
     under one reset schedule, as every lane steps on every frame. The distinct
@@ -105,7 +105,7 @@ def _track(
             distinct = list(dict.fromkeys(anchors))
             crops = make_states(video.frames[t - 1], video.frames[t], distinct, context, size)
             states = dict(zip(distinct, crops))
-            actions, values, hidden = model.forward_lanes(
+            actions, values, hidden = model.forward(
                 params, [states[a] for a in anchors], sched.before(t)
             )
             sched.after(t, hidden)

@@ -407,8 +407,8 @@ class SharedWeights:
         index = start + int(np.flatnonzero(~np.isfinite(block))[0])
         bad = [name for name, a in (("first", self._m), ("second", self._v))
                if not math.isfinite(a[index])]
-        which = {0: "neither moment is", 1: f"its {bad[0]} moment is"}.get(
-            len(bad), "both moments are")
+        which = {0: "neither moment is", 2: "both moments are"}.get(len(bad)) or (
+            f"its {bad[0]} moment is")
         raise NumericError(
             f"update {self.update_count} ({kind}): non-finite {what} for "
             f"{self._name_of(index)}; {which} non-finite"
@@ -431,8 +431,15 @@ class SharedWeights:
         o = self.opt
         rl_scale = o.rl_scale if kind == AUTONOMOUS else None
         clip = None
-        if o.grad_clip > 0.0:  # the one parameter-sized temporary: the scaled gradient's norm
-            norm = float(np.linalg.norm(grad if rl_scale is None else grad * rl_scale))
+        if o.grad_clip > 0.0:
+            # an infinity left by rl_scale makes the norm NaN and is raised below as a
+            # non-finite step
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = grad if rl_scale is None else grad * rl_scale
+                norm = float(np.linalg.norm(scaled))
+                if math.isinf(norm):  # the sum of squares overflows: take it of scaled / peak
+                    peak = float(np.max(np.abs(scaled)))
+                    norm = peak * float(np.linalg.norm(scaled / peak))
             if norm > o.grad_clip:
                 clip = o.grad_clip / norm
         self.update_count += 1
@@ -599,13 +606,13 @@ def run_episode(
     loss_kind = "distill" if kind == DISTILLING else "rl"
 
     def predict(state: State, hidden: HiddenState, window: WindowCache):
-        out, hidden = model.forward(theta, state, hidden, window)
-        if not (np.all(np.isfinite(out.action)) and math.isfinite(out.value)):
+        actions, values, hidden = model.forward(theta, [state], hidden, window)
+        if not (np.all(np.isfinite(actions)) and math.isfinite(values[0])):
             raise NumericError(
                 f"non-finite model output at step {episode.t + 1} of an episode "
                 f"on {chunk.video_id}"
             )
-        return out, hidden
+        return actions[0], float(values[0]), hidden
 
     state = episode.reset()
     hidden = model.zero_hidden()
@@ -619,7 +626,7 @@ def run_episode(
         h0, filled = hidden, window  # the window this record's steps run into
         steps: List[StepRecord] = []
         while len(steps) < cfg.t_max and not done:
-            out, hidden = pending
+            mu, value, hidden = pending
             t_next = episode.t + 1
             b_prev = episode.box
             gt = chunk.gt[t_next]
@@ -627,10 +634,10 @@ def run_episode(
             ta = infer_action(teacher_box, b_prev)
             if kind == DISTILLING:
                 sample = None
-                executed = out.action
+                executed = mu
             else:
                 gt_action = infer_action(gt, b_prev)
-                sample = sample_action(out.action, gt_action, rng, cfg.sigma_floor)
+                sample = sample_action(mu, gt_action, rng, cfg.sigma_floor)
                 executed = sample.action
             next_state, r, done = episode.step(executed)
             sum_r_student += r
@@ -638,8 +645,8 @@ def run_episode(
             steps.append(
                 StepRecord(
                     state=state,
-                    mu=out.action,
-                    value=out.value,
+                    mu=mu,
+                    value=value,
                     executed=executed,
                     reward=r,
                     log_density=None if sample is None else sample.log_density,
@@ -657,7 +664,7 @@ def run_episode(
         record = EpisodeRecord(
             steps=steps,
             h0=h0,
-            bootstrap_value=0.0 if done else pending[0].value,
+            bootstrap_value=0.0 if done else pending[1],
             terminated=done,
         )
         records.append(record)

@@ -8,9 +8,9 @@ A dataset directory holds one subdirectory per sequence:
 Frames are binary PPM (P6, maxval 255). Ground-truth boxes are continuous.
 
 A loaded or generated video's frames are produced when read and are
-read-only. A loaded video decodes a frame on its first read and keeps it; a
-generated video renders a frame from its background and texture when it is
-read and keeps only the last one.
+read-only: decoded from disk, or rendered from a background and a texture.
+Either keeps only the last frame it produced, so a video holds at most one
+frame however long it is.
 """
 
 from __future__ import annotations
@@ -106,23 +106,9 @@ class LazyFrames(SequenceABC):
         return self._source(self._index[i])
 
 
-def _decoded(paths: List[str]) -> Callable[[int], np.ndarray]:
-    """Frame j decodes from ``paths[j]`` on its first read and is kept."""
-    cache: List[Optional[np.ndarray]] = [None] * len(paths)
-
-    def frame(j: int) -> np.ndarray:
-        f = cache[j]
-        if f is None:
-            f = cache[j] = read_ppm(paths[j])
-        return f
-
-    return frame
-
-
-def _rendered(bg: np.ndarray, texture: np.ndarray, pastes: list) -> Callable[[int], np.ndarray]:
-    """Frame j is a copy of ``bg`` with the texture window ``pastes[j]``
-    pasted in, if it has one. Only the last frame rendered is kept: a tracker
-    reads t - 1 and then t, so each frame renders once per pass. The kept
+def _last_kept(make: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
+    """Frame j is ``make(j)``, and only the last frame made is kept: a tracker
+    reads t - 1 and then t, so each frame is made once per pass. The kept
     (j, frame) pair is replaced in one assignment, so no reader, on any
     thread, gets one frame's index with another's bytes."""
     last: Tuple[int, Optional[np.ndarray]] = (-1, None)
@@ -131,11 +117,7 @@ def _rendered(bg: np.ndarray, texture: np.ndarray, pastes: list) -> Callable[[in
         nonlocal last
         last_j, f = last
         if last_j != j:
-            f = bg.copy()
-            if pastes[j] is not None:
-                dst, src = pastes[j]
-                f[dst] = texture[src]
-            f.flags.writeable = False
+            f = make(j)
             last = (j, f)
         return f
 
@@ -146,8 +128,8 @@ def _rendered(bg: np.ndarray, texture: np.ndarray, pastes: list) -> Callable[[in
 class Video:
     """A sequence with per-frame ground truth. Frames are (H, W, 3) uint8.
     Those of a loaded or generated video are produced when read and are
-    read-only: decoded from disk on first read, or rendered on each read
-    but a repeat of the last."""
+    read-only: decoded from disk or rendered on each read but a repeat of
+    the last."""
 
     video_id: str
     frames: Sequence[np.ndarray]
@@ -240,7 +222,8 @@ def load_video(seq_dir: str) -> Video:
         if shape != first:
             raise ParseError(f"{path}: frame shape {shape} differs from {first}")
     video_id = os.path.basename(os.path.normpath(seq_dir))
-    return Video(video_id, LazyFrames(_decoded(paths), range(len(paths))), boxes, frame_paths=paths)
+    frames = LazyFrames(_last_kept(lambda j: read_ppm(paths[j])), range(len(paths)))
+    return Video(video_id, frames, boxes, frame_paths=paths)
 
 
 def load_dataset(root: str) -> List[Video]:
@@ -373,5 +356,16 @@ def generate_video(spec: SyntheticSpec, seed: int, video_id: str) -> Video:
                            (slice(y0 - yi, y1 - yi), slice(x0 - xi, x1 - xi))))
         else:
             pastes.append(None)
-    frames = LazyFrames(_rendered(bg, texture, pastes), range(spec.num_frames))
+
+    def render(j: int) -> np.ndarray:
+        """A read-only copy of the background with frame j's texture window
+        pasted in, if it has one."""
+        f = bg.copy()
+        if pastes[j] is not None:
+            dst, src = pastes[j]
+            f[dst] = texture[src]
+        f.flags.writeable = False
+        return f
+
+    frames = LazyFrames(_last_kept(render), range(spec.num_frames))
     return Video(video_id, frames, boxes)

@@ -388,9 +388,9 @@ def test_gate_08_handoff_selection(capsys, tmp_path):
                     model.config.patch_size,
                 )
                 hidden = sched.before(t)
-                out, hidden = model.forward(params, state, hidden, model.window(1))
+                (action,), _, hidden = model.forward(params, [state], hidden, model.window(1))
                 sched.after(t, hidden)
-                cand = apply_action(out.action, box)
+                cand = apply_action(action, box)
                 gt = video.ground_truth[t]
                 v_s = iou(cand, gt)
                 v_t = iou(teacher_boxes[t], gt)

@@ -777,8 +777,11 @@ class TestTrainRun:
             chunks or os.path.join(pipeline["filter"], "chunks.json"),
         ])
 
-    def test_decodes_each_frame_at_most_once(self, pipeline, tmp_path, monkeypatch, capsys):
-        # chunks overlap in frames, and each validation tracks the held-out video
+    def test_validation_decodes_each_frame_once_per_pass(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        # each validation tracks the held-out video, and a video keeps only
+        # its last frame, so each pass decodes each of its frames once
         with open(os.path.join(pipeline["filter"], "chunks.json")) as fh:
             index = json.load(fh)
         index["chunks"] = [c for c in index["chunks"] if c["video"] != "synth003"]
@@ -786,8 +789,10 @@ class TestTrainRun:
         chunks.write_text(json.dumps(index))
         decodes = count_decodes(monkeypatch)
         assert self.train(pipeline, tmp_path / "t", str(chunks)) == 0
-        held_out = [p for p in decodes if os.sep + "synth003" + os.sep in p]
-        assert len(held_out) == 40 and set(decodes.values()) == {1}
+        with open(tmp_path / "t" / "train_log.jsonl") as fh:
+            passes = sum("validation" in json.loads(line) for line in fh)
+        held_out = {p: n for p, n in decodes.items() if os.sep + "synth003" + os.sep in p}
+        assert passes > 1 and len(held_out) == 40 and set(held_out.values()) == {passes}
 
     def test_short_trace_fails_at_load(self, pipeline, tmp_path, capsys):
         # a trace cut short, as an interrupted save leaves it, is named

@@ -39,10 +39,10 @@ class TestForward:
         params = model.init_params(seed=1)
         s = random_state(rng)
         h = model.zero_hidden()
-        out1, h1 = model.forward(params, s, h, model.window(1))
-        out2, h2 = model.forward(params, s, h, model.window(1))
-        np.testing.assert_array_equal(out1.action, out2.action)
-        assert out1.value == out2.value
+        (mu1,), (v1,), h1 = model.forward(params, [s], h, model.window(1))
+        (mu2,), (v2,), h2 = model.forward(params, [s], h, model.window(1))
+        np.testing.assert_array_equal(mu1, mu2)
+        assert v1 == v2
         np.testing.assert_array_equal(h1.h, h2.h)
 
     def test_action_bounded(self):
@@ -50,26 +50,30 @@ class TestForward:
         model = StudentModel(SMALL)
         for seed in range(5):
             params = model.init_params(seed) * 10.0  # exaggerate pre-activations
-            out, _ = model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
-            assert np.all(np.abs(out.action) < 1.0)
+            (mu,), _, _ = model.forward(
+                params, [random_state(rng)], model.zero_hidden(), model.window(1)
+            )
+            assert np.all(np.abs(mu) < 1.0)
 
     def test_zero_params_zero_outputs(self):
         rng = np.random.default_rng(103)
         model = StudentModel(SMALL)
         params = np.zeros(model.n_params)
-        out, hidden = model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
-        np.testing.assert_array_equal(out.action, np.zeros(4))
-        assert out.value == 0.0
-        np.testing.assert_array_equal(hidden.h, np.zeros(12))
+        (mu,), (v,), hidden = model.forward(
+            params, [random_state(rng)], model.zero_hidden(), model.window(1)
+        )
+        np.testing.assert_array_equal(mu, np.zeros(4))
+        assert v == 0.0
+        np.testing.assert_array_equal(hidden.h, np.zeros((1, 12)))
 
     def test_hidden_state_matters(self):
         rng = np.random.default_rng(104)
         model = StudentModel(SMALL)
         params = model.init_params(seed=2)
         s = random_state(rng)
-        out_cold, h1 = model.forward(params, s, model.zero_hidden(), model.window(1))
-        out_warm, _ = model.forward(params, s, h1, model.window(1))
-        assert not np.array_equal(out_cold.action, out_warm.action)
+        mu_cold, _, h1 = model.forward(params, [s], model.zero_hidden(), model.window(1))
+        mu_warm, _, _ = model.forward(params, [s], h1, model.window(1))
+        assert not np.array_equal(mu_cold, mu_warm)
 
     def test_weight_sharing_across_branches(self):
         """Both patch branches apply the identical encoder function."""
@@ -84,8 +88,7 @@ class TestForward:
         sba = State(b, a)
         mus = {}
         for tag, st in (("ab", sab), ("ba", sba)):
-            out, _ = model.forward(params, st, model.zero_hidden(), model.window(1))
-            mus[tag] = out.action
+            (mus[tag],), _, _ = model.forward(params, [st], model.zero_hidden(), model.window(1))
         # swapping inputs changes the output only via concat order, never via
         # per-branch weights: rebuild both orders from the same two features
         for tag, first, second in (("ab", fa, fb), ("ba", fb, fa)):
@@ -101,7 +104,7 @@ class TestForward:
         params = model.init_params(seed=1)
         bad = random_state(rng, patch_size=8)
         with pytest.raises(ConfigError):
-            model.forward(params, bad, model.zero_hidden(), model.window(1))
+            model.forward(params, [bad], model.zero_hidden(), model.window(1))
 
     def test_nonfinite_params_detected(self):
         rng = np.random.default_rng(108)
@@ -140,19 +143,19 @@ class TestParamViewCache:
         params = model.init_params(seed=1)
         states = [random_state(rng) for _ in range(3)]
         _, _, _, window = model.forward_window(params, states, model.zero_hidden())
-        model.forward_lanes(params, states[:2], model.zero_hidden())
+        model.forward(params, states[:2], model.zero_hidden())
         model._encode(model._param_views(params), states[0].patch_cur[None], None)
         assert [c is params for c in calls] == [True]
         # backward reads the cached views; its fresh gradient's views are not kept
         model.backward_window(params, window, np.ones((3, 4)), np.ones(3))
-        model.forward(params, states[0], model.zero_hidden(), model.window(1))
+        model.forward(params, states[:1], model.zero_hidden(), model.window(1))
         assert [c is params for c in calls] == [True, False]
 
     def test_cache_holds_its_vector(self):
         rng = np.random.default_rng(112)
         model = StudentModel(SMALL)
         params = model.init_params(seed=1)
-        model.forward(params, random_state(rng), model.zero_hidden(), model.window(1))
+        model.forward(params, [random_state(rng)], model.zero_hidden(), model.window(1))
         ref = weakref.ref(params)
         del params
         assert ref() is not None  # so no later vector can take its id
@@ -163,13 +166,13 @@ class TestParamViewCache:
         s, h = random_state(rng), model.zero_hidden()
         p, q = model.init_params(seed=1), model.init_params(seed=2)
         for params in (p, q.copy(), p):
-            got, _ = model.forward(params, s, h, model.window(1))
-            want, _ = fresh.forward(params.copy(), s, h, fresh.window(1))
-            assert np.array_equal(got.action, want.action) and got.value == want.value
+            got_mu, got_v, _ = model.forward(params, [s], h, model.window(1))
+            want_mu, want_v, _ = fresh.forward(params.copy(), [s], h, fresh.window(1))
+            assert np.array_equal(got_mu, want_mu) and got_v == want_v
         p[:] = q  # an in-place update shows through the cached views
-        got, _ = model.forward(p, s, h, model.window(1))
-        want, _ = fresh.forward(q, s, h, fresh.window(1))
-        assert np.array_equal(got.action, want.action) and got.value == want.value
+        got_mu, got_v, _ = model.forward(p, [s], h, model.window(1))
+        want_mu, want_v, _ = fresh.forward(q, [s], h, fresh.window(1))
+        assert np.array_equal(got_mu, want_mu) and got_v == want_v
 
 
 def masked_sigmoid(x):
@@ -203,21 +206,21 @@ def random_hiddens(rng, config, k):
 
 
 def assert_lanes_equal_forward(model, params, states, hidden):
-    """``forward_lanes`` rows against per-lane ``forward``; a one-row (1-D)
-    ``hidden`` starts every lane from that row."""
+    """Window-less ``forward`` rows against per-lane windowed ``forward``, the
+    reference; a one-row (1-D) ``hidden`` starts every lane from that row."""
     k = len(states)
-    actions, values, new_hidden = model.forward_lanes(params, states, hidden)
+    actions, values, new_hidden = model.forward(params, states, hidden)
     assert actions.shape == (k, 4) and values.shape == (k,)
     assert new_hidden.h.shape == new_hidden.c.shape == (k, model.config.hidden_dim)
     hs, cs = (np.broadcast_to(x, (k, model.config.hidden_dim)) for x in (hidden.h, hidden.c))
     for lane in range(k):  # bitwise: batching and sharing must not change the rounding
-        out, h = model.forward(
-            params, states[lane], HiddenState(hs[lane], cs[lane]), model.window(1)
+        (mu,), (v,), h = model.forward(
+            params, [states[lane]], HiddenState(hs[lane], cs[lane]), model.window(1)
         )
-        np.testing.assert_array_equal(actions[lane], out.action)
-        assert values[lane] == out.value
-        np.testing.assert_array_equal(new_hidden.h[lane], h.h)
-        np.testing.assert_array_equal(new_hidden.c[lane], h.c)
+        np.testing.assert_array_equal(actions[lane], mu)
+        assert values[lane] == v
+        np.testing.assert_array_equal(new_hidden.h[lane], h.h[0])
+        np.testing.assert_array_equal(new_hidden.c[lane], h.c[0])
 
 
 class TestForwardLanes:
@@ -247,7 +250,7 @@ class TestForwardLanes:
         assert_lanes_equal_forward(model, params, states, one)
         stacked = HiddenState(np.repeat(row.h, k, axis=0), np.repeat(row.c, k, axis=0))
         (mu1, v1, h1), (mu, v, h) = (
-            model.forward_lanes(params, states, x) for x in (one, stacked)
+            model.forward(params, states, x) for x in (one, stacked)
         )
         assert_trees_bitwise([mu1, v1, h1.h, h1.c], [mu, v, h.h, h.c])
 
@@ -274,7 +277,7 @@ class TestForwardLanes:
             "_encode",
             lambda v, patches, *rest: encoded.append(len(patches)) or encode(v, patches, *rest),
         )
-        model.forward_lanes(params, [a, b, a, a], model.zero_hidden())
+        model.forward(params, [a, b, a, a], model.zero_hidden())
         assert encoded == [4]  # two distinct states, two patches each, one call
 
     def test_shape_mismatch_rejected(self):
@@ -283,7 +286,23 @@ class TestForwardLanes:
         params = model.init_params(seed=1)
         states = [random_state(rng), random_state(rng, patch_size=8)]
         with pytest.raises(ConfigError):
-            model.forward_lanes(params, states, model.zero_hidden())
+            model.forward(params, states, model.zero_hidden())
+
+    def test_a_window_takes_one_lane(self):
+        """A windowed call of two lanes, by its states or by its hidden rows, raises
+        before it writes anything (a full window raises too: see test_training)."""
+        rng = np.random.default_rng(153)
+        model = StudentModel(SMALL)
+        params = model.init_params(seed=1)
+        window = model.window(2)
+        model.forward(params, [random_state(rng)], model.zero_hidden(), window)
+        kept = [a.copy() for a in arrays_in([window.kept, window.rows])]
+        lanes = [random_state(rng), random_state(rng)]
+        for states, rows in ((lanes, 2), (lanes[:1], 2), (lanes, 1)):
+            with pytest.raises(ValueError, match="a window takes one lane per step, not 2"):
+                model.forward(params, states, random_hiddens(rng, SMALL, rows), window)
+        assert window.steps == 1
+        assert_trees_bitwise([window.kept, window.rows], kept)
 
 
 def window_sum_loss(model, states, h0, cmu, cv):
@@ -436,7 +455,7 @@ class TestGatherEncoder:
 
     @pytest.mark.parametrize("config", [SMALL, StudentConfig()], ids=["conv", "default"])
     def test_forward_caches_outlive_lane_calls(self, config):
-        """A ``forward`` window owns its buffers: ``forward_lanes`` and later
+        """A ``forward`` window owns its buffers: window-less and later windowed
         ``forward`` calls leave its bytes and its gradient as they were."""
         rng = np.random.default_rng(161)
         model, fresh = StudentModel(config), StudentModel(config)
@@ -446,10 +465,10 @@ class TestGatherEncoder:
         def lanes():
             return [random_state(rng, p) for _ in range(8)], random_hiddens(rng, config, 8)
 
-        model.forward_lanes(params, *lanes())  # the reused buffers are at full size
+        model.forward(params, *lanes())  # the reused buffers are at full size
         states = [random_state(rng, p) for _ in range(3)]
         one = model.window(1)
-        model.forward(params, states[0], h0, one)
+        model.forward(params, states[:1], h0, one)
         _, _, _, window = model.forward_window(params, states, h0)
         rows = [[w.kept, w.rows] for w in (one, window)]
         kept = [a.copy() for a in arrays_in(rows)]
@@ -457,8 +476,8 @@ class TestGatherEncoder:
         grad = model.backward_window(params, window, dmus, dvalues)
         grad_one = model.backward_window(params, one, dmus[:1], dvalues[:1])
 
-        model.forward_lanes(params, *lanes())
-        model.forward(params, random_state(rng, p), h0, model.window(1))
+        model.forward(params, *lanes())
+        model.forward(params, [random_state(rng, p)], h0, model.window(1))
         assert_trees_bitwise(rows, kept)
         assert model.backward_window(params, window, dmus, dvalues).tobytes() == grad.tobytes()
         assert model.backward_window(params, one, dmus[:1], dvalues[:1]).tobytes() == (
@@ -559,7 +578,7 @@ class TestHiddenSchedule:
         state = random_state(rng)
         for t in range(1, 35):
             h = sched.before(t)
-            out, h_next = model.forward(params, state, h, model.window(1))
+            _, _, h_next = model.forward(params, [state], h, model.window(1))
             sched.after(t, h_next)
             seen[t] = h
             if t == 1:
@@ -580,7 +599,7 @@ class TestHiddenSchedule:
         for t in range(1, 14):
             h = sched.before(t)
             fetched[t] = h
-            _, h_next = model.forward(params, state, h, model.window(1))
+            _, _, h_next = model.forward(params, [state], h, model.window(1))
             sched.after(t, h_next)
         snap = fetched[2]  # state entering step 2 is the post-step-1 snapshot
         for t in (5, 9, 13):

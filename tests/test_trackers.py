@@ -1,11 +1,15 @@
+import collections
 import hashlib
+import os
 import sys
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from trackdistill import trackers
+from trackdistill import video as videomod
 from trackdistill.errors import InvalidInputError, NumericError, TeacherError
 from trackdistill.geometry import Box, apply_action, iou
 from trackdistill.mdp import make_state, make_states
@@ -29,7 +33,7 @@ from trackdistill.trackers import (
     trast,
     write_trackrun,
 )
-from trackdistill.video import SyntheticSpec, generate_video
+from trackdistill.video import SyntheticSpec, generate_video, load_dataset, write_video
 
 from test_teachers import pid_teacher, rendezvous_pool, started
 
@@ -328,11 +332,11 @@ class RefLane:
         state = make_state(
             video.frames[t - 1], video.frames[t], anchor, 1.5, self.model.config.patch_size
         )
-        out, hidden = self.model.forward(
-            self.params, state, self.sched.before(t), self.model.window(1)
+        (action,), (value,), hidden = self.model.forward(
+            self.params, [state], self.sched.before(t), self.model.window(1)
         )
         self.sched.after(t, hidden)
-        return out
+        return action, value
 
 
 def reference_tras(video, model, params):
@@ -340,11 +344,11 @@ def reference_tras(video, model, params):
     run = TrackRun(video.video_id, "tras", [], [])
     box = video.ground_truth[0]
     for t in range(1, len(video.frames)):
-        out = lane.step(video, t, box)
-        box = apply_action(out.action, box)
+        action, value = lane.step(video, t, box)
+        box = apply_action(action, box)
         run.boxes.append(box)
         run.controllers.append(STUDENT)
-        run.v_student.append(out.value)
+        run.v_student.append(value)
     return run
 
 
@@ -355,15 +359,15 @@ def reference_trast(video, model, params, teacher):
     run = TrackRun(video.video_id, "trast", [], [], v_teachers={tid: []})
     box = video.ground_truth[0]
     for t in range(1, len(video.frames)):
-        out = student.step(video, t, box)
-        v_t = judge.step(video, t, chain[t - 1]).value
-        if out.value >= v_t:
-            box, who = apply_action(out.action, box), STUDENT
+        action, v_s = student.step(video, t, box)
+        _, v_t = judge.step(video, t, chain[t - 1])
+        if v_s >= v_t:
+            box, who = apply_action(action, box), STUDENT
         else:
             box, who = chain[t], tid
         run.boxes.append(box)
         run.controllers.append(who)
-        run.v_student.append(out.value)
+        run.v_student.append(v_s)
         run.v_teachers[tid].append(v_t)
     return run
 
@@ -374,7 +378,7 @@ def reference_trasfust(video, model, params, pool):
     ids = [f.teacher_id for f in pool]
     run = TrackRun(video.video_id, "trasfust", [], [], v_teachers={tid: [] for tid in ids})
     for t in range(1, len(video.frames)):
-        values = [lane.step(video, t, chain[t - 1]).value for lane, chain in zip(lanes, chains)]
+        values = [lane.step(video, t, chain[t - 1])[1] for lane, chain in zip(lanes, chains)]
         best = int(np.argmax(values))
         run.boxes.append(chains[best][t])
         run.controllers.append(ids[best])
@@ -493,6 +497,34 @@ class TestBatchedLanes:
         assert run.boxes == full.boxes[:5]
         assert run.controllers == full.controllers[:5]
         assert run.v_teachers == {tid: v[:5] for tid, v in full.v_teachers.items()}
+
+
+class TestFrameMemory:
+    def test_a_loaded_video_keeps_at_most_two_decoded_frames(self, tmp_path, monkeypatch):
+        """Tracking reads frames t - 1 and t, so no more than those two of a
+        video's decoded frames may be alive at any decode."""
+        for seed in range(6):
+            write_video(small_video(60 + seed, frames=8), str(tmp_path))
+        videos = load_dataset(str(tmp_path))
+        refs = collections.defaultdict(list)  # a video's directory -> its decoded frames
+        peak = collections.Counter()
+        real = videomod.read_ppm
+
+        def spy(path):
+            frame = real(path)
+            seq = os.path.dirname(os.path.dirname(path))
+            refs[seq].append(weakref.ref(frame))
+            peak[seq] = max(peak[seq], sum(ref() is not None for ref in refs[seq]))
+            return frame
+
+        monkeypatch.setattr(videomod, "read_ppm", spy)
+        model = StudentModel(SMALL)
+        params = model.init_params(31)
+        for video in videos:
+            run = tras(video, video.ground_truth[0], model, params)
+            assert len(run.boxes) == 7
+        assert [len(r) for r in refs.values()] == [8] * 6  # each frame decoded once
+        assert max(peak.values()) <= 2
 
 
 def as_stored(run):

@@ -536,6 +536,20 @@ class TestOptimizers:
         sw.update(g, DISTILLING)
         npt.assert_array_equal(sw.snapshot(), -g)
 
+    @pytest.mark.parametrize("method", ["sgd", "adam", "radam"])
+    def test_clip_of_a_gradient_whose_square_overflows(self, method):
+        """A finite gradient whose sum of squares overflows is still clipped to
+        norm grad_clip, and its step applied."""
+        g = np.random.default_rng(63).normal(size=50)
+        g[3] = 1e160
+        cfg = OptimizerConfig(method=method, grad_clip=1.0, lr=1e-3, weight_decay=0.0)
+        sw = SharedWeights(np.zeros(50), cfg, record_deltas=True, name_of=str)
+        assert sw.update(g, DISTILLING)
+        assert sw.snapshot()[3] < 0.0
+        # the first step's sgd delta is -lr * g, its first moment (1 - beta1) * g
+        clipped = -sw.deltas[-1] / cfg.lr if method == "sgd" else sw._m / (1.0 - cfg.beta1)
+        assert abs(np.linalg.norm(clipped) - cfg.grad_clip) <= 1e-12 * cfg.grad_clip
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             SharedWeights(np.zeros(2), OptimizerConfig(method="rmsprop"), name_of=str)
@@ -687,6 +701,18 @@ class TestSharedWeights:
         # the first block was applied before the second block's step was checked
         assert not np.array_equal(after[:OPT_BLOCK], before[:OPT_BLOCK])
         npt.assert_array_equal(after[OPT_BLOCK:], before[OPT_BLOCK:])
+
+    @pytest.mark.parametrize("kind", [DISTILLING, AUTONOMOUS])
+    def test_overflowing_sgd_step_names_no_moment(self, kind):
+        """sgd keeps no moments, so an overflowing step is raised as such; a huge
+        lr or rl_scale times a finite gradient overflows."""
+        cfg = OptimizerConfig(method="sgd", lr=1e10, rl_scale=1e10, weight_decay=0.0)
+        sw = SharedWeights(np.ones(4), cfg, name_of=lambda i: f"p{i}")
+        with pytest.raises(NumericError, match=re.escape(
+            f"update 1 ({kind}): non-finite step for p2; neither moment is non-finite"
+        )):
+            sw.update(np.array([1.0, 1.0, 1e300, 1.0]), kind)
+        npt.assert_array_equal(sw.snapshot(), np.ones(4))
 
     @pytest.mark.parametrize("method", ["adam", "radam"])
     @pytest.mark.parametrize("cause", ["inf-moment", "overflow"])
@@ -976,9 +1002,9 @@ class CountingModel(StudentModel):
         self.forward_calls = 0
         self.window_calls = 0
 
-    def forward(self, params, state, hidden, window):
+    def forward(self, params, states, hidden, window=None):
         self.forward_calls += 1
-        return super().forward(params, state, hidden, window)
+        return super().forward(params, states, hidden, window)
 
     def forward_window(self, params, states, hidden):
         self.window_calls += 1
@@ -1149,7 +1175,7 @@ class TestBatchedBackward:
         # a window that is not full is backpropagated over the steps it holds
         part = model.window(3)
         for state in states[:2]:
-            _, hidden = model.forward(params, state, hidden, part)
+            _, _, hidden = model.forward(params, [state], hidden, part)
         got = model.backward_window(params, part, np.ones((2, 4)), np.ones(2))
         want = per_step_backward(model, params, part, np.ones((2, 4)), np.ones(2))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -1161,9 +1187,9 @@ class TestBatchedBackward:
         states = [State(rng.uniform(0, 255, (16, 16, 3)), rng.uniform(0, 255, (16, 16, 3)))
                   for _ in range(2)]
         window, hidden = model.window(1), model.zero_hidden()
-        model.forward(params, states[0], hidden, window)
+        model.forward(params, states[:1], hidden, window)
         with pytest.raises(ValueError, match="the window is full at 1 steps"):
-            model.forward(params, states[1], hidden, window)
+            model.forward(params, states[1:], hidden, window)
 
 
 class TestTrain:
